@@ -34,11 +34,12 @@ import os
 from dataclasses import dataclass
 
 from .fp import FieldElement, Fp
-from .mont_curve import (CurveSide, ProjCurve, ProjPoint, curve_constants,
-                         is_infinity, xmul, xtwist)
+from .mont_curve import (CurveSide, ProjCurve, ProjPoint, affinize,
+                         affinize_mont, curve_constants, is_infinity, xmul,
+                         xtwist)
 from .isogeny import xisog
 from .params import PARAM_IDS, PARAM_NAMES, CsidhParams, get_params
-from .trace import MOD_CSIDH, MOD_XAFFINIZE, OpTrace
+from .trace import MOD_CSIDH, OpTrace
 
 SK_MAGIC = b"CSIDHSK1"
 PK_MAGIC = b"CSIDHPK1"
@@ -99,6 +100,18 @@ def make_rng(seed: bytes | None = None) -> Drbg:
     return Drbg(seed if seed is not None else os.urandom(32))
 
 
+def _parse_header(raw: bytes, magic: bytes, kind: str):
+    """Split a key file into (params, body) after its magic and param id."""
+    if raw[:len(magic)] != magic:
+        raise ValueError(f"bad {kind}-key magic")
+    if len(raw) <= len(magic):
+        raise ValueError(f"{kind}-key file is truncated")
+    param_id = raw[len(magic)]
+    if param_id not in PARAM_NAMES:
+        raise ValueError("unknown parameter-set id")
+    return get_params(PARAM_NAMES[param_id]), raw[len(magic) + 1:]
+
+
 @dataclass(frozen=True)
 class PrivateKey:
     """Exponent vector e with |e_i| <= m."""
@@ -118,12 +131,7 @@ class PrivateKey:
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "PrivateKey":
-        if raw[:8] != SK_MAGIC:
-            raise ValueError("bad private-key magic")
-        if raw[8] not in PARAM_NAMES:
-            raise ValueError("unknown parameter-set id")
-        params = get_params(PARAM_NAMES[raw[8]])
-        body = raw[9:]
+        params, body = _parse_header(raw, SK_MAGIC, "private")
         if len(body) != params.n:
             raise ValueError("private-key payload has wrong length")
         exps = tuple(b - 256 if b >= 128 else b for b in body)
@@ -143,12 +151,7 @@ class PublicKey:
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> tuple["PublicKey", CsidhParams]:
-        if raw[:8] != PK_MAGIC:
-            raise ValueError("bad public-key magic")
-        if raw[8] not in PARAM_NAMES:
-            raise ValueError("unknown parameter-set id")
-        params = get_params(PARAM_NAMES[raw[8]])
-        body = raw[9:]
+        params, body = _parse_header(raw, PK_MAGIC, "public")
         if len(body) != params.byte_length:
             raise ValueError("public-key payload has wrong length")
         A = int.from_bytes(body, "little")
@@ -162,7 +165,6 @@ class ActionConfig:
     constant_time: bool = True
     fault_check: bool = True
     batch_limit: int = 16
-    rng_seed: bytes | None = None
 
     def __post_init__(self):
         if self.batch_limit < 1:
@@ -181,12 +183,6 @@ def validate_basic(A: int, params: CsidhParams) -> bool:
 
 
 # --- point sampling -------------------------------------------------------
-
-def _affine_mont(fp: Fp, curve: ProjCurve) -> int:
-    """Montgomery-domain affine coefficient Ax/Az (fixed-schedule inverse)."""
-    fp.set_module(MOD_XAFFINIZE)
-    return fp.mul(curve.Ax, fp.inv(curve.Az))
-
 
 def sample_point(fp: Fp, A_mont: int, side: CurveSide, rng: Drbg,
                  shadow: Fp | None = None) -> ProjPoint:
@@ -237,7 +233,7 @@ def group_action_vartime(pk: PublicKey, sk: PrivateKey, params: CsidhParams,
             in_batch = set(batch)
             k = 4 * math.prod(primes[j] for j in range(n)
                               if j not in in_batch)
-            A_mont = _affine_mont(fp, curve)
+            A_mont = affinize_mont(fp, curve)
             P = sample_point(fp, A_mont, side, rng)
             const = curve_constants(fp, curve)
             P = xmul(fp, P, k, const)
@@ -259,12 +255,7 @@ def group_action_vartime(pk: PublicKey, sk: PrivateKey, params: CsidhParams,
 
     if not _validate_working_curve(fp, curve, params, rng):
         return PublicKey(rng.below(params.p)), False
-    return PublicKey(_affinize_std(fp, curve)), True
-
-
-def _affinize_std(fp: Fp, curve: ProjCurve) -> int:
-    fp.set_module(MOD_XAFFINIZE)
-    return fp.from_mont(fp.mul(curve.Ax, fp.inv(curve.Az)))
+    return PublicKey(affinize(fp, curve)), True
 
 
 def _validate_working_curve(fp: Fp, curve: ProjCurve, params: CsidhParams,
@@ -327,10 +318,11 @@ def group_action_ct(pk: PublicKey, sk: PrivateKey, params: CsidhParams,
             if curve is None:
                 return PublicKey(rng.below(params.p)), False, trace
 
-    assert all(r == 0 for r in remaining)
+    if any(remaining):
+        raise RuntimeError("ct schedule left isogenies unapplied")
     if not _validate_working_curve(fp, curve, params, rng):
         return PublicKey(rng.below(params.p)), False, trace
-    return PublicKey(_affinize_std(fp, curve)), True, trace
+    return PublicKey(affinize(fp, curve)), True, trace
 
 
 def _sample_pair(fp: Fp, shadow: Fp | None, curve: ProjCurve, clear: int,
@@ -341,7 +333,7 @@ def _sample_pair(fp: Fp, shadow: Fp | None, curve: ProjCurve, clear: int,
     when one is given.  The repair path passes the untraced context as `fp`
     (and shadow=None) so nothing it does reaches the trace.
     """
-    A_mont = _affine_mont(fp, curve)
+    A_mont = affinize_mont(fp, curve)
     P_plus = sample_point(fp, A_mont, CurveSide.CURVE, rng, shadow=shadow)
     P_minus = sample_point(fp, A_mont, CurveSide.TWIST, rng, shadow=shadow)
     const = curve_constants(fp, curve)

@@ -9,8 +9,8 @@ Subcommands:
 
 All randomness flows through a single DRBG: with ``--seed`` every run is
 bit-reproducible (files and stdout included).  Results go to stdout,
-diagnostics to stderr.  Exit codes: 2 I/O failure, 3 fault detected,
-4 invalid peer key.
+diagnostics to stderr.  Exit codes: 2 I/O failure or unreadable cost
+table, 3 fault detected, 4 invalid peer key.
 """
 
 from __future__ import annotations
@@ -154,6 +154,9 @@ def cmd_bench(args) -> int:
             cost_table = CostTable.load(args.cost_table)
         except OSError as exc:
             print(f"read failed: {exc}", file=sys.stderr)
+            return EXIT_IO
+        except ValueError as exc:
+            print(f"invalid cost table: {exc}", file=sys.stderr)
             return EXIT_IO
     seed = bytes.fromhex(args.seed) if args.seed else b"bench"
     total, breakdown, ledger = estimate_keygen(

@@ -3,7 +3,10 @@
 Each operation returns the exact arithmetic result (bit-identical to the
 ``fp`` module) together with a deterministic :class:`CycleCost`.  Cycle
 costs are functions of (operation, ALU mode, width) only -- never of
-operand values.
+operand values.  The carry-select, wide-multiply and Montgomery-multiply
+latencies are imported from :mod:`csidhsim.trace`, whose default cost table
+is derived from the same constants, so the datapath model and the cycle
+ledger cannot disagree.
 
 Modeling granularity is the pipeline phase: per-phase values are computed
 the way the hardware's register structure implies (dual-path sums per
@@ -18,6 +21,7 @@ from enum import Enum
 
 from .fp import FieldElement, int_to_words, words_to_int
 from .params import CsidhParams
+from .trace import CSEL_CYCLES, MONT_MUL_CYCLES, MUL_WIDE_CYCLES
 
 
 class AluMode(Enum):
@@ -41,16 +45,8 @@ class RngExhausted(RuntimeError):
     """The masked-ALU randomness source ran out of words."""
 
 
-# Structural latency constants
-CSEL_ADD_CYCLES = 2          # two-stage pipelined carry-select adder
-CSEL_SUB_CYCLES = 2
+# Booth-core latency; datapath-only, since the ledger has no Booth opcode.
 BOOTH_CYCLES = {AluMode.FPGA: 1, AluMode.ASIC: 2}
-MUL_WIDE_CYCLES = {AluMode.FPGA: 22, AluMode.ASIC: 23}
-MONT_MUL_CYCLES_FPGA = 87
-# The ASIC Montgomery multiply runs the two-cycle booth cores; default +2
-# (one extra cycle per wide multiply on the REDC path), calibrated against
-# the published end-to-end totals.
-MONT_MUL_EXTRA_ASIC = 2
 
 _WORD_BITS = 32
 _MASK32 = (1 << _WORD_BITS) - 1
@@ -92,7 +88,7 @@ def csel_add(a, b, carry_in: int = 0):
         else:
             out.append(s0[i])
             c = c0[i]
-    return tuple(out), c, CycleCost(CSEL_ADD_CYCLES)
+    return tuple(out), c, CycleCost(CSEL_CYCLES)
 
 
 def csel_sub(a, b, borrow_in: int = 0):
@@ -116,7 +112,7 @@ def csel_sub(a, b, borrow_in: int = 0):
         else:
             out.append(d0[i])
             w = w0[i]
-    return tuple(out), w, CycleCost(CSEL_SUB_CYCLES)
+    return tuple(out), w, CycleCost(CSEL_CYCLES)
 
 
 def booth_mul(x: int, y: int, width: int, mode: AluMode = AluMode.ASIC):
@@ -130,8 +126,8 @@ def booth_mul(x: int, y: int, width: int, mode: AluMode = AluMode.ASIC):
         raise ValueError("operand out of range")
     padded = width + 1          # zero MSB makes the operands non-negative
     n_partials = (padded + 1) // 2
-    if width == 32:
-        assert n_partials == 17, "radix-4 recoding must give 17 partials"
+    if width == 32 and n_partials != 17:
+        raise RuntimeError("radix-4 recoding must give 17 partials")
     partials = []
     for j in range(n_partials):
         b_hi = (y >> (2 * j + 1)) & 1
@@ -143,7 +139,8 @@ def booth_mul(x: int, y: int, width: int, mode: AluMode = AluMode.ASIC):
     split = 9 if n_partials == 17 else (n_partials + 1) // 2
     stage1 = sum(partials[:split])
     product = stage1 + sum(partials[split:])
-    assert product == x * y
+    if product != x * y:
+        raise RuntimeError("Booth partial products do not sum to x*y")
     return product, CycleCost(BOOTH_CYCLES[mode])
 
 
@@ -167,7 +164,8 @@ def _chunk_product(a_k: int, b, n: int):
         words.append(w)
     w, c = _add32cs(hi[n - 1], 0, c)
     words.append(w)
-    assert c == 0
+    if c:
+        raise RuntimeError("chunk product overflowed n+1 words")
     value = 0
     for i, w in enumerate(words):
         value |= w << (i * _WORD_BITS)
@@ -180,7 +178,7 @@ def mul_wide(a, b, mode: AluMode = AluMode.FPGA):
     Per chunk of `a`: generate 16 partial products, fold the 32-bit
     overlaps with carry-select cells, accumulate into the batch's 1024-bit
     register at the chunk's word offset; finally merge the up/down batch
-    accumulators.  22 cycles on FPGA, 23 on ASIC.
+    accumulators.  Costs ``MUL_WIDE_CYCLES`` for the ALU mode.
     """
     if len(a) != len(b):
         raise ValueError("operand length mismatch")
@@ -193,13 +191,8 @@ def mul_wide(a, b, mode: AluMode = AluMode.FPGA):
     for v in range(half, n):
         acc_down += _chunk_product(a[v], b, n) << (_WORD_BITS * v)
     product = acc_up + acc_down
-    return (int_to_words(product, 2 * n), CycleCost(MUL_WIDE_CYCLES[mode]))
-
-
-def mont_mul_cycles(mode: AluMode, extra_asic: int = MONT_MUL_EXTRA_ASIC) -> int:
-    if mode is AluMode.FPGA:
-        return MONT_MUL_CYCLES_FPGA
-    return MONT_MUL_CYCLES_FPGA + extra_asic
+    return (int_to_words(product, 2 * n),
+            CycleCost(MUL_WIDE_CYCLES[mode.value]))
 
 
 def mont_mul_dp_int(a: int, b: int, params: CsidhParams,
@@ -216,11 +209,12 @@ def mont_mul_dp_int(a: int, b: int, params: CsidhParams,
     m_words = mul_wide(t_low, pinv_words, mode)[0][:n]       # m = T_low*pinv mod R
     mp_words, _ = mul_wide(m_words, p_words, mode)           # m*p
     t1, carry, _ = csel_add(t_words, mp_words)               # T' = T + m*p
-    assert carry == 0, "T' must fit in 2W bits for canonical inputs"
+    if carry:
+        raise RuntimeError("T' must fit in 2W bits for canonical inputs")
     t_out = t1[n:]                                           # T'/R (right shift)
     diff, borrow, _ = csel_sub(t_out, p_words)
     result = t_out if borrow else diff                       # masked select
-    return words_to_int(result), CycleCost(mont_mul_cycles(mode))
+    return words_to_int(result), CycleCost(MONT_MUL_CYCLES[mode.value])
 
 
 def mont_mul_dp(a: FieldElement, b: FieldElement, params: CsidhParams,
@@ -279,18 +273,15 @@ def masked_issue(op: str, operands, rng, mode: AluMode = AluMode.FPGA):
     """
     if op == "ADD":
         result = csel_add(*operands)
-        dummies = 2            # subtractor + multiplier
     elif op == "SUB":
         result = csel_sub(*operands)
-        dummies = 2
     elif op == "MUL":
         result = mul_wide(*operands, mode=mode)
-        dummies = 2
     else:
         raise ValueError(f"unknown ALU opcode: {op!r}")
     n_cycles = result[-1].cycles
     for _ in range(n_cycles):
-        for _ in range(dummies):
+        for _ in range(2):     # the two idle units of the three
             # two fresh operand words per idle unit per cycle
             rng.next_word()
             rng.next_word()

@@ -153,7 +153,8 @@ class Fp:
 
     def redc(self, T: int) -> int:
         """Montgomery reduction T*R^-1 mod p for T < p*R."""
-        assert 0 <= T < self.p << self.shift, "mont_reduce precondition"
+        if not 0 <= T < self.p << self.shift:
+            raise ValueError("mont_reduce input out of range [0, p*R)")
         t = self.trace
         if t is not None:
             t.append(self._mod | OP_MONT_REDUCE)

@@ -15,22 +15,12 @@ the toy field by the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 from .fp import Fp
 from .mont_curve import (CurveConstants, ProjCurve, ProjPoint, curve_constants,
                          is_infinity, xadd, xdbl, xmul)
 from .trace import MOD_XISOG
-
-
-@dataclass
-class IsogenyAccumulators:
-    """Running products over the d = (l-1)/2 kernel multiples."""
-    pi_plus: int
-    pi_minus: int
-    eval_plus: list       # one accumulator per evaluated point
-    eval_minus: list
 
 
 def kernel_multiples(fp: Fp, K: ProjPoint, d: int,
@@ -79,33 +69,35 @@ def xisog(fp: Fp, curve: ProjCurve, points, K: ProjPoint, l: int,
     pre = []
     for P in points:
         pre.append((fp.add(P.X, P.Z), fp.sub(P.X, P.Z)))
-    acc = IsogenyAccumulators(one, one, [one] * len(pre), [one] * len(pre))
+    # Running products over the d = (l-1)/2 kernel multiples: the curve
+    # products, and one evaluation accumulator pair per point.
+    pi_plus = pi_minus = one
+    eval_plus = [one] * len(pre)
+    eval_minus = [one] * len(pre)
 
     for M in kernel_multiples(fp, K, d, const):
         fp.set_module(MOD_XISOG)
         s = fp.add(M.X, M.Z)
         t = fp.sub(M.X, M.Z)
-        acc.pi_plus = fp.mul(acc.pi_plus, s)
-        acc.pi_minus = fp.mul(acc.pi_minus, t)
+        pi_plus = fp.mul(pi_plus, s)
+        pi_minus = fp.mul(pi_minus, t)
         for j, (pp, pm) in enumerate(pre):
             t0 = fp.mul(pm, s)
             t1 = fp.mul(pp, t)
-            acc.eval_plus[j] = fp.mul(acc.eval_plus[j], fp.add(t0, t1))
-            acc.eval_minus[j] = fp.mul(acc.eval_minus[j], fp.sub(t0, t1))
+            eval_plus[j] = fp.mul(eval_plus[j], fp.add(t0, t1))
+            eval_minus[j] = fp.mul(eval_minus[j], fp.sub(t0, t1))
 
     fp.set_module(MOD_XISOG)
     images = []
-    for j, P in enumerate(points):
-        ep = acc.eval_plus[j]
-        em = acc.eval_minus[j]
+    for P, ep, em in zip(points, eval_plus, eval_minus):
         images.append(ProjPoint(fp.mul(P.X, fp.mul(ep, ep)),
                                 fp.mul(P.Z, fp.mul(em, em))))
 
     az2 = fp.add(curve.Az, curve.Az)
     a24p = fp.add(curve.Ax, az2)                  # (A+2) projectively
     a24m = fp.sub(curve.Ax, az2)                  # (A-2) projectively
-    tp = fp.mul(_pow_public(fp, a24p, l), _eighth_power(fp, acc.pi_plus))
-    tm = fp.mul(_pow_public(fp, a24m, l), _eighth_power(fp, acc.pi_minus))
+    tp = fp.mul(_pow_public(fp, a24p, l), _eighth_power(fp, pi_plus))
+    tm = fp.mul(_pow_public(fp, a24m, l), _eighth_power(fp, pi_minus))
     ax = fp.add(fp.add(tp, tm), fp.add(tp, tm))   # 2*(tp + tm)
     az = fp.sub(tp, tm)
     new_curve = ProjCurve(ax, az)

@@ -148,12 +148,17 @@ def xtwist(fp: Fp, x: int, A: int) -> CurveSide:
     return CurveSide.CURVE if fp.is_square(rhs) else CurveSide.TWIST
 
 
-def affinize(fp: Fp, curve: ProjCurve) -> int:
-    """Affine standard-domain coefficient Ax/Az (single inversion)."""
-    fp.set_module(MOD_XAFFINIZE)
+def affinize_mont(fp: Fp, curve: ProjCurve) -> int:
+    """Affine Montgomery-domain coefficient Ax/Az (single inversion)."""
     if curve.Az == 0:
         raise InfinityAffinize("projective curve with Az = 0")
-    return fp.from_mont(fp.mul(curve.Ax, fp.inv(curve.Az)))
+    fp.set_module(MOD_XAFFINIZE)
+    return fp.mul(curve.Ax, fp.inv(curve.Az))
+
+
+def affinize(fp: Fp, curve: ProjCurve) -> int:
+    """Affine standard-domain coefficient Ax/Az."""
+    return fp.from_mont(affinize_mont(fp, curve))
 
 
 def affinize_pt(fp: Fp, P: ProjPoint) -> int:

@@ -32,7 +32,6 @@ class CsidhParams:
     m: int                      # exponent bound: e_i in [-m, m]
     word_bits: int = 32
     n_words: int = 16
-    batch_limit: int = 16
     # derived Montgomery constants, filled in __post_init__
     width: int = field(init=False, default=0)        # W = word_bits * n_words
     R: int = field(init=False, default=0)            # 2^W
@@ -41,8 +40,8 @@ class CsidhParams:
     one_m: int = field(init=False, default=0)        # R mod p (Montgomery 1)
 
     def __post_init__(self):
-        if self.m < 1 or self.batch_limit < 1:
-            raise ParamError("m and batch_limit must be >= 1")
+        if self.m < 1:
+            raise ParamError("m must be >= 1")
         if list(self.primes) != sorted(set(self.primes)):
             raise ParamError("primes must be ascending and distinct")
         if any(l % 2 == 0 or l < 3 for l in self.primes):

@@ -82,11 +82,6 @@ class OpTrace:
             for op, mod in self.entries():
                 f.write(f"{op}\t{mod}\n")
 
-    def dumps(self) -> bytes:
-        return b"".join(
-            f"{op}\t{mod}\n".encode() for op, mod in self.entries()
-        )
-
     @classmethod
     def load(cls, path) -> "OpTrace":
         t = cls()
@@ -97,35 +92,29 @@ class OpTrace:
         return t
 
 
-def record(trace: OpTrace, opcode: int, module_tag: int) -> None:
-    trace.record(opcode, module_tag)
+# Structural ALU latencies in cycles, per ALU mode.  The datapath model
+# returns these as its CycleCosts, and the ledger's default costs are derived
+# from them below, so each figure is written down exactly once.
+CSEL_CYCLES = 2              # two-stage pipelined carry-select adder pass
+MUL_WIDE_CYCLES = {"fpga": 22, "asic": 23}
+# The ASIC Montgomery multiply runs the two-cycle Booth cores: one extra
+# cycle per wide multiply on the REDC path, calibrated against the
+# published end-to-end totals.
+MONT_MUL_CYCLES = {"fpga": 87, "asic": 89}
 
-
-def trace_equal(t1: OpTrace, t2: OpTrace) -> bool:
-    """Exact sequence equality, module tags included."""
-    return t1.buf == t2.buf
-
-
-# Default cycle costs per opcode and ALU mode.  The 87-cycle Montgomery
-# multiply and 22/23-cycle wide multiply are end-to-end hardware latencies;
-# the modular add/sub default of 4 covers two carry-select passes (raw add
-# plus conditional correction).  MONT_REDUCE is the reduction tail of the
-# 87-cycle multiply (87 minus one wide multiply).
+# Default cycle costs per opcode and ALU mode.  A modular add/sub is two
+# carry-select passes (raw add plus conditional correction); MONT_REDUCE is
+# the reduction tail of the Montgomery multiply, i.e. without the first
+# wide multiply.
 DEFAULT_COSTS = {
-    "fpga": {
-        OP_ADD: 4,
-        OP_SUB: 4,
-        OP_MUL_WIDE: 22,
-        OP_MONT_MUL: 87,
-        OP_MONT_REDUCE: 65,
-    },
-    "asic": {
-        OP_ADD: 4,
-        OP_SUB: 4,
-        OP_MUL_WIDE: 23,
-        OP_MONT_MUL: 89,
-        OP_MONT_REDUCE: 66,
-    },
+    mode: {
+        OP_ADD: 2 * CSEL_CYCLES,
+        OP_SUB: 2 * CSEL_CYCLES,
+        OP_MUL_WIDE: MUL_WIDE_CYCLES[mode],
+        OP_MONT_MUL: MONT_MUL_CYCLES[mode],
+        OP_MONT_REDUCE: MONT_MUL_CYCLES[mode] - MUL_WIDE_CYCLES[mode],
+    }
+    for mode in MONT_MUL_CYCLES
 }
 
 # Per-operation control/FSM overhead in cycles (state transitions, memory
@@ -153,18 +142,30 @@ class CostTable:
 
     @classmethod
     def load(cls, path) -> "CostTable":
+        """Read ``NAME.mode = value`` lines over the defaults.
+
+        Raises ValueError naming the line for a missing ``=``, an unknown
+        opcode or mode, or a non-numeric value.
+        """
         table = cls()
         with open(path) as f:
-            for line in f:
+            for lineno, line in enumerate(f, 1):
                 line = line.split("#", 1)[0].strip()
                 if not line:
                     continue
-                key, value = (s.strip() for s in line.split("="))
-                name, mode = key.split(".")
-                if name == "overhead":
-                    table.overhead[mode] = float(value)
-                else:
-                    table.costs[mode][OPCODE_IDS[name]] = int(value)
+                bad = ValueError(f"{path}:{lineno}: bad cost-table line "
+                                 f"{line!r}")
+                key, eq, value = (s.strip() for s in line.partition("="))
+                name, _, mode = key.partition(".")
+                if not eq or mode not in table.costs:
+                    raise bad
+                try:
+                    if name == "overhead":
+                        table.overhead[mode] = float(value)
+                    else:
+                        table.costs[mode][OPCODE_IDS[name]] = int(value)
+                except (KeyError, ValueError):
+                    raise bad from None
         return table
 
 
@@ -192,10 +193,14 @@ class CycleLedger:
             out[MODULE_NAMES[packed >> 3]] += n * costs[packed & 7]
         return dict(out)
 
-    def total_cycles(self, mode: str) -> int:
+    def raw_cycles(self, mode: str) -> int:
+        """Priced operations only, without the per-operation overhead."""
         costs = self.cost_table.costs[mode]
-        base = sum(n * costs[packed & 7] for packed, n in self._packed.items())
-        return base + round(self.cost_table.overhead[mode] * self.total_ops)
+        return sum(n * costs[packed & 7] for packed, n in self._packed.items())
+
+    def total_cycles(self, mode: str) -> int:
+        return (self.raw_cycles(mode)
+                + round(self.cost_table.overhead[mode] * self.total_ops))
 
     def dump(self, path, mode: str) -> None:
         with open(path, "w") as f:
@@ -207,20 +212,11 @@ class CycleLedger:
             f.write(f"total.{mode} = {self.total_cycles(mode)}\n")
 
 
-def total_cycles(ledger: CycleLedger, mode: str) -> int:
-    return ledger.total_cycles(mode)
-
-
 def calibrate_overhead(ledger: CycleLedger, target_cycles: int,
                        mode: str) -> float:
     """Fit the per-operation overhead constant so the ledger total matches
     a published end-to-end cycle count."""
-    base = CycleLedger.__new__(CycleLedger)
-    base.cost_table = CostTable(costs=ledger.cost_table.costs,
-                                overhead={m: 0.0 for m in DEFAULT_OVERHEAD})
-    base._packed = ledger._packed
-    raw = base.total_cycles(mode)
-    return (target_cycles - raw) / ledger.total_ops
+    return (target_cycles - ledger.raw_cycles(mode)) / ledger.total_ops
 
 
 def estimate_keygen(params, config=None, mode: str = "fpga",

@@ -329,3 +329,56 @@ def test_criterion_12_masked_alu():
     # 2-cycle ops share one activity shape; FPGA MUL differs only in length
     assert activities["ADD"] == activities["SUB"]
     assert all(all(flags) for flags in activities["MUL"].cycles)
+
+
+# Observable outputs for acceptance-sk-0 under the shared seed, pinned so a
+# refactor of the arithmetic, curve, isogeny, action or ledger layers cannot
+# change the trace, the public key or the cycle ledger without failing here.
+PINNED = {
+    "csidh512": {
+        "digest": "56f7ec37327885f105da13c3802f9361"
+                  "a9c68708591b2ee9b74c84806ce0832d",
+        "A": int("598cce5566e442ec9c642476387ad48ffa1c126045181257431f67d1"
+                 "e8af59dbea439dd68c729297cce6249b2d4471cc0db425866ba971e6"
+                 "62348fd39cbde55a", 16),
+        "total": {"fpga": 104_299_433, "asic": 106_627_178},
+        "modules": {
+            "fpga": {"CSIDH": 174, "xAffinize": 2_316_266,
+                     "xDBLADD": 67_325_778, "xISOG": 30_204_590,
+                     "xTWIST": 4_452_625},
+            "asic": {"CSIDH": 178, "xAffinize": 2_369_513,
+                     "xDBLADD": 68_821_662, "xISOG": 30_880_850,
+                     "xTWIST": 4_554_975},
+        },
+    },
+    "toy419": {
+        "digest": "e8e4c03ab36071c41af3aab7ef81b1d5"
+                  "b36c84d0e294d390ab5c894e50a3a72b",
+        "A": 6,
+        "total": {"fpga": 70_711, "asic": 72_292},
+        "modules": {
+            "fpga": {"CSIDH": 174, "xAffinize": 3_458, "xDBLADD": 51_214,
+                     "xISOG": 12_456, "xTWIST": 3_409},
+            "asic": {"CSIDH": 178, "xAffinize": 3_537, "xDBLADD": 52_354,
+                     "xISOG": 12_736, "xTWIST": 3_487},
+        },
+    },
+}
+
+
+def test_pinned_trace_key_and_ledger():
+    _, pk, trace = full_keygen(0)
+    runs = {"csidh512": (pk, trace)}
+    sk = random_private_key(TOY, make_rng(b"acceptance-sk-0"))
+    pk, ok, trace = action.group_action_ct(
+        PublicKey(0), sk, TOY, make_rng(b"acceptance-shared-seed"))
+    assert ok
+    runs["toy419"] = (pk, trace)
+    for name, (pk, trace) in runs.items():
+        want = PINNED[name]
+        assert trace.digest() == want["digest"], name
+        assert pk.A == want["A"], name
+        ledger = CycleLedger(trace)
+        for mode in ("fpga", "asic"):
+            assert ledger.total_cycles(mode) == want["total"][mode]
+            assert ledger.module_cycles(mode) == want["modules"][mode]

@@ -70,6 +70,13 @@ def test_exit_invalid_peer_on_garbage(tmp_path, capsys):
     code, _, err = run(capsys, "--params", "toy419", "dh",
                        alice + ".sk", str(bad))
     assert code == 4 and "invalid" in err
+    # header-only files: magic present, parameter id and body missing
+    for magic, sk_path, pk_path in ((b"CSIDHPK1", alice + ".sk", str(bad)),
+                                    (b"CSIDHSK1", str(bad), alice + ".pk")):
+        bad.write_bytes(magic)
+        code, _, err = run(capsys, "--params", "toy419", "dh",
+                           sk_path, pk_path)
+        assert code == 4 and "truncated" in err
 
 
 def test_exit_invalid_peer_on_singular_curve(tmp_path, capsys):
@@ -125,6 +132,13 @@ def test_bench_custom_cost_table(tmp_path, capsys):
     assert code == 0
     cheap = int(out.splitlines()[-2].split()[-1])   # latency line is last
     assert cheap > 0
+    for line in ("MONT_MUL.fpga 1", "FOO.fpga = 3", "MONT_MUL.gpu = 3",
+                 "MONT_MUL.fpga = fast", "overhead.fpga = x"):
+        cfg.write_text("ADD.fpga = 0\n" + line + "\n")
+        code, out, err = run(capsys, "--params", "toy419", "--seed", "07",
+                             "bench", "--cost-table", str(cfg))
+        assert code == 2 and out == ""
+        assert f"costs.cfg:2: bad cost-table line {line!r}" in err
 
 
 def test_unknown_params_rejected(capsys):

@@ -101,6 +101,14 @@ def test_mont_reduce_oracle(T):
     assert got == naive_redc(T, FULL.p, FULL.R)
 
 
+def test_redc_rejects_out_of_range_input():
+    fp = Fp(TOY)
+    with pytest.raises(ValueError):
+        fp.redc(TOY.p << TOY.width)
+    with pytest.raises(ValueError):
+        fp.redc(-1)
+
+
 def test_mont_reduce_edges(full):
     assert mont_reduce(WideProduct(0, full), full).value == 0
     a = 0xDEADBEEF

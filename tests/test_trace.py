@@ -6,11 +6,13 @@ import pytest
 
 from csidhsim import action
 from csidhsim.action import PrivateKey, PublicKey, make_rng
+from csidhsim.datapath import AluMode, csel_add, mont_mul_dp_int, mul_wide
+from csidhsim.fp import int_to_words
 from csidhsim.params import get_params
 from csidhsim.trace import (MOD_CSIDH, MOD_XMUL, OP_ADD, OP_MONT_MUL,
-                            OP_MUL_WIDE, CostTable, CycleLedger, OpTrace,
-                            calibrate_overhead, estimate_keygen, record,
-                            trace_equal)
+                            OP_MONT_REDUCE, OP_MUL_WIDE, OP_SUB, CostTable,
+                            CycleLedger, OpTrace, calibrate_overhead,
+                            estimate_keygen)
 
 TOY = get_params("toy419")
 
@@ -25,18 +27,18 @@ def toy_trace(e=(1, 0, -1), seed=b"t"):
 
 def test_record_and_order():
     t = OpTrace()
-    record(t, OP_ADD, MOD_CSIDH)
+    t.record(OP_ADD, MOD_CSIDH)
     assert len(t) == 1
-    record(t, OP_MONT_MUL, MOD_XMUL)
+    t.record(OP_MONT_MUL, MOD_XMUL)
     assert list(t.entries()) == [("ADD", "CSIDH"), ("MONT_MUL", "xMUL")]
 
 
 def test_trace_equal():
     t = toy_trace()
-    assert trace_equal(t, t)
+    assert t == t
     other = OpTrace()
-    record(other, OP_ADD, MOD_CSIDH)
-    assert not trace_equal(t, other)
+    other.record(OP_ADD, MOD_CSIDH)
+    assert t != other
 
 
 def test_trace_dump_load_roundtrip(tmp_path):
@@ -44,8 +46,8 @@ def test_trace_dump_load_roundtrip(tmp_path):
     path = tmp_path / "trace.txt"
     t.dump(path)
     loaded = OpTrace.load(path)
-    assert trace_equal(t, loaded)
-    assert t.dumps().decode().splitlines()[0].count("\t") == 1
+    assert t == loaded
+    assert path.read_text().splitlines()[0].count("\t") == 1
 
 
 def test_default_cost_values():
@@ -55,12 +57,26 @@ def test_default_cost_values():
     assert table.cost(OP_MUL_WIDE, "asic") == 23
 
 
+@pytest.mark.parametrize("mode", list(AluMode))
+def test_default_costs_match_datapath(mode):
+    table = CostTable()
+    m = mode.value
+    aw = bw = int_to_words(0, 16)
+    assert table.cost(OP_MUL_WIDE, m) == mul_wide(aw, bw, mode)[1].cycles
+    assert table.cost(OP_MONT_MUL, m) == \
+        mont_mul_dp_int(0, 0, TOY, mode)[1].cycles
+    csel = csel_add(aw, bw)[2].cycles
+    assert table.cost(OP_ADD, m) == table.cost(OP_SUB, m) == 2 * csel
+    assert table.cost(OP_MONT_REDUCE, m) == \
+        table.cost(OP_MONT_MUL, m) - table.cost(OP_MUL_WIDE, m)
+
+
 def test_single_op_pricing():
     t = OpTrace()
-    record(t, OP_MONT_MUL, MOD_XMUL)
+    t.record(OP_MONT_MUL, MOD_XMUL)
     assert CycleLedger(t).total_cycles("fpga") == 87
     t2 = OpTrace()
-    record(t2, OP_MUL_WIDE, MOD_CSIDH)
+    t2.record(OP_MUL_WIDE, MOD_CSIDH)
     led = CycleLedger(t2)
     assert led.total_cycles("fpga") == 22
     assert led.total_cycles("asic") == 23
@@ -104,6 +120,7 @@ def test_overhead_affects_total():
     table.overhead["fpga"] = 2.0
     led = CycleLedger(t, table)
     base = CycleLedger(t).total_cycles("fpga")
+    assert led.raw_cycles("fpga") == base
     assert led.total_cycles("fpga") == base + round(2.0 * led.total_ops)
 
 
