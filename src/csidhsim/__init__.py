@@ -1,7 +1,7 @@
 """CSIDH key exchange over a cycle-accounted hardware datapath model."""
 
 from .params import CsidhParams, ParamError, get_params
-from .fp import FieldElement, Fp, WideProduct, ZeroInverse
+from .fp import FieldElement, Fp, ZeroInverse
 from .mont_curve import CurveSide, InfinityAffinize, ProjCurve, ProjPoint
 from .action import (ActionConfig, Drbg, FaultDetected, InvalidPeerKey,
                      PrivateKey, PublicKey, RngFailure, group_action_ct,
@@ -15,7 +15,7 @@ __all__ = [
     "ActionConfig", "CostTable", "CsidhParams", "CurveSide", "CycleLedger",
     "Drbg", "FaultDetected", "FieldElement", "Fp", "InfinityAffinize",
     "InvalidPeerKey", "OpTrace", "ParamError", "PrivateKey", "ProjCurve",
-    "ProjPoint", "PublicKey", "RngFailure", "WideProduct", "ZeroInverse",
+    "ProjPoint", "PublicKey", "RngFailure", "ZeroInverse",
     "estimate_keygen", "get_params", "group_action_ct",
     "group_action_vartime", "keygen", "make_rng", "random_private_key",
     "shared_secret", "validate_pk", "__version__",

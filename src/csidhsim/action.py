@@ -48,6 +48,9 @@ PK_MAGIC = b"CSIDHPK1"
 # broken (honest probability ~2^-1000), not that we were unlucky.
 _MAX_REJECTS = 10_000
 
+# Most primes one action batch works on, in both action paths.
+BATCH_LIMIT = 16
+
 
 class RngFailure(RuntimeError):
     """The entropy source failed to produce an acceptable sample."""
@@ -164,11 +167,6 @@ class PublicKey:
 class ActionConfig:
     constant_time: bool = True
     fault_check: bool = True
-    batch_limit: int = 16
-
-    def __post_init__(self):
-        if self.batch_limit < 1:
-            raise ValueError("batch_limit must be >= 1")
 
 
 def random_private_key(params: CsidhParams, rng: Drbg) -> PrivateKey:
@@ -227,7 +225,7 @@ def group_action_vartime(pk: PublicKey, sk: PrivateKey, params: CsidhParams,
         while True:
             batch = [i for i in range(n)
                      if (e[i] > 0 and not twist) or (e[i] < 0 and twist)]
-            batch = batch[:config.batch_limit]
+            batch = batch[:BATCH_LIMIT]
             if not batch:
                 break
             in_batch = set(batch)
@@ -304,9 +302,8 @@ def group_action_ct(pk: PublicKey, sk: PrivateKey, params: CsidhParams,
     remaining = [abs(ei) for ei in sk.exponents]
 
     curve = ProjCurve(fp.to_mont(pk.A), fp.one)
-    limit = config.batch_limit
-    batches = [list(range(lo, min(lo + limit, n)))
-               for lo in range(0, n, limit)]
+    batches = [list(range(lo, min(lo + BATCH_LIMIT, n)))
+               for lo in range(0, n, BATCH_LIMIT)]
 
     for batch in batches:
         in_batch = set(batch)

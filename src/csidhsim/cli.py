@@ -9,8 +9,8 @@ Subcommands:
 
 All randomness flows through a single DRBG: with ``--seed`` every run is
 bit-reproducible (files and stdout included).  Results go to stdout,
-diagnostics to stderr.  Exit codes: 2 I/O failure or unreadable cost
-table, 3 fault detected, 4 invalid peer key.
+diagnostics to stderr.  Exit codes: 2 usage error, I/O failure or
+unreadable cost table, 3 fault detected, 4 invalid peer key or key file.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="ALU cost model for cycle accounting")
     parser.add_argument("--vartime", action="store_true",
                         help="use the variable-time action (not constant-time)")
-    parser.add_argument("--seed", metavar="HEX",
+    parser.add_argument("--seed", metavar="HEX", type=bytes.fromhex,
                         help="deterministic seed for all randomness")
     parser.add_argument("--fault-check", dest="fault_check",
                         action=argparse.BooleanOptionalAction, default=True,
@@ -81,7 +81,7 @@ def _config(args) -> action.ActionConfig:
 
 
 def _rng(args) -> action.Drbg:
-    return action.make_rng(bytes.fromhex(args.seed) if args.seed else None)
+    return action.make_rng(args.seed or None)
 
 
 def cmd_keygen(args) -> int:
@@ -110,12 +110,19 @@ def cmd_dh(args) -> int:
     rng = _rng(args)
     try:
         with open(args.sk_path, "rb") as f:
-            sk = action.PrivateKey.from_bytes(f.read())
+            sk_raw = f.read()
         with open(args.pk_path, "rb") as f:
-            peer, peer_params = action.PublicKey.from_bytes(f.read())
+            pk_raw = f.read()
     except OSError as exc:
         print(f"read failed: {exc}", file=sys.stderr)
         return EXIT_IO
+    try:
+        sk = action.PrivateKey.from_bytes(sk_raw)
+    except ValueError as exc:
+        print(f"invalid private key: {exc}", file=sys.stderr)
+        return EXIT_INVALID_PEER
+    try:
+        peer, peer_params = action.PublicKey.from_bytes(pk_raw)
     except ValueError as exc:
         print(f"invalid peer key: {exc}", file=sys.stderr)
         return EXIT_INVALID_PEER
@@ -158,7 +165,7 @@ def cmd_bench(args) -> int:
         except ValueError as exc:
             print(f"invalid cost table: {exc}", file=sys.stderr)
             return EXIT_IO
-    seed = bytes.fromhex(args.seed) if args.seed else b"bench"
+    seed = args.seed or b"bench"
     total, breakdown, ledger = estimate_keygen(
         params, config=_config(args), mode=args.mode, seed=seed,
         cost_table=cost_table)

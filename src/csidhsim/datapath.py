@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .fp import FieldElement, int_to_words, words_to_int
+from .fp import int_to_words, words_to_int
 from .params import CsidhParams
 from .trace import CSEL_CYCLES, MONT_MUL_CYCLES, MUL_WIDE_CYCLES
 
@@ -61,58 +61,42 @@ def _add32cs(x: int, y: int, carry_in: int):
     return (s1, c1) if carry_in else (s0, c0)
 
 
-def csel_add(a, b, carry_in: int = 0):
-    """Pipelined carry-select addition of equal-length 32-bit word vectors.
+def _sub32cs(x: int, y: int, borrow_in: int):
+    """One borrow-select cell: both borrow-in scenarios, then select."""
+    t = x - y
+    d0, w0 = t & _MASK32, 1 if t < 0 else 0
+    t -= 1
+    d1, w1 = t & _MASK32, 1 if t < 0 else 0
+    return (d1, w1) if borrow_in else (d0, w0)
 
-    Stage 1 computes per-chunk sums for both carry-in scenarios; stage 2
-    propagates the actual carry and selects.  Returns (sum, carry_out, cost).
+
+def _select_chain(cell, a, b, c: int):
+    """Chain one select cell per 32-bit chunk, least significant first.
+
+    Each cell forms both scenario results from its own operands alone
+    (pipeline stage 1); only the selection waits for the incoming carry
+    or borrow (stage 2).  Returns (words, carry_out, cost).
     """
     if len(a) != len(b):
         raise ValueError("operand length mismatch")
-    # Stage 1: dual-path sum generation
-    s0, c0, s1, c1 = [], [], [], []
-    for ai, bi in zip(a, b):
-        t = ai + bi
-        s0.append(t & _MASK32)
-        c0.append(t >> _WORD_BITS)
-        t += 1
-        s1.append(t & _MASK32)
-        c1.append(t >> _WORD_BITS)
-    # Stage 2: carry propagation and sum selection
     out = []
-    c = carry_in
-    for i in range(len(a)):
-        if c:
-            out.append(s1[i])
-            c = c1[i]
-        else:
-            out.append(s0[i])
-            c = c0[i]
+    for x, y in zip(a, b):
+        w, c = cell(x, y, c)
+        out.append(w)
     return tuple(out), c, CycleCost(CSEL_CYCLES)
 
 
+def csel_add(a, b, carry_in: int = 0):
+    """Pipelined carry-select addition of equal-length 32-bit word vectors.
+
+    Returns (sum, carry_out, cost).
+    """
+    return _select_chain(_add32cs, a, b, carry_in)
+
+
 def csel_sub(a, b, borrow_in: int = 0):
-    """Carry-select subtraction (dual-path per chunk, borrow version)."""
-    if len(a) != len(b):
-        raise ValueError("operand length mismatch")
-    d0, w0, d1, w1 = [], [], [], []
-    for ai, bi in zip(a, b):
-        t = ai - bi
-        d0.append(t & _MASK32)
-        w0.append(1 if t < 0 else 0)
-        t -= 1
-        d1.append(t & _MASK32)
-        w1.append(1 if t < 0 else 0)
-    out = []
-    w = borrow_in
-    for i in range(len(a)):
-        if w:
-            out.append(d1[i])
-            w = w1[i]
-        else:
-            out.append(d0[i])
-            w = w0[i]
-    return tuple(out), w, CycleCost(CSEL_CYCLES)
+    """Carry-select subtraction; returns (difference, borrow_out, cost)."""
+    return _select_chain(_sub32cs, a, b, borrow_in)
 
 
 def booth_mul(x: int, y: int, width: int, mode: AluMode = AluMode.ASIC):
@@ -166,10 +150,7 @@ def _chunk_product(a_k: int, b, n: int):
     words.append(w)
     if c:
         raise RuntimeError("chunk product overflowed n+1 words")
-    value = 0
-    for i, w in enumerate(words):
-        value |= w << (i * _WORD_BITS)
-    return value
+    return words_to_int(words)
 
 
 def mul_wide(a, b, mode: AluMode = AluMode.FPGA):
@@ -215,12 +196,6 @@ def mont_mul_dp_int(a: int, b: int, params: CsidhParams,
     diff, borrow, _ = csel_sub(t_out, p_words)
     result = t_out if borrow else diff                       # masked select
     return words_to_int(result), CycleCost(MONT_MUL_CYCLES[mode.value])
-
-
-def mont_mul_dp(a: FieldElement, b: FieldElement, params: CsidhParams,
-                mode: AluMode = AluMode.FPGA):
-    value, cost = mont_mul_dp_int(a.value, b.value, params, mode)
-    return FieldElement(value, params), cost
 
 
 # --- masked ALU ---

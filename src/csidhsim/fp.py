@@ -1,14 +1,13 @@
 """Field arithmetic over F_p in standard and Montgomery domains.
 
 This module is the semantic ground truth for the word-level datapath model:
-every datapath operation must produce bit-identical values to the functions
-here.  Two surfaces are provided:
+every datapath operation must produce bit-identical values to the methods
+of :class:`Fp`, the one field-arithmetic surface.  It works on plain ints
+and is used by the curve, isogeny and action layers, with optional
+operation tracing.  :class:`FieldElement` is only a checked, serializable
+holder for a canonical value, such as a shared secret.
 
-* pure functions over :class:`FieldElement` (the public API), and
-* :class:`Fp`, a lean int-based context used by the curve/isogeny/action
-  layers on their hot paths, with optional operation tracing.
-
-All public operations return canonical values (< p).  No operation branches
+All operations return canonical values (< p).  No operation branches
 on secret values: the conditional subtraction is a masked select and
 inversion / residue tests run a fixed square-and-always-multiply schedule
 keyed only to public exponents.
@@ -28,7 +27,7 @@ class ZeroInverse(ZeroDivisionError):
 
 @dataclass(frozen=True)
 class FieldElement:
-    """A mod-p value stored as n_words x 32-bit little-endian words.
+    """A canonical mod-p value (0 <= value < p), serialized little-endian.
 
     Whether the value is in the standard or Montgomery domain is determined
     by context; the representation is the same.
@@ -41,15 +40,6 @@ class FieldElement:
         if not 0 <= self.value < self.params.p:
             raise ValueError("field element out of canonical range")
 
-    @property
-    def words(self) -> tuple[int, ...]:
-        return int_to_words(self.value, self.params.n_words,
-                            self.params.word_bits)
-
-    @classmethod
-    def from_words(cls, words, params: CsidhParams) -> "FieldElement":
-        return cls(words_to_int(words, params.word_bits), params)
-
     def to_bytes(self) -> bytes:
         return self.value.to_bytes(self.params.byte_length, "little")
 
@@ -58,26 +48,6 @@ class FieldElement:
         if len(raw) != params.byte_length:
             raise ValueError(f"expected {params.byte_length} bytes")
         return cls(int.from_bytes(raw, "little"), params)
-
-    def hex(self) -> str:
-        return self.to_bytes().hex()
-
-
-@dataclass(frozen=True)
-class WideProduct:
-    """A 2W-bit integer (product of two canonical elements), < R^2."""
-
-    value: int
-    params: CsidhParams
-
-    def __post_init__(self):
-        if not 0 <= self.value < self.params.R ** 2:
-            raise ValueError("wide product out of range")
-
-    @property
-    def words(self) -> tuple[int, ...]:
-        return int_to_words(self.value, 2 * self.params.n_words,
-                            self.params.word_bits)
 
 
 def int_to_words(value: int, n_words: int, word_bits: int = 32):
@@ -101,7 +71,7 @@ class Fp:
     """
 
     __slots__ = ("params", "p", "mask", "shift", "pinv", "one", "R2",
-                 "trace", "_mod", "_inv_bits", "_chi_bits")
+                 "trace", "_mod")
 
     def __init__(self, params: CsidhParams, trace=None):
         self.params = params
@@ -113,12 +83,6 @@ class Fp:
         self.R2 = params.R2
         self.trace = trace.buf if trace is not None else None
         self._mod = MOD_CSIDH << 3
-        e = params.p - 2
-        self._inv_bits = tuple((e >> i) & 1
-                               for i in reversed(range(e.bit_length())))
-        e = (params.p - 1) >> 1
-        self._chi_bits = tuple((e >> i) & 1
-                               for i in reversed(range(e.bit_length())))
 
     def set_module(self, module_tag: int) -> None:
         self._mod = module_tag << 3
@@ -169,25 +133,25 @@ class Fp:
     def from_mont(self, a: int) -> int:
         return self.redc(a)
 
-    def pow_fixed(self, x: int, bits) -> int:
-        """Montgomery-domain exponentiation with a fixed schedule.
+    def pow_fixed(self, x: int, e: int) -> int:
+        """Montgomery-domain x^e with a fixed schedule for the public e.
 
-        One squaring and one (always-executed) multiply per exponent bit, so
-        the operation sequence depends only on the public exponent.
+        One squaring and one (always-executed) multiply per bit of e, most
+        significant first, so the operation sequence depends only on e.
         """
         mul = self.mul
         r = self.one
-        for b in bits:
+        for b in bin(e)[2:]:
             r = mul(r, r)
             t = mul(r, x)
-            r = t if b else r
+            r = t if b == "1" else r
         return r
 
     def inv(self, a: int) -> int:
         """Montgomery-domain inverse: maps x*R to x^-1*R, via a^(p-2)."""
         if a == 0:
             raise ZeroInverse("inverse of zero")
-        return self.pow_fixed(a, self._inv_bits)
+        return self.pow_fixed(a, self.p - 2)
 
     def is_square(self, a: int) -> bool:
         """Euler criterion with fixed schedule; 0 counts as a square.
@@ -195,53 +159,6 @@ class Fp:
         Works identically for standard- and Montgomery-domain inputs since
         R = 2^W is itself a square (W even).
         """
-        r = self.pow_fixed(a, self._chi_bits)
+        r = self.pow_fixed(a, (self.p - 1) >> 1)
         return r == self.one or a == 0
 
-
-# --- FieldElement-level public operations ---
-
-def _ctx(params: CsidhParams) -> Fp:
-    # Per-params cached untraced context for the functional API.
-    ctx = _CTX_CACHE.get(params.name)
-    if ctx is None or ctx.params is not params:
-        ctx = Fp(params)
-        _CTX_CACHE[params.name] = ctx
-    return ctx
-
-
-_CTX_CACHE: dict[str, Fp] = {}
-
-
-def fp_add(a: FieldElement, b: FieldElement, params: CsidhParams) -> FieldElement:
-    return FieldElement(_ctx(params).add(a.value, b.value), params)
-
-
-def fp_sub(a: FieldElement, b: FieldElement, params: CsidhParams) -> FieldElement:
-    return FieldElement(_ctx(params).sub(a.value, b.value), params)
-
-
-def mont_mul(a: FieldElement, b: FieldElement, params: CsidhParams) -> FieldElement:
-    return FieldElement(_ctx(params).mul(a.value, b.value), params)
-
-
-def mont_reduce(T: WideProduct, params: CsidhParams) -> FieldElement:
-    return FieldElement(_ctx(params).redc(T.value), params)
-
-
-def to_mont(a: FieldElement, params: CsidhParams) -> FieldElement:
-    return FieldElement(_ctx(params).to_mont(a.value), params)
-
-
-def from_mont(a: FieldElement, params: CsidhParams) -> FieldElement:
-    return FieldElement(_ctx(params).from_mont(a.value), params)
-
-
-def fp_inv(a: FieldElement, params: CsidhParams) -> FieldElement:
-    """Modular inverse of the stored value (standard-domain convention)."""
-    ctx = _ctx(params)
-    return FieldElement(ctx.from_mont(ctx.inv(ctx.to_mont(a.value))), params)
-
-
-def is_square(a: FieldElement, params: CsidhParams) -> bool:
-    return _ctx(params).is_square(a.value)

@@ -38,12 +38,6 @@ def kernel_multiples(fp: Fp, K: ProjPoint, d: int,
         yield prev
 
 
-def _pow_public(fp: Fp, x: int, e: int) -> int:
-    """Fixed square-and-always-multiply schedule keyed to the public e."""
-    bits = tuple((e >> i) & 1 for i in reversed(range(e.bit_length())))
-    return fp.pow_fixed(x, bits)
-
-
 def _eighth_power(fp: Fp, x: int) -> int:
     x = fp.mul(x, x)
     x = fp.mul(x, x)
@@ -96,8 +90,8 @@ def xisog(fp: Fp, curve: ProjCurve, points, K: ProjPoint, l: int,
     az2 = fp.add(curve.Az, curve.Az)
     a24p = fp.add(curve.Ax, az2)                  # (A+2) projectively
     a24m = fp.sub(curve.Ax, az2)                  # (A-2) projectively
-    tp = fp.mul(_pow_public(fp, a24p, l), _eighth_power(fp, pi_plus))
-    tm = fp.mul(_pow_public(fp, a24m, l), _eighth_power(fp, pi_minus))
+    tp = fp.mul(fp.pow_fixed(a24p, l), _eighth_power(fp, pi_plus))
+    tm = fp.mul(fp.pow_fixed(a24m, l), _eighth_power(fp, pi_minus))
     ax = fp.add(fp.add(tp, tm), fp.add(tp, tm))   # 2*(tp + tm)
     az = fp.sub(tp, tm)
     new_curve = ProjCurve(ax, az)

@@ -145,7 +145,8 @@ class CostTable:
         """Read ``NAME.mode = value`` lines over the defaults.
 
         Raises ValueError naming the line for a missing ``=``, an unknown
-        opcode or mode, or a non-numeric value.
+        opcode or mode, a non-numeric value, or a negative opcode cost.
+        ``overhead`` may be negative, as :func:`calibrate_overhead` can fit.
         """
         table = cls()
         with open(path) as f:
@@ -163,7 +164,10 @@ class CostTable:
                     if name == "overhead":
                         table.overhead[mode] = float(value)
                     else:
-                        table.costs[mode][OPCODE_IDS[name]] = int(value)
+                        cycles = int(value)
+                        if cycles < 0:
+                            raise bad
+                        table.costs[mode][OPCODE_IDS[name]] = cycles
                 except (KeyError, ValueError):
                     raise bad from None
         return table

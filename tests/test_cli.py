@@ -70,13 +70,16 @@ def test_exit_invalid_peer_on_garbage(tmp_path, capsys):
     code, _, err = run(capsys, "--params", "toy419", "dh",
                        alice + ".sk", str(bad))
     assert code == 4 and "invalid" in err
-    # header-only files: magic present, parameter id and body missing
-    for magic, sk_path, pk_path in ((b"CSIDHPK1", alice + ".sk", str(bad)),
-                                    (b"CSIDHSK1", str(bad), alice + ".pk")):
+    # header-only files: magic present, parameter id and body missing; the
+    # message names the file at fault
+    for magic, sk_path, pk_path, kind in (
+            (b"CSIDHPK1", alice + ".sk", str(bad), "peer"),
+            (b"CSIDHSK1", str(bad), alice + ".pk", "private")):
         bad.write_bytes(magic)
         code, _, err = run(capsys, "--params", "toy419", "dh",
                            sk_path, pk_path)
         assert code == 4 and "truncated" in err
+        assert err.startswith(f"invalid {kind} key: ")
 
 
 def test_exit_invalid_peer_on_singular_curve(tmp_path, capsys):
@@ -133,12 +136,23 @@ def test_bench_custom_cost_table(tmp_path, capsys):
     cheap = int(out.splitlines()[-2].split()[-1])   # latency line is last
     assert cheap > 0
     for line in ("MONT_MUL.fpga 1", "FOO.fpga = 3", "MONT_MUL.gpu = 3",
-                 "MONT_MUL.fpga = fast", "overhead.fpga = x"):
+                 "MONT_MUL.fpga = fast", "overhead.fpga = x",
+                 "MONT_MUL.fpga = -100"):
         cfg.write_text("ADD.fpga = 0\n" + line + "\n")
         code, out, err = run(capsys, "--params", "toy419", "--seed", "07",
                              "bench", "--cost-table", str(cfg))
         assert code == 2 and out == ""
         assert f"costs.cfg:2: bad cost-table line {line!r}" in err
+
+
+def test_malformed_seed_is_usage_error(tmp_path, capsys):
+    prefix = str(tmp_path / "x")
+    for argv in (("keygen", "--out", prefix), ("bench",)):
+        with pytest.raises(SystemExit) as exc:
+            main(["--params", "toy419", "--seed", "zz", *argv])
+        assert exc.value.code == 2
+        assert "argument --seed" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_unknown_params_rejected(capsys):

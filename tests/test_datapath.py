@@ -5,9 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 from csidhsim.datapath import (AluMode, CycleCost, ListWordRng, RandomWordRng,
                                RngExhausted, booth_mul, booth_mul32, csel_add,
-                               csel_sub, masked_issue, mont_mul_dp,
-                               mont_mul_dp_int, mul_wide)
-from csidhsim.fp import FieldElement, int_to_words, words_to_int
+                               csel_sub, masked_issue, mont_mul_dp_int,
+                               mul_wide)
+from csidhsim.fp import Fp, int_to_words, words_to_int
 from csidhsim.params import get_params
 
 FULL = get_params("csidh512")
@@ -106,9 +106,8 @@ def test_mul_wide_oracle(a, b):
 @given(a=st.integers(0, FULL.p - 1), b=st.integers(0, FULL.p - 1))
 @settings(max_examples=40)
 def test_mont_mul_dp_matches_fp(a, b):
-    from csidhsim.fp import mont_mul
-    got, cost = mont_mul_dp(FieldElement(a, FULL), FieldElement(b, FULL), FULL)
-    assert got == mont_mul(FieldElement(a, FULL), FieldElement(b, FULL), FULL)
+    got, cost = mont_mul_dp_int(a, b, FULL)
+    assert got == Fp(FULL).mul(a, b)
     assert cost == CycleCost(87)
 
 
