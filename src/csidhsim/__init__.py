@@ -4,19 +4,21 @@ from .params import CsidhParams, ParamError, get_params
 from .fp import FieldElement, Fp, ZeroInverse
 from .mont_curve import CurveSide, InfinityAffinize, ProjCurve, ProjPoint
 from .action import (ActionConfig, Drbg, FaultDetected, InvalidPeerKey,
-                     PrivateKey, PublicKey, RngFailure, group_action_ct,
-                     group_action_vartime, keygen, make_rng,
-                     random_private_key, shared_secret, validate_pk)
-from .trace import CostTable, CycleLedger, OpTrace, estimate_keygen
+                     InvalidPrivateKey, PrivateKey, PublicKey, RngFailure,
+                     estimate_keygen, group_action_ct, group_action_vartime,
+                     keygen, make_rng, random_private_key, run_action,
+                     shared_secret, validate_pk)
+from .trace import CostTable, CostTableError, CycleLedger, OpTrace
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ActionConfig", "CostTable", "CsidhParams", "CurveSide", "CycleLedger",
-    "Drbg", "FaultDetected", "FieldElement", "Fp", "InfinityAffinize",
-    "InvalidPeerKey", "OpTrace", "ParamError", "PrivateKey", "ProjCurve",
-    "ProjPoint", "PublicKey", "RngFailure", "ZeroInverse",
-    "estimate_keygen", "get_params", "group_action_ct",
-    "group_action_vartime", "keygen", "make_rng", "random_private_key",
-    "shared_secret", "validate_pk", "__version__",
+    "ActionConfig", "CostTable", "CostTableError", "CsidhParams",
+    "CurveSide", "CycleLedger", "Drbg", "FaultDetected", "FieldElement", "Fp",
+    "InfinityAffinize", "InvalidPeerKey", "InvalidPrivateKey", "OpTrace",
+    "ParamError", "PrivateKey", "ProjCurve", "ProjPoint", "PublicKey",
+    "RngFailure", "ZeroInverse", "estimate_keygen", "get_params",
+    "group_action_ct", "group_action_vartime", "keygen", "make_rng",
+    "random_private_key", "run_action", "shared_secret", "validate_pk",
+    "__version__",
 ]

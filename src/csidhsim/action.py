@@ -31,7 +31,7 @@ from __future__ import annotations
 import hashlib
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .fp import FieldElement, Fp
 from .mont_curve import (CurveSide, ProjCurve, ProjPoint, affinize,
@@ -39,7 +39,7 @@ from .mont_curve import (CurveSide, ProjCurve, ProjPoint, affinize,
                          xtwist)
 from .isogeny import xisog
 from .params import PARAM_IDS, PARAM_NAMES, CsidhParams, get_params
-from .trace import MOD_CSIDH, OpTrace
+from .trace import MOD_CSIDH, CostTable, CycleLedger, OpTrace
 
 SK_MAGIC = b"CSIDHSK1"
 PK_MAGIC = b"CSIDHPK1"
@@ -47,6 +47,11 @@ PK_MAGIC = b"CSIDHPK1"
 # Retry ceiling for rejection loops; hitting it means the entropy source is
 # broken (honest probability ~2^-1000), not that we were unlucky.
 _MAX_REJECTS = 10_000
+
+# Kernel repairs per ct slot.  An honest retry succeeds with probability
+# >= 1 - 1/l >= 2/3, so running out (< 2^-200) means the curve is not
+# supersingular and the action fails.
+_MAX_REPAIRS = 128
 
 # Most primes one action batch works on, in both action paths.
 BATCH_LIMIT = 16
@@ -57,11 +62,16 @@ class RngFailure(RuntimeError):
 
 
 class FaultDetected(RuntimeError):
-    """An isogeny fault check tripped ([l]K was not the point at infinity)."""
+    """The group action failed its checks: an isogeny fault, a kernel that
+    could not be repaired, or a result that is not supersingular."""
+
+
+class InvalidPrivateKey(ValueError):
+    """Private key is malformed or out of range."""
 
 
 class InvalidPeerKey(ValueError):
-    """Peer public key failed validation."""
+    """Peer public key is malformed or failed validation."""
 
 
 class Drbg:
@@ -103,15 +113,15 @@ def make_rng(seed: bytes | None = None) -> Drbg:
     return Drbg(seed if seed is not None else os.urandom(32))
 
 
-def _parse_header(raw: bytes, magic: bytes, kind: str):
+def _parse_header(raw: bytes, magic: bytes, error: type[ValueError]):
     """Split a key file into (params, body) after its magic and param id."""
     if raw[:len(magic)] != magic:
-        raise ValueError(f"bad {kind}-key magic")
+        raise error("bad key-file magic")
     if len(raw) <= len(magic):
-        raise ValueError(f"{kind}-key file is truncated")
+        raise error("key file is truncated")
     param_id = raw[len(magic)]
     if param_id not in PARAM_NAMES:
-        raise ValueError("unknown parameter-set id")
+        raise error("unknown parameter-set id")
     return get_params(PARAM_NAMES[param_id]), raw[len(magic) + 1:]
 
 
@@ -124,9 +134,9 @@ class PrivateKey:
 
     def __post_init__(self):
         if len(self.exponents) != self.params.n:
-            raise ValueError("exponent vector has wrong length")
+            raise InvalidPrivateKey("exponent vector has wrong length")
         if any(abs(e) > self.params.m for e in self.exponents):
-            raise ValueError("exponent out of range")
+            raise InvalidPrivateKey("exponent out of range")
 
     def to_bytes(self) -> bytes:
         body = bytes((e + 256) % 256 for e in self.exponents)
@@ -134,9 +144,9 @@ class PrivateKey:
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "PrivateKey":
-        params, body = _parse_header(raw, SK_MAGIC, "private")
+        params, body = _parse_header(raw, SK_MAGIC, InvalidPrivateKey)
         if len(body) != params.n:
-            raise ValueError("private-key payload has wrong length")
+            raise InvalidPrivateKey("payload has wrong length")
         exps = tuple(b - 256 if b >= 128 else b for b in body)
         return cls(exps, params)
 
@@ -146,7 +156,6 @@ class PublicKey:
     """Affine Montgomery coefficient (standard domain)."""
 
     A: int
-    validated: bool = False
 
     def to_bytes(self, params: CsidhParams) -> bytes:
         return (PK_MAGIC + bytes([PARAM_IDS[params.name]])
@@ -154,12 +163,12 @@ class PublicKey:
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> tuple["PublicKey", CsidhParams]:
-        params, body = _parse_header(raw, PK_MAGIC, "public")
+        params, body = _parse_header(raw, PK_MAGIC, InvalidPeerKey)
         if len(body) != params.byte_length:
-            raise ValueError("public-key payload has wrong length")
+            raise InvalidPeerKey("payload has wrong length")
         A = int.from_bytes(body, "little")
         if A >= params.p:
-            raise ValueError("public-key coefficient out of range")
+            raise InvalidPeerKey("coefficient out of range")
         return cls(A), params
 
 
@@ -352,7 +361,8 @@ def _kernel_ok(shadow: Fp, P: ProjPoint, cof: int, l: int,
 def _ct_round(fp, shadow, curve, batch, k_clear, signs, remaining, params,
               rng, config):
     """One batch round: sample a point pair, then one slot per prime,
-    descending.  Returns the updated curve, or None on a detected fault."""
+    descending.  Returns the updated curve, or None on a detected fault or
+    a kernel that runs out of repairs."""
     primes = params.primes
     P_plus, P_minus, const = _sample_pair(fp, shadow, curve, k_clear, rng)
 
@@ -365,7 +375,11 @@ def _ct_round(fp, shadow, curve, batch, k_clear, signs, remaining, params,
         # Untraced repair loop: if the active point happens to lack the
         # l-torsion, re-sample the pair (restoring the torsion already
         # stripped by earlier slots of this round) until the kernel is good.
+        repairs = 0
         while not _kernel_ok(shadow, active, cof, l, const):
+            repairs += 1
+            if repairs > _MAX_REPAIRS:
+                return None
             done = math.prod(primes[j] for j in batch
                              if j > idx)   # primes already processed
             P_plus, P_minus, _ = _sample_pair(
@@ -416,37 +430,54 @@ def validate_pk(A: int, params: CsidhParams, rng: Drbg,
     return True
 
 
+def run_action(pk: PublicKey, sk: PrivateKey, params: CsidhParams,
+               rng: Drbg, config: ActionConfig | None = None,
+               trace: OpTrace | None = None):
+    """[sk]pk on the path `config` selects; raises FaultDetected on failure.
+
+    Returns (PublicKey, OpTrace or None).  The ct path records a fresh
+    trace; the vartime path records into `trace` when one is given.
+    """
+    config = config or ActionConfig()
+    if config.constant_time:
+        out, ok, trace = group_action_ct(pk, sk, params, rng, config)
+    else:
+        out, ok = group_action_vartime(pk, sk, params, rng, config, trace)
+    if not ok:
+        raise FaultDetected("group action failed its self-check")
+    return out, trace
+
+
 def keygen(sk: PrivateKey, params: CsidhParams, rng: Drbg,
            config: ActionConfig | None = None):
     """Public key [sk]E_0; returns (PublicKey, OpTrace or None)."""
-    config = config or ActionConfig()
-    base = PublicKey(0)
-    if config.constant_time:
-        pk, ok, trace = group_action_ct(base, sk, params, rng, config)
-    else:
-        pk, ok = group_action_vartime(base, sk, params, rng, config)
-        trace = None
-    if not ok:
-        raise FaultDetected("key generation failed its self-check")
-    pk.validated = True
-    return pk, trace
+    return run_action(PublicKey(0), sk, params, rng, config)
 
 
 def shared_secret(sk: PrivateKey, peer: PublicKey, params: CsidhParams,
                   rng: Drbg, config: ActionConfig | None = None,
                   validate: bool = True) -> FieldElement:
-    """Affine coefficient of [sk]E_peer."""
-    config = config or ActionConfig()
-    if validate and not peer.validated:
+    """Affine coefficient of [sk]E_peer; `validate` checks the peer first."""
+    if validate:
         if not validate_pk(peer.A, params, rng):
             raise InvalidPeerKey("peer public key failed validation")
-        peer.validated = True
     elif not validate_basic(peer.A, params):
         raise InvalidPeerKey("peer public key is malformed")
-    if config.constant_time:
-        out, ok, _ = group_action_ct(peer, sk, params, rng, config)
-    else:
-        out, ok = group_action_vartime(peer, sk, params, rng, config)
-    if not ok:
-        raise FaultDetected("shared-secret derivation failed its self-check")
+    out, _ = run_action(peer, sk, params, rng, config)
     return FieldElement(out.A, params)
+
+
+def estimate_keygen(params: CsidhParams, config: ActionConfig | None = None,
+                    mode: str = "fpga", seed: bytes = b"cycle-estimate",
+                    cost_table: CostTable | None = None):
+    """Run one seeded keygen on the base curve and price its trace.
+
+    Always the constant-time path, whatever `config.constant_time` says:
+    only it records the trace the cycle model prices.
+    Returns (total_cycles, per-module breakdown, ledger).
+    """
+    config = replace(config or ActionConfig(), constant_time=True)
+    sk = random_private_key(params, make_rng(seed))
+    _, trace = run_action(PublicKey(0), sk, params, make_rng(seed), config)
+    ledger = CycleLedger(trace, cost_table)
+    return ledger.total_cycles(mode), ledger.module_cycles(mode), ledger

@@ -4,13 +4,18 @@ Subcommands:
 
 * ``keygen`` -- sample a private key, derive the public key, write both.
 * ``dh``     -- derive the shared secret from a private key and a peer key.
-* ``bench``  -- cycle estimate for one key generation, with latency report.
+* ``bench``  -- cycle estimate for one constant-time key generation (also
+  under ``--vartime``), with latency report.
 * ``trace``  -- export the operation trace of one seeded key generation.
 
-All randomness flows through a single DRBG: with ``--seed`` every run is
-bit-reproducible (files and stdout included).  Results go to stdout,
-diagnostics to stderr.  Exit codes: 2 usage error, I/O failure or
-unreadable cost table, 3 fault detected, 4 invalid peer key or key file.
+All randomness flows through a single DRBG: with ``--seed`` (the empty
+seed included) every run is bit-reproducible (files and stdout included).
+Results go to stdout, diagnostics to stderr.
+
+The subcommands raise; :func:`main` alone turns an error into a one-line
+message and an exit code: 2 usage error, I/O failure or unusable cost
+table, 3 fault detected (the group action failed its checks), 4 invalid
+private key, peer key or key file.
 """
 
 from __future__ import annotations
@@ -18,14 +23,15 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
+from pathlib import Path
 
 from . import action
 from .params import get_params
-from .trace import CostTable, CycleLedger, estimate_keygen
+from .trace import CostTable, CostTableError, OpTrace
 
 EXIT_IO = 2
 EXIT_FAULT = 3
-EXIT_INVALID_PEER = 4
+EXIT_INVALID_KEY = 4
 
 # Report-formatting defaults only; cycles are the ground-truth metric.
 CLOCK_HZ = {"fpga": 200e6, "asic": 180e6}
@@ -80,72 +86,35 @@ def _config(args) -> action.ActionConfig:
                                fault_check=args.fault_check)
 
 
-def _rng(args) -> action.Drbg:
-    return action.make_rng(args.seed or None)
-
-
 def cmd_keygen(args) -> int:
     params = get_params(args.params)
-    rng = _rng(args)
+    rng = action.make_rng(args.seed)
     sk = action.random_private_key(params, rng)
-    try:
-        pk, _ = action.keygen(sk, params, rng, _config(args))
-    except action.FaultDetected as exc:
-        print(f"fault: {exc}", file=sys.stderr)
-        return EXIT_FAULT
-    try:
-        with open(args.out + ".sk", "wb") as f:
-            f.write(sk.to_bytes())
-        with open(args.out + ".pk", "wb") as f:
-            f.write(pk.to_bytes(params))
-    except OSError as exc:
-        print(f"write failed: {exc}", file=sys.stderr)
-        return EXIT_IO
+    pk, _ = action.keygen(sk, params, rng, _config(args))
+    Path(args.out + ".sk").write_bytes(sk.to_bytes())
+    Path(args.out + ".pk").write_bytes(pk.to_bytes(params))
     print(pk.A.to_bytes(params.byte_length, "little").hex())
     return 0
 
 
 def cmd_dh(args) -> int:
     params = get_params(args.params)
-    rng = _rng(args)
-    try:
-        with open(args.sk_path, "rb") as f:
-            sk_raw = f.read()
-        with open(args.pk_path, "rb") as f:
-            pk_raw = f.read()
-    except OSError as exc:
-        print(f"read failed: {exc}", file=sys.stderr)
-        return EXIT_IO
-    try:
-        sk = action.PrivateKey.from_bytes(sk_raw)
-    except ValueError as exc:
-        print(f"invalid private key: {exc}", file=sys.stderr)
-        return EXIT_INVALID_PEER
-    try:
-        peer, peer_params = action.PublicKey.from_bytes(pk_raw)
-    except ValueError as exc:
-        print(f"invalid peer key: {exc}", file=sys.stderr)
-        return EXIT_INVALID_PEER
-    if sk.params is not params or peer_params is not params:
-        print("key files do not match --params", file=sys.stderr)
-        return EXIT_INVALID_PEER
-    try:
-        secret = action.shared_secret(sk, peer, params, rng, _config(args),
-                                      validate=not args.skip_validate)
-    except action.InvalidPeerKey as exc:
-        print(f"invalid peer key: {exc}", file=sys.stderr)
-        return EXIT_INVALID_PEER
-    except action.FaultDetected as exc:
-        print(f"fault: {exc}", file=sys.stderr)
-        return EXIT_FAULT
+    rng = action.make_rng(args.seed)
+    sk_raw = Path(args.sk_path).read_bytes()
+    pk_raw = Path(args.pk_path).read_bytes()
+    sk = action.PrivateKey.from_bytes(sk_raw)
+    peer, peer_params = action.PublicKey.from_bytes(pk_raw)
+    if sk.params is not params:
+        raise action.InvalidPrivateKey(
+            f"key is for {sk.params.name}, not --params {params.name}")
+    if peer_params is not params:
+        raise action.InvalidPeerKey(
+            f"key is for {peer_params.name}, not --params {params.name}")
+    secret = action.shared_secret(sk, peer, params, rng, _config(args),
+                                  validate=not args.skip_validate)
     raw = secret.to_bytes()
     if args.out:
-        try:
-            with open(args.out, "wb") as f:
-                f.write(raw)
-        except OSError as exc:
-            print(f"write failed: {exc}", file=sys.stderr)
-            return EXIT_IO
+        Path(args.out).write_bytes(raw)
     if args.reveal:
         print(raw.hex())
     else:
@@ -155,18 +124,9 @@ def cmd_dh(args) -> int:
 
 def cmd_bench(args) -> int:
     params = get_params(args.params)
-    cost_table = None
-    if args.cost_table:
-        try:
-            cost_table = CostTable.load(args.cost_table)
-        except OSError as exc:
-            print(f"read failed: {exc}", file=sys.stderr)
-            return EXIT_IO
-        except ValueError as exc:
-            print(f"invalid cost table: {exc}", file=sys.stderr)
-            return EXIT_IO
-    seed = args.seed or b"bench"
-    total, breakdown, ledger = estimate_keygen(
+    cost_table = CostTable.load(args.cost_table) if args.cost_table else None
+    seed = b"bench" if args.seed is None else args.seed
+    total, breakdown, ledger = action.estimate_keygen(
         params, config=_config(args), mode=args.mode, seed=seed,
         cost_table=cost_table)
     print(f"params         {params.name}")
@@ -177,35 +137,17 @@ def cmd_bench(args) -> int:
     hz = CLOCK_HZ[args.mode]
     print(f"latency        {total / hz * 1e3:.1f} ms at {hz / 1e6:.0f} MHz")
     if args.out:
-        try:
-            ledger.dump(args.out, args.mode)
-        except OSError as exc:
-            print(f"write failed: {exc}", file=sys.stderr)
-            return EXIT_IO
+        ledger.dump(args.out, args.mode)
     return 0
 
 
 def cmd_trace(args) -> int:
     params = get_params(args.params)
-    rng = _rng(args)
+    rng = action.make_rng(args.seed)
     sk = action.random_private_key(params, rng)
-    config = _config(args)
-    if args.vartime:
-        from .trace import OpTrace
-        trace = OpTrace()
-        _, ok = action.group_action_vartime(
-            action.PublicKey(0), sk, params, rng, config, trace=trace)
-    else:
-        _, ok, trace = action.group_action_ct(
-            action.PublicKey(0), sk, params, rng, config)
-    if not ok:
-        print("fault: action self-check failed", file=sys.stderr)
-        return EXIT_FAULT
-    try:
-        trace.dump(args.out)
-    except OSError as exc:
-        print(f"write failed: {exc}", file=sys.stderr)
-        return EXIT_IO
+    _, trace = action.run_action(action.PublicKey(0), sk, params, rng,
+                                 _config(args), OpTrace())
+    trace.dump(args.out)
     print(f"{len(trace)} operations -> {args.out}")
     return 0
 
@@ -220,7 +162,23 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except OSError as exc:
+        print(f"I/O failed: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except CostTableError as exc:
+        print(f"invalid cost table: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except action.FaultDetected as exc:
+        print(f"fault: {exc}", file=sys.stderr)
+        return EXIT_FAULT
+    except action.InvalidPrivateKey as exc:
+        print(f"invalid private key: {exc}", file=sys.stderr)
+        return EXIT_INVALID_KEY
+    except action.InvalidPeerKey as exc:
+        print(f"invalid peer key: {exc}", file=sys.stderr)
+        return EXIT_INVALID_KEY
 
 
 if __name__ == "__main__":

@@ -16,6 +16,7 @@ but no gate-level timing is modeled.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from enum import Enum
 
@@ -229,7 +230,6 @@ class RandomWordRng:
     """Unbounded 32-bit word source over a seeded PRNG."""
 
     def __init__(self, seed=None):
-        import random
         self._rng = random.Random(seed)
 
     def next_word(self) -> int:

@@ -51,7 +51,7 @@ def xisog(fp: Fp, curve: ProjCurve, points, K: ProjPoint, l: int,
     `points` is a sequence of ProjPoint to push through the isogeny; a point
     in <K> maps to the point at infinity.  When fault_check is set, [l]K is
     computed at the end and any result other than the point at infinity
-    raises the fault flag (never silently).
+    raises the fault flag (never silently); so does a codomain with Az = 0.
 
     Returns (curve', images, fault).
     """
@@ -96,8 +96,9 @@ def xisog(fp: Fp, curve: ProjCurve, points, K: ProjPoint, l: int,
     az = fp.sub(tp, tm)
     new_curve = ProjCurve(ax, az)
 
-    fault = False
+    # A codomain with Az = 0 is no curve: a fault, with or without the check.
+    fault = az == 0
     if fault_check:
         lk = xmul(fp, K, l, const, bound_bits=l.bit_length())
-        fault = not is_infinity(lk)
+        fault = fault or not is_infinity(lk)
     return new_curve, images, fault

@@ -8,6 +8,7 @@ Nothing is constant-time and nothing is shared with the main code paths.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 TOY_LIMIT = 1 << 32
@@ -122,7 +123,6 @@ def _fit_cubic(samples, p: int):
     for P in samples:
         rows.append(([P.x * P.x % p, P.x, 1], (P.y * P.y - P.x ** 3) % p))
     # eliminate over the first three independent rows
-    import itertools
     for trio in itertools.combinations(range(len(rows)), 3):
         m = [[rows[i][0][0], rows[i][0][1], rows[i][0][2], rows[i][1]]
              for i in trio]

@@ -122,6 +122,14 @@ DEFAULT_COSTS = {
 # published end-to-end total.
 DEFAULT_OVERHEAD = {"fpga": 0.0, "asic": 0.0}
 
+# Largest magnitude a cost-table value may have, so that every ledger total
+# and the latency derived from it stay finite.
+MAX_COST = 2 ** 32
+
+
+class CostTableError(ValueError):
+    """A cost-table file has a line that cannot be used."""
+
 
 @dataclass
 class CostTable:
@@ -144,8 +152,9 @@ class CostTable:
     def load(cls, path) -> "CostTable":
         """Read ``NAME.mode = value`` lines over the defaults.
 
-        Raises ValueError naming the line for a missing ``=``, an unknown
-        opcode or mode, a non-numeric value, or a negative opcode cost.
+        Raises CostTableError naming the line for a missing ``=``, an
+        unknown opcode or mode, a non-numeric value, a negative opcode cost,
+        or a value beyond ``MAX_COST`` in magnitude (also inf and nan).
         ``overhead`` may be negative, as :func:`calibrate_overhead` can fit.
         """
         table = cls()
@@ -154,18 +163,21 @@ class CostTable:
                 line = line.split("#", 1)[0].strip()
                 if not line:
                     continue
-                bad = ValueError(f"{path}:{lineno}: bad cost-table line "
-                                 f"{line!r}")
+                bad = CostTableError(f"{path}:{lineno}: bad cost-table "
+                                     f"line {line!r}")
                 key, eq, value = (s.strip() for s in line.partition("="))
                 name, _, mode = key.partition(".")
                 if not eq or mode not in table.costs:
                     raise bad
                 try:
                     if name == "overhead":
-                        table.overhead[mode] = float(value)
+                        overhead = float(value)
+                        if not abs(overhead) <= MAX_COST:   # also nan
+                            raise bad
+                        table.overhead[mode] = overhead
                     else:
                         cycles = int(value)
-                        if cycles < 0:
+                        if not 0 <= cycles <= MAX_COST:
                             raise bad
                         table.costs[mode][OPCODE_IDS[name]] = cycles
                 except (KeyError, ValueError):
@@ -221,20 +233,3 @@ def calibrate_overhead(ledger: CycleLedger, target_cycles: int,
     """Fit the per-operation overhead constant so the ledger total matches
     a published end-to-end cycle count."""
     return (target_cycles - ledger.raw_cycles(mode)) / ledger.total_ops
-
-
-def estimate_keygen(params, config=None, mode: str = "fpga",
-                    seed: bytes = b"cycle-estimate",
-                    cost_table: CostTable | None = None):
-    """Run one seeded constant-time keygen on the base curve and price it.
-
-    Returns (total_cycles, per-module breakdown, ledger).
-    """
-    from . import action  # deferred: action imports this module
-
-    cfg = config or action.ActionConfig()
-    sk = action.random_private_key(params, action.make_rng(seed))
-    _, _, trace = action.group_action_ct(
-        action.PublicKey(0), sk, params, action.make_rng(seed), cfg)
-    ledger = CycleLedger(trace, cost_table)
-    return ledger.total_cycles(mode), ledger.module_cycles(mode), ledger

@@ -231,7 +231,7 @@ def test_validate_pk_rejects_singular_and_ordinary():
 
 def test_keygen_zero_key_is_base_curve():
     pk, trace = keygen(PrivateKey((0, 0, 0), TOY), TOY, make_rng(b"k"))
-    assert pk.A == 0 and pk.validated and trace is not None
+    assert pk.A == 0 and trace is not None
 
 
 def test_keygen_vartime_path():
@@ -259,3 +259,19 @@ def test_shared_secret_rejects_invalid_peer():
                     if orc.enumerate_curve(A, TOY.p)[1] != TOY.p + 1)
     with pytest.raises(InvalidPeerKey):
         shared_secret(sk, PublicKey(ordinary), TOY, make_rng(b"x"))
+
+
+@pytest.mark.parametrize("constant_time", [True, False])
+def test_unvalidated_ordinary_peer_faults(constant_time):
+    # Every 13th ordinary toy curve (30 of 390).  Without validation the ct
+    # kernel repair used to spin forever, or a codomain with Az = 0 raised
+    # InfinityAffinize; both paths must now fail with FaultDetected.
+    ordinary = [A for A in range(TOY.p) if validate_basic(A, TOY)
+                and orc.enumerate_curve(A, TOY.p)[1] != TOY.p + 1][::13]
+    assert len(ordinary) == 30
+    sk = PrivateKey((1, 0, -1), TOY)
+    cfg = ActionConfig(constant_time=constant_time)
+    for A in ordinary:
+        with pytest.raises(FaultDetected):
+            shared_secret(sk, PublicKey(A), TOY, make_rng(b"%d" % A), cfg,
+                          validate=False)

@@ -1,8 +1,17 @@
 """CLI behavior: reproducibility, agreement, exit codes, formats."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import csidhsim
+from csidhsim import oracle
+from csidhsim.action import PublicKey, validate_basic
 from csidhsim.cli import main
+from csidhsim.params import get_params
 
 
 def run(capsys, *argv):
@@ -12,15 +21,16 @@ def run(capsys, *argv):
 
 
 def test_keygen_reproducible(tmp_path, capsys):
-    outs = []
-    for name in ("a1", "a2"):
-        prefix = str(tmp_path / name)
-        code, out, _ = run(capsys, "--params", "toy419", "--seed", "aa",
-                           "keygen", "--out", prefix)
-        assert code == 0
-        outs.append((out, (tmp_path / (name + ".sk")).read_bytes(),
-                     (tmp_path / (name + ".pk")).read_bytes()))
-    assert outs[0] == outs[1]
+    for seed in ("aa", ""):   # the empty seed is a seed, not os.urandom
+        outs = []
+        for name in ("a1", "a2"):
+            prefix = str(tmp_path / name)
+            code, out, _ = run(capsys, "--params", "toy419", "--seed", seed,
+                               "keygen", "--out", prefix)
+            assert code == 0
+            outs.append((out, (tmp_path / (name + ".sk")).read_bytes(),
+                         (tmp_path / (name + ".pk")).read_bytes()))
+        assert outs[0] == outs[1]
 
 
 def test_dh_agreement_and_reveal(tmp_path, capsys):
@@ -137,7 +147,9 @@ def test_bench_custom_cost_table(tmp_path, capsys):
     assert cheap > 0
     for line in ("MONT_MUL.fpga 1", "FOO.fpga = 3", "MONT_MUL.gpu = 3",
                  "MONT_MUL.fpga = fast", "overhead.fpga = x",
-                 "MONT_MUL.fpga = -100"):
+                 "MONT_MUL.fpga = -100", "overhead.fpga = inf",
+                 "overhead.fpga = nan", "overhead.fpga = 1e400",
+                 "overhead.fpga = -1e308", "MONT_MUL.fpga = " + "9" * 400):
         cfg.write_text("ADD.fpga = 0\n" + line + "\n")
         code, out, err = run(capsys, "--params", "toy419", "--seed", "07",
                              "bench", "--cost-table", str(cfg))
@@ -153,6 +165,74 @@ def test_malformed_seed_is_usage_error(tmp_path, capsys):
         assert exc.value.code == 2
         assert "argument --seed" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+TOY = get_params("toy419")
+ORDINARY = next(A for A in range(3, TOY.p) if validate_basic(A, TOY)
+                and oracle.enumerate_curve(A, TOY.p)[1] != TOY.p + 1)
+
+# (files to write, argv after "--params toy419", exit code).  Paths in argv
+# are relative to the directory holding alice.sk / alice.pk.
+HOSTILE = {
+    "garbage peer key": (
+        {"x.pk": b"CSIDHPK1" + b"\xff" * 10}, ["dh", "alice.sk", "x.pk"], 4),
+    "header-only peer key": (
+        {"x.pk": b"CSIDHPK1"}, ["dh", "alice.sk", "x.pk"], 4),
+    "header-only private key": (
+        {"x.sk": b"CSIDHSK1"}, ["dh", "x.sk", "alice.pk"], 4),
+    "key for other params": (
+        {}, ["--params", "csidh512", "dh", "alice.sk", "alice.pk"], 4),
+    "singular curve": (
+        {"x.pk": PublicKey(2).to_bytes(TOY)}, ["dh", "alice.sk", "x.pk"], 4),
+    "singular curve, unvalidated": (
+        {"x.pk": PublicKey(2).to_bytes(TOY)},
+        ["dh", "alice.sk", "x.pk", "--skip-validate"], 4),
+    "ordinary curve": (
+        {"x.pk": PublicKey(ORDINARY).to_bytes(TOY)},
+        ["dh", "alice.sk", "x.pk"], 4),
+    "ordinary curve, unvalidated ct": (
+        {"x.pk": PublicKey(ORDINARY).to_bytes(TOY)},
+        ["dh", "alice.sk", "x.pk", "--skip-validate"], 3),
+    "ordinary curve, unvalidated vartime": (
+        {"x.pk": PublicKey(ORDINARY).to_bytes(TOY)},
+        ["--vartime", "dh", "alice.sk", "x.pk", "--skip-validate"], 3),
+    "missing key file": ({}, ["dh", "alice.sk", "none.pk"], 2),
+    "unwritable output": ({}, ["keygen", "--out", "none/x"], 2),
+    "non-hex seed": ({}, ["--seed", "zz", "keygen", "--out", "y"], 2),
+    "infinite overhead": (
+        {"c.cfg": b"overhead.fpga = inf\n"},
+        ["bench", "--cost-table", "c.cfg"], 2),
+    "nan overhead": (
+        {"c.cfg": b"overhead.fpga = nan\n"},
+        ["bench", "--cost-table", "c.cfg"], 2),
+    "overflowing overhead": (
+        {"c.cfg": b"overhead.fpga = 1e400\n"},
+        ["bench", "--cost-table", "c.cfg"], 2),
+}
+
+
+@pytest.fixture(scope="module")
+def alice_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("hostile")
+    assert main(["--params", "toy419", "--seed", "01", "keygen",
+                 "--out", str(d / "alice")]) == 0
+    return d
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE))
+def test_hostile_input_exit_code(case, alice_dir):
+    # A fresh interpreter, so that an uncaught exception would show up as a
+    # traceback on stderr, and a timeout, so that a hang fails.
+    files, argv, expected = HOSTILE[case]
+    for name, data in files.items():
+        (alice_dir / name).write_bytes(data)
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(csidhsim.__file__).parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-m", "csidhsim.cli", "--params", "toy419", *argv],
+        cwd=alice_dir, env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == expected, proc.stderr
+    assert proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_unknown_params_rejected(capsys):

@@ -5,14 +5,14 @@ import itertools
 import pytest
 
 from csidhsim import action
-from csidhsim.action import PrivateKey, PublicKey, make_rng
+from csidhsim.action import (PrivateKey, PublicKey, estimate_keygen,
+                             make_rng)
 from csidhsim.datapath import AluMode, csel_add, mont_mul_dp_int, mul_wide
 from csidhsim.fp import int_to_words
 from csidhsim.params import get_params
 from csidhsim.trace import (MOD_CSIDH, MOD_XMUL, OP_ADD, OP_MONT_MUL,
                             OP_MONT_REDUCE, OP_MUL_WIDE, OP_SUB, CostTable,
-                            CycleLedger, OpTrace, calibrate_overhead,
-                            estimate_keygen)
+                            CycleLedger, OpTrace, calibrate_overhead)
 
 TOY = get_params("toy419")
 
