@@ -16,10 +16,10 @@ Two evaluation paths are provided:
 
 Randomness-dependent retry loops (side rejection when sampling points,
 re-sampling when a kernel comes out trivial) are modeled as fixed-latency
-units: they run against an untraced twin context and contribute exactly one
-canonical traced attempt each.  Retry counts depend only on the sampled
-randomness, so this keeps the trace structure-determined without hiding any
-key-dependent work.
+units: each attempt runs on the one traced context, and a rejected attempt
+is rolled back (:meth:`Fp.rollback`), so only the accepted one stays in the
+trace.  Retry counts depend only on the sampled randomness, so this keeps
+the trace structure-determined without hiding any key-dependent work.
 
 Negative exponents never negate the curve: a twist-side x-coordinate is a
 perfectly good x-only kernel, and pushing it through the same isogeny
@@ -191,25 +191,20 @@ def validate_basic(A: int, params: CsidhParams) -> bool:
 
 # --- point sampling -------------------------------------------------------
 
-def sample_point(fp: Fp, A_mont: int, side: CurveSide, rng: Drbg,
-                 shadow: Fp | None = None) -> ProjPoint:
-    """Random projective point with x on the requested side of E_A.
-
-    Rejection runs against the untraced `shadow` context when one is given;
-    the accepted candidate is then re-classified once through `fp` so each
-    sample contributes a fixed amount of traced work.
-    """
-    probe = shadow if shadow is not None else fp
+def sample_point(fp: Fp, A_mont: int, side: CurveSide,
+                 rng: Drbg) -> ProjPoint:
+    """Random projective point with x on the requested side of E_A; each
+    rejected candidate's classification is rolled back, so the trace holds
+    exactly one."""
     for _ in range(_MAX_REJECTS):
         x = rng.below(fp.p)
         if x == 0:
             continue
-        xm = probe.to_mont(x)
-        if xtwist(probe, xm, A_mont) is not side:
+        mark = fp.mark()
+        xm = fp.to_mont(x)
+        if xtwist(fp, xm, A_mont) is not side:
+            fp.rollback(mark)
             continue
-        if shadow is not None:
-            xm = fp.to_mont(x)
-            xtwist(fp, xm, A_mont)   # canonical traced classification
         return ProjPoint(xm, fp.one)
     raise RngFailure("point sampling exceeded retry ceiling")
 
@@ -295,7 +290,6 @@ def group_action_ct(pk: PublicKey, sk: PrivateKey, params: CsidhParams,
     config = config or ActionConfig()
     trace = OpTrace()
     fp = Fp(params, trace)
-    shadow = Fp(params)       # untraced twin for retry/repair loops
     if not validate_basic(pk.A, params):
         return PublicKey(rng.below(params.p)), False, trace
 
@@ -319,8 +313,8 @@ def group_action_ct(pk: PublicKey, sk: PrivateKey, params: CsidhParams,
         k_clear = 4 * math.prod(primes[j] for j in range(n)
                                 if j not in in_batch)
         for _ in range(m):
-            curve = _ct_round(fp, shadow, curve, batch, k_clear, signs,
-                              remaining, params, rng, config)
+            curve = _ct_round(fp, curve, batch, k_clear, signs, remaining,
+                              params, rng, config)
             if curve is None:
                 return PublicKey(rng.below(params.p)), False, trace
 
@@ -331,17 +325,11 @@ def group_action_ct(pk: PublicKey, sk: PrivateKey, params: CsidhParams,
     return PublicKey(affinize(fp, curve)), True, trace
 
 
-def _sample_pair(fp: Fp, shadow: Fp | None, curve: ProjCurve, clear: int,
-                 rng: Drbg):
-    """One curve-side and one twist-side point, cofactor-cleared by [clear].
-
-    All canonical work goes through `fp`; side rejection runs on `shadow`
-    when one is given.  The repair path passes the untraced context as `fp`
-    (and shadow=None) so nothing it does reaches the trace.
-    """
+def _sample_pair(fp: Fp, curve: ProjCurve, clear: int, rng: Drbg):
+    """One curve-side and one twist-side point, cofactor-cleared by [clear]."""
     A_mont = affinize_mont(fp, curve)
-    P_plus = sample_point(fp, A_mont, CurveSide.CURVE, rng, shadow=shadow)
-    P_minus = sample_point(fp, A_mont, CurveSide.TWIST, rng, shadow=shadow)
+    P_plus = sample_point(fp, A_mont, CurveSide.CURVE, rng)
+    P_minus = sample_point(fp, A_mont, CurveSide.TWIST, rng)
     const = curve_constants(fp, curve)
     bound = clear.bit_length()
     P_plus = xmul(fp, P_plus, clear, const, bound_bits=bound)
@@ -349,22 +337,23 @@ def _sample_pair(fp: Fp, shadow: Fp | None, curve: ProjCurve, clear: int,
     return P_plus, P_minus, const
 
 
-def _kernel_ok(shadow: Fp, P: ProjPoint, cof: int, l: int,
-               const) -> bool:
-    """Untraced pre-flight: [cof]P is a genuine order-l kernel."""
-    K = xmul(shadow, P, cof, const)
+def _kernel_ok(fp: Fp, K: ProjPoint, l: int, const) -> bool:
+    """Pre-flight: K is a genuine order-l kernel.  [l]K is rolled back."""
     if is_infinity(K):
         return False
-    return is_infinity(xmul(shadow, K, l, const))
+    mark = fp.mark()
+    ok = is_infinity(xmul(fp, K, l, const))
+    fp.rollback(mark)
+    return ok
 
 
-def _ct_round(fp, shadow, curve, batch, k_clear, signs, remaining, params,
-              rng, config):
+def _ct_round(fp, curve, batch, k_clear, signs, remaining, params, rng,
+              config):
     """One batch round: sample a point pair, then one slot per prime,
     descending.  Returns the updated curve, or None on a detected fault or
     a kernel that runs out of repairs."""
     primes = params.primes
-    P_plus, P_minus, const = _sample_pair(fp, shadow, curve, k_clear, rng)
+    P_plus, P_minus, const = _sample_pair(fp, curve, k_clear, rng)
 
     for idx in reversed(batch):
         l = primes[idx]
@@ -372,23 +361,25 @@ def _ct_round(fp, shadow, curve, batch, k_clear, signs, remaining, params,
         s = signs[idx]
         active, other = (P_plus, P_minus) if s > 0 else (P_minus, P_plus)
 
-        # Untraced repair loop: if the active point happens to lack the
-        # l-torsion, re-sample the pair (restoring the torsion already
-        # stripped by earlier slots of this round) until the kernel is good.
+        # Repair loop: while the active point lacks the l-torsion, re-sample
+        # the pair (restoring the torsion earlier slots of this round already
+        # stripped) and roll back the rejected K and the repair.
         repairs = 0
-        while not _kernel_ok(shadow, active, cof, l, const):
+        mark = fp.mark()
+        while True:
+            K = xmul(fp, active, cof, const,
+                     bound_bits=max(cof.bit_length(), 1))
+            if _kernel_ok(fp, K, l, const):
+                break
             repairs += 1
             if repairs > _MAX_REPAIRS:
                 return None
-            done = math.prod(primes[j] for j in batch
-                             if j > idx)   # primes already processed
-            P_plus, P_minus, _ = _sample_pair(
-                shadow, None, curve, k_clear * done, rng)
+            done = math.prod(primes[j] for j in batch if j > idx)
+            P_plus, P_minus, _ = _sample_pair(fp, curve, k_clear * done, rng)
+            fp.rollback(mark)
             active, other = (P_plus, P_minus) if s > 0 else (P_minus, P_plus)
 
         real = remaining[idx] > 0
-        K = xmul(fp, active, cof, const,
-                 bound_bits=max(cof.bit_length(), 1))
         new_curve, images, fault = xisog(fp, curve, [active, other], K, l,
                                          config.fault_check)
         if fault:
@@ -416,18 +407,14 @@ def _ct_round(fp, shadow, curve, batch, k_clear, signs, remaining, params,
 
 # --- key exchange ----------------------------------------------------------
 
-def validate_pk(A: int, params: CsidhParams, rng: Drbg,
-                rounds: int = 1) -> bool:
+def validate_pk(A: int, params: CsidhParams, rng: Drbg) -> bool:
     """Supersingularity sanity check: encoding, A not in {2, p-2}, then
-    [p+1]P = O for `rounds` random points.  Probabilistic, not a proof."""
+    [p+1]P = O for one random point.  Probabilistic, not a proof."""
     if not validate_basic(A, params):
         return False
     fp = Fp(params)
-    curve = ProjCurve(fp.to_mont(A), fp.one)
-    for _ in range(rounds):
-        if not _validate_working_curve(fp, curve, params, rng):
-            return False
-    return True
+    return _validate_working_curve(fp, ProjCurve(fp.to_mont(A), fp.one),
+                                   params, rng)
 
 
 def run_action(pk: PublicKey, sk: PrivateKey, params: CsidhParams,

@@ -87,6 +87,16 @@ class Fp:
     def set_module(self, module_tag: int) -> None:
         self._mod = module_tag << 3
 
+    def mark(self) -> tuple[int, int]:
+        """Checkpoint of the trace length and module tag for `rollback`."""
+        return len(self.trace or ()), self._mod
+
+    def rollback(self, mark: tuple[int, int]) -> None:
+        """Drop the ops recorded since `mark` and restore its module tag."""
+        n, self._mod = mark
+        if self.trace is not None:
+            del self.trace[n:]
+
     # --- core ops (operands and results are plain ints < p) ---
 
     def add(self, a: int, b: int) -> int:

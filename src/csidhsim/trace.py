@@ -232,4 +232,6 @@ def calibrate_overhead(ledger: CycleLedger, target_cycles: int,
                        mode: str) -> float:
     """Fit the per-operation overhead constant so the ledger total matches
     a published end-to-end cycle count."""
+    if not ledger.total_ops:
+        raise ValueError("cannot calibrate overhead on an empty trace")
     return (target_cycles - ledger.raw_cycles(mode)) / ledger.total_ops

@@ -12,6 +12,7 @@ from csidhsim.action import (ActionConfig, Drbg, FaultDetected, InvalidPeerKey,
 from csidhsim.fp import Fp
 from csidhsim.mont_curve import CurveSide, xtwist
 from csidhsim.params import get_params
+from csidhsim.trace import OpTrace
 
 TOY = get_params("toy419")
 
@@ -135,6 +136,29 @@ def test_sample_point_rng_failure():
         sample_point(fp, A, CurveSide.TWIST, StuckRng())
 
 
+def test_sample_point_records_one_classification():
+    # Seed 0 rejects 4 candidates before a twist-side x; their
+    # classifications are rolled back, so the trace holds exactly one.
+    plain = Fp(TOY)
+    A = plain.to_mont(0)
+    rng = make_rng(bytes([0]))
+    rejected = 0
+    while True:
+        x = rng.below(TOY.p)
+        if x and xtwist(plain, plain.to_mont(x), A) is CurveSide.TWIST:
+            break
+        rejected += 1
+    assert rejected == 4
+
+    got = OpTrace()
+    P = sample_point(Fp(TOY, got), A, CurveSide.TWIST, make_rng(bytes([0])))
+    assert P.X == plain.to_mont(x)
+    want = OpTrace()
+    fp = Fp(TOY, want)
+    xtwist(fp, fp.to_mont(x), A)
+    assert got == want
+
+
 # --- action paths ------------------------------------------------------------
 
 def test_identity_action_fixes_keys():
@@ -210,10 +234,15 @@ def test_validate_basic():
     assert not validate_basic(-1, TOY)
 
 
+def validate_thrice(A, rng):
+    """validate_pk on three points drawn in turn from one rng."""
+    return all(validate_pk(A, TOY, rng) for _ in range(3))
+
+
 def test_validate_pk_accepts_supersingular():
     assert validate_pk(0, TOY, make_rng(b"v"))
     for e in ((1, 0, 0), (0, -1, 1)):
-        assert validate_pk(vt(e), TOY, make_rng(b"v"), rounds=3)
+        assert validate_thrice(vt(e), make_rng(b"v"))
 
 
 def test_validate_pk_rejects_singular_and_ordinary():
@@ -222,8 +251,7 @@ def test_validate_pk_rejects_singular_and_ordinary():
     ordinary = [A for A in range(3, 50)
                 if A not in (2, TOY.p - 2)
                 and orc.enumerate_curve(A, TOY.p)[1] != TOY.p + 1]
-    rejected = sum(not validate_pk(A, TOY, make_rng(b"v"), rounds=3)
-                   for A in ordinary)
+    rejected = sum(not validate_thrice(A, make_rng(b"v")) for A in ordinary)
     assert rejected == len(ordinary)
 
 

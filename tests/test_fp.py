@@ -7,6 +7,8 @@ from csidhsim.fp import (FieldElement, Fp, ZeroInverse, int_to_words,
                          words_to_int)
 from csidhsim.oracle import naive_redc
 from csidhsim.params import get_params
+from csidhsim.trace import (MOD_CSIDH, MOD_XAFFINIZE, MOD_XTWIST, OP_ADD,
+                            OP_SUB, OpTrace)
 
 TOY = get_params("toy419")
 FULL = get_params("csidh512")
@@ -160,7 +162,6 @@ def test_is_square_edges(full):
 # --- fixed operation schedules ------------------------------------------------
 
 def _trace_of(params, fn):
-    from csidhsim.trace import OpTrace
     t = OpTrace()
     ctx = Fp(params, t)
     fn(ctx)
@@ -179,3 +180,35 @@ def test_is_square_schedule_value_independent(toy):
     ta = _trace_of(toy, lambda c: c.is_square(3))
     tb = _trace_of(toy, lambda c: c.is_square(toy.p - 1))
     assert ta == tb
+
+
+# --- speculative work ---------------------------------------------------------
+
+def test_rollback_restores_trace_and_module(toy):
+    t = OpTrace()
+    fp = Fp(toy, t)
+    fp.set_module(MOD_XAFFINIZE)
+    fp.add(1, 2)
+    before = bytes(t.buf)
+    mark = fp.mark()
+    fp.set_module(MOD_XTWIST)
+    fp.mul(3, 4)
+    fp.inv(5)
+    fp.rollback(mark)
+    assert bytes(t.buf) == before
+    assert fp.mark() == mark
+    fp.sub(2, 1)      # recorded under the restored module tag
+    assert t.buf[-1] == (MOD_XAFFINIZE << 3) | OP_SUB
+
+
+def test_rollback_untraced_touches_no_buffer(toy):
+    other = OpTrace()
+    other.record(OP_ADD, MOD_CSIDH)
+    fp = Fp(toy)
+    fp.set_module(MOD_XAFFINIZE)
+    mark = fp.mark()
+    fp.set_module(MOD_XTWIST)
+    fp.mul(3, 4)
+    fp.rollback(mark)
+    assert fp.trace is None and fp.mark() == mark
+    assert bytes(other.buf) == bytes([(MOD_CSIDH << 3) | OP_ADD])

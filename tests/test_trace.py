@@ -135,6 +135,11 @@ def test_calibrate_overhead_hits_target():
         target, abs=1)
 
 
+def test_calibrate_overhead_rejects_empty_trace():
+    with pytest.raises(ValueError, match="empty trace"):
+        calibrate_overhead(CycleLedger(OpTrace()), 100, "fpga")
+
+
 def test_ledger_dump_format(tmp_path):
     t = toy_trace()
     path = tmp_path / "ledger.txt"
