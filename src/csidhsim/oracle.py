@@ -14,10 +14,6 @@ from dataclasses import dataclass
 TOY_LIMIT = 1 << 32
 
 
-def naive_modmul(a: int, b: int, p: int) -> int:
-    return a * b % p
-
-
 def naive_redc(T: int, p: int, R: int) -> int:
     """T * R^-1 mod p via an extended-gcd inverse."""
     return T * pow(R, -1, p) % p
