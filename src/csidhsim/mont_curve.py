@@ -159,11 +159,3 @@ def affinize_mont(fp: Fp, curve: ProjCurve) -> int:
 def affinize(fp: Fp, curve: ProjCurve) -> int:
     """Affine standard-domain coefficient Ax/Az."""
     return fp.from_mont(affinize_mont(fp, curve))
-
-
-def affinize_pt(fp: Fp, P: ProjPoint) -> int:
-    """Affine standard-domain x-coordinate X/Z."""
-    fp.set_module(MOD_XAFFINIZE)
-    if P.Z == 0:
-        raise InfinityAffinize("point at infinity has no affine x")
-    return fp.from_mont(fp.mul(P.X, fp.inv(P.Z)))

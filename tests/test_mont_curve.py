@@ -5,10 +5,11 @@ import pytest
 from csidhsim import oracle as orc
 from csidhsim.fp import Fp
 from csidhsim.mont_curve import (CurveSide, InfinityAffinize, ProjCurve,
-                                 ProjPoint, affinize, affinize_pt,
-                                 curve_constants, is_infinity, xadd, xdbl,
-                                 xdbladd, xmul, xtwist)
+                                 ProjPoint, affinize, curve_constants,
+                                 is_infinity, xadd, xdbl, xdbladd, xmul,
+                                 xtwist)
 from csidhsim.params import get_params
+from csidhsim.trace import MOD_XAFFINIZE
 
 TOY = get_params("toy419")
 P419 = TOY.p
@@ -25,6 +26,14 @@ def mpt(fp, x):
 
 def aff_x(fp, P):
     return fp.from_mont(P.X) * pow(fp.from_mont(P.Z), -1, P419) % P419
+
+
+def affinize_pt(fp, P):
+    """Affine standard-domain x-coordinate X/Z, through the field context."""
+    fp.set_module(MOD_XAFFINIZE)
+    if P.Z == 0:
+        raise InfinityAffinize("point at infinity has no affine x")
+    return fp.from_mont(fp.mul(P.X, fp.inv(P.Z)))
 
 
 @pytest.fixture(scope="module")
