@@ -33,12 +33,6 @@ def _check_toy(p: int) -> None:
         raise ValueError("oracle is restricted to toy-sized fields")
 
 
-def on_curve(P, A: int, p: int) -> bool:
-    if P is INFINITY:
-        return True
-    return (P.y * P.y - (P.x ** 3 + A * P.x * P.x + P.x)) % p == 0
-
-
 def add_points(P, Q, A: int, p: int):
     """Chord-tangent addition on y^2 = x^3 + A*x^2 + x."""
     if P is INFINITY:

@@ -8,6 +8,13 @@ P = 419
 PRIMES = (3, 5, 7)
 
 
+def on_curve(pt, A, p):
+    """pt satisfies y^2 = x^3 + A*x^2 + x (infinity always does)."""
+    if pt is orc.INFINITY:
+        return True
+    return (pt.y * pt.y - (pt.x ** 3 + A * pt.x * pt.x + pt.x)) % p == 0
+
+
 def test_naive_redc():
     R = 1 << 32
     assert orc.naive_redc(0, P, R) == 0
@@ -18,7 +25,7 @@ def test_naive_redc():
 def test_base_curve_is_supersingular():
     pts, order = orc.enumerate_curve(0, P)
     assert order == P + 1 == 420
-    assert all(orc.on_curve(pt, 0, P) for pt in pts)
+    assert all(on_curve(pt, 0, P) for pt in pts)
 
 
 def test_enumerate_rejects_singular():
