@@ -42,10 +42,6 @@ class CycleCost:
             raise ValueError("cycle cost must be non-negative")
 
 
-class RngExhausted(RuntimeError):
-    """The masked-ALU randomness source ran out of words."""
-
-
 # Booth-core latency; datapath-only, since the ledger has no Booth opcode.
 BOOTH_CYCLES = {AluMode.FPGA: 1, AluMode.ASIC: 2}
 
@@ -209,21 +205,6 @@ class AluActivity:
 
     def all_units_always_active(self) -> bool:
         return all(all(flags) for flags in self.cycles) and len(self.cycles) > 0
-
-
-class ListWordRng:
-    """Finite randomness source for the masked ALU; raises on exhaustion."""
-
-    def __init__(self, words):
-        self._words = list(words)
-        self._idx = 0
-
-    def next_word(self) -> int:
-        if self._idx >= len(self._words):
-            raise RngExhausted("masked-ALU rng exhausted")
-        w = self._words[self._idx]
-        self._idx += 1
-        return w
 
 
 class RandomWordRng:

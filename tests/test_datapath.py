@@ -3,10 +3,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from csidhsim.datapath import (AluMode, CycleCost, ListWordRng, RandomWordRng,
-                               RngExhausted, booth_mul, booth_mul32, csel_add,
-                               csel_sub, masked_issue, mont_mul_dp_int,
-                               mul_wide)
+from csidhsim.datapath import (AluMode, CycleCost, RandomWordRng, booth_mul,
+                               booth_mul32, csel_add, csel_sub, masked_issue,
+                               mont_mul_dp_int, mul_wide)
 from csidhsim.fp import Fp, int_to_words, words_to_int
 from csidhsim.params import get_params
 
@@ -152,6 +151,22 @@ def test_masked_activity_uniform_across_opcodes():
     rng = RandomWordRng(3)
     act_sub = masked_issue("SUB", (_vec(5), _vec(2)), rng)[1]
     assert act_add == act_sub   # 2-cycle ops have identical activity records
+
+
+class RngExhausted(RuntimeError):
+    """The finite word source ran out."""
+
+
+class ListWordRng:
+    """Finite randomness source for the masked ALU; raises on exhaustion."""
+
+    def __init__(self, words):
+        self._words = list(words)
+
+    def next_word(self) -> int:
+        if not self._words:
+            raise RngExhausted("masked-ALU rng exhausted")
+        return self._words.pop(0)
 
 
 def test_masked_rng_exhaustion_surfaces():
