@@ -15,11 +15,12 @@ Two evaluation paths are provided:
   the parameter set, never on the key.
 
 Randomness-dependent retry loops (side rejection when sampling points,
-re-sampling when a kernel comes out trivial) are modeled as fixed-latency
-units: each attempt runs on the one traced context, and a rejected attempt
-is rolled back (:meth:`Fp.rollback`), so only the accepted one stays in the
-trace.  Retry counts depend only on the sampled randomness, so this keeps
-the trace structure-determined without hiding any key-dependent work.
+re-sampling the active point when a kernel comes out trivial) are modeled
+as fixed-latency units: each attempt runs on the one traced context, and a
+rejected attempt is rolled back (:meth:`Fp.rollback`), so only the accepted
+one stays in the trace.  Retry counts depend only on the sampled
+randomness, so this keeps the trace structure-determined without hiding any
+key-dependent work.
 
 Negative exponents never negate the curve: a twist-side x-coordinate is a
 perfectly good x-only kernel, and pushing it through the same isogeny
@@ -361,9 +362,11 @@ def _ct_round(fp, curve, batch, k_clear, signs, remaining, params, rng,
         s = signs[idx]
         active, other = (P_plus, P_minus) if s > 0 else (P_minus, P_plus)
 
-        # Repair loop: while the active point lacks the l-torsion, re-sample
-        # the pair (restoring the torsion earlier slots of this round already
-        # stripped) and roll back the rejected K and the repair.
+        # Repair loop: while the active point lacks the l-torsion, replace
+        # it with a fresh point on its side, cleared of the primes outside
+        # the batch and those earlier slots of this round already applied.
+        # The inactive point keeps its value.  The rejected K and the
+        # repair are rolled back.
         repairs = 0
         mark = fp.mark()
         while True:
@@ -374,10 +377,12 @@ def _ct_round(fp, curve, batch, k_clear, signs, remaining, params, rng,
             repairs += 1
             if repairs > _MAX_REPAIRS:
                 return None
-            done = math.prod(primes[j] for j in batch if j > idx)
-            P_plus, P_minus, _ = _sample_pair(fp, curve, k_clear * done, rng)
+            side = CurveSide.CURVE if s > 0 else CurveSide.TWIST
+            clear = k_clear * math.prod(primes[j] for j in batch if j > idx)
+            fresh = sample_point(fp, affinize_mont(fp, curve), side, rng)
+            active = xmul(fp, fresh, clear, const,
+                          bound_bits=clear.bit_length())
             fp.rollback(mark)
-            active, other = (P_plus, P_minus) if s > 0 else (P_minus, P_plus)
 
         real = remaining[idx] > 0
         new_curve, images, fault = xisog(fp, curve, [active, other], K, l,

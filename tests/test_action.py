@@ -1,6 +1,7 @@
 """Group action, sampling, validation, and key serialization (toy-scale)."""
 
 import itertools
+import sys
 
 import pytest
 
@@ -160,6 +161,53 @@ def test_sample_point_records_one_classification():
 
 
 # --- action paths ------------------------------------------------------------
+
+def test_ct_repair_resamples_only_the_active_point(monkeypatch):
+    # The pinned toy419 run (acceptance-sk-0 under acceptance-shared-seed)
+    # repairs one kernel.  Each repair draws one point and no pair, and the
+    # slot's isogeny gets the inactive point it had before the repair.
+    events = []
+    kernel_ok, sample, pair, isog = (action._kernel_ok, action.sample_point,
+                                     action._sample_pair, action.xisog)
+
+    def spy_kernel_ok(fp, K, l, const):
+        ok = kernel_ok(fp, K, l, const)
+        if not ok:
+            # _ct_round's inactive point as the check failed
+            events.append(("repair", sys._getframe(1).f_locals["other"]))
+        return ok
+
+    def spy_sample(*args):
+        events.append(("sample_point", None))
+        return sample(*args)
+
+    def spy_pair(*args):
+        events.append(("pair", None))
+        return pair(*args)
+
+    def spy_isog(fp, curve, points, K, l, check):
+        events.append(("xisog", points[1]))
+        return isog(fp, curve, points, K, l, check)
+
+    monkeypatch.setattr(action, "_kernel_ok", spy_kernel_ok)
+    monkeypatch.setattr(action, "sample_point", spy_sample)
+    monkeypatch.setattr(action, "_sample_pair", spy_pair)
+    monkeypatch.setattr(action, "xisog", spy_isog)
+    sk = random_private_key(TOY, make_rng(b"acceptance-sk-0"))
+    pk, ok, _ = action.group_action_ct(PublicKey(0), sk, TOY,
+                                       make_rng(b"acceptance-shared-seed"))
+    assert ok and pk.A == 6
+
+    starts = [i for i, (kind, _) in enumerate(events) if kind == "repair"]
+    assert starts
+    for i in starts:
+        end = next(j for j in range(i + 1, len(events))
+                   if events[j][0] in ("repair", "xisog"))
+        assert [kind for kind, _ in events[i + 1:end]] == ["sample_point"]
+        isog_at = next(j for j in range(i, len(events))
+                       if events[j][0] == "xisog")
+        assert events[isog_at][1] == events[i][1]
+
 
 def test_identity_action_fixes_keys():
     for A0 in (0, 6, 158):
