@@ -47,7 +47,28 @@ MODULE_NAMES = {
     MOD_XTWIST: "xTWIST",
     MOD_CSIDH: "CSIDH",
 }
-MODULE_IDS = {v: k for k, v in MODULE_NAMES.items()}
+
+# Dump line of every trace byte, None for a byte that names no known
+# (opcode, module) pair; the 30 known bytes; and each line's byte for load.
+_LINES = tuple(
+    f"{OPCODE_NAMES[b & 7]}\t{MODULE_NAMES[b >> 3]}\n".encode()
+    if b & 7 in OPCODE_NAMES and b >> 3 in MODULE_NAMES else None
+    for b in range(256))
+_KNOWN = bytes(b for b, line in enumerate(_LINES) if line is not None)
+_BYTE_OF_LINE = {_LINES[b].decode().rstrip("\n"): b for b in _KNOWN}
+
+# Ops per write when dumping: the text streams in pieces of ~50 KB.
+_DUMP_CHUNK = 4096
+
+
+def _reject_unknown(buf) -> None:
+    """Raise ValueError naming the first byte of `buf` that is not a known
+    (opcode, module) pair."""
+    unknown = buf.translate(None, _KNOWN)
+    if unknown:
+        b = unknown[0]
+        raise ValueError(f"unknown trace byte {b:#04x} (opcode {b & 7}, "
+                         f"module {b >> 3}) at op {buf.index(b)}")
 
 
 class OpTrace:
@@ -69,26 +90,38 @@ class OpTrace:
     def record(self, opcode: int, module_tag: int) -> None:
         self.buf.append((module_tag << 3) | opcode)
 
-    def entries(self):
-        for b in self.buf:
-            yield OPCODE_NAMES[b & 7], MODULE_NAMES[b >> 3]
-
     def digest(self) -> str:
         return hashlib.sha256(self.buf).hexdigest()
 
     def dump(self, path) -> None:
-        """Export as newline-delimited ``opcode<TAB>module`` text."""
-        with open(path, "w") as f:
-            for op, mod in self.entries():
-                f.write(f"{op}\t{mod}\n")
+        """Export as newline-delimited ``opcode<TAB>module`` text.
+
+        Each byte's line comes from a precomputed table, and the lines are
+        written `_DUMP_CHUNK` ops at a time, so the text streams without
+        being built whole.  A byte that is no known (opcode, module) pair
+        raises ValueError naming it, before the file is opened.
+        """
+        buf = self.buf
+        _reject_unknown(buf)
+        line = _LINES.__getitem__
+        with open(path, "wb") as f:
+            for i in range(0, len(buf), _DUMP_CHUNK):
+                f.write(b"".join(map(line, buf[i:i + _DUMP_CHUNK])))
 
     @classmethod
     def load(cls, path) -> "OpTrace":
+        """Read a dump back; raises ValueError naming ``file:line`` for a
+        line that is not a known ``opcode<TAB>module`` pair."""
         t = cls()
+        buf = t.buf
         with open(path) as f:
-            for line in f:
-                op, mod = line.rstrip("\n").split("\t")
-                t.record(OPCODE_IDS[op], MODULE_IDS[mod])
+            for lineno, line in enumerate(f, 1):
+                line = line.rstrip("\n")
+                b = _BYTE_OF_LINE.get(line)
+                if b is None:
+                    raise ValueError(f"{path}:{lineno}: bad trace line "
+                                     f"{line!r}")
+                buf.append(b)
         return t
 
 
@@ -186,11 +219,18 @@ class CostTable:
 
 
 class CycleLedger:
-    """Per-opcode and per-module operation counts with cycle pricing."""
+    """Per-opcode and per-module operation counts with cycle pricing.
+
+    The trace is counted once, one `bytearray.count` per known (opcode,
+    module) byte; a byte that is no known pair raises ValueError naming it.
+    """
 
     def __init__(self, trace: OpTrace, cost_table: CostTable | None = None):
         self.cost_table = cost_table or CostTable()
-        self._packed = Counter(trace.buf)
+        buf = trace.buf
+        self._packed = {b: n for b in _KNOWN if (n := buf.count(b))}
+        if sum(self._packed.values()) != len(buf):
+            _reject_unknown(buf)
 
     @property
     def total_ops(self) -> int:

@@ -1,6 +1,7 @@
 """Operation traces, cost tables, and cycle ledgers."""
 
 import itertools
+import re
 
 import pytest
 
@@ -25,12 +26,14 @@ def toy_trace(e=(1, 0, -1), seed=b"t"):
     return trace
 
 
-def test_record_and_order():
+def test_record_and_order(tmp_path):
     t = OpTrace()
     t.record(OP_ADD, MOD_CSIDH)
     assert len(t) == 1
     t.record(OP_MONT_MUL, MOD_XMUL)
-    assert list(t.entries()) == [("ADD", "CSIDH"), ("MONT_MUL", "xMUL")]
+    path = tmp_path / "trace.txt"
+    t.dump(path)
+    assert path.read_bytes() == b"ADD\tCSIDH\nMONT_MUL\txMUL\n"
 
 
 def test_trace_equal():
@@ -48,6 +51,45 @@ def test_trace_dump_load_roundtrip(tmp_path):
     loaded = OpTrace.load(path)
     assert t == loaded
     assert path.read_text().splitlines()[0].count("\t") == 1
+
+
+def test_dump_spans_chunks(tmp_path):
+    # 4096-op write chunks: a trace of 2 * 4096 + 1 ops dumps every line.
+    t = OpTrace()
+    t.buf.extend(bytes([OP_SUB | MOD_XMUL << 3]) * (2 * 4096 + 1))
+    t.buf[4096] = OP_ADD | MOD_CSIDH << 3
+    path = tmp_path / "trace.txt"
+    t.dump(path)
+    lines = path.read_text().splitlines()
+    assert len(lines) == len(t)
+    assert lines[4096] == "ADD\tCSIDH"
+    assert lines[:4096] == lines[4097:] == ["SUB\txMUL"] * 4096
+    assert OpTrace.load(path) == t
+
+
+@pytest.mark.parametrize("opcode, module, byte", [
+    (7, MOD_CSIDH, "0x2f"),    # unknown opcode
+    (OP_ADD, 6, "0x30"),       # unknown module
+])
+def test_unknown_trace_byte_rejected(tmp_path, opcode, module, byte):
+    t = toy_trace()
+    t.record(opcode, module)
+    with pytest.raises(ValueError, match=f"unknown trace byte {byte}"):
+        CycleLedger(t)
+    path = tmp_path / "trace.txt"
+    with pytest.raises(ValueError, match=f"unknown trace byte {byte}"):
+        t.dump(path)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("bad", ["ADD\tFOO", "FOO\tCSIDH", "ADD CSIDH", "",
+                                 "ADD\tCSIDH\tCSIDH"])
+def test_load_rejects_bad_line(tmp_path, bad):
+    path = tmp_path / "trace.txt"
+    path.write_text(f"ADD\tCSIDH\n{bad}\nSUB\txMUL\n")
+    with pytest.raises(ValueError, match=re.escape(
+            f"trace.txt:2: bad trace line {bad!r}")):
+        OpTrace.load(path)
 
 
 def test_default_cost_values():
