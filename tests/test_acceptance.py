@@ -10,6 +10,7 @@ default); the default run exercises the 10-keypair smoke variant.
 """
 
 import functools
+import hashlib
 import itertools
 import random
 
@@ -342,6 +343,8 @@ PINNED = {
         "A": int("598cce5566e442ec9c642476387ad48ffa1c126045181257431f67d1"
                  "e8af59dbea439dd68c729297cce6249b2d4471cc0db425866ba971e6"
                  "62348fd39cbde55a", 16),
+        "dump": "ffcfaec2d457a1ef8361e6df40250259"
+                "5689bbabedf9300017aa6d7b342f0d85",
         "total": {"fpga": 104_299_433, "asic": 106_627_178},
         "modules": {
             "fpga": {"CSIDH": 174, "xAffinize": 2_316_266,
@@ -356,6 +359,8 @@ PINNED = {
         "digest": "e8e4c03ab36071c41af3aab7ef81b1d5"
                   "b36c84d0e294d390ab5c894e50a3a72b",
         "A": 6,
+        "dump": "1ff8c47be650cd29de18b926d5a894f5"
+                "78ba77fec951bb7c0f07d0ca20ac3e0d",
         "total": {"fpga": 70_711, "asic": 72_292},
         "modules": {
             "fpga": {"CSIDH": 174, "xAffinize": 3_458, "xDBLADD": 51_214,
@@ -367,7 +372,7 @@ PINNED = {
 }
 
 
-def test_pinned_trace_key_and_ledger():
+def test_pinned_trace_key_and_ledger(tmp_path):
     _, pk, trace = full_keygen(0)
     runs = {"csidh512": (pk, trace)}
     sk = random_private_key(TOY, make_rng(b"acceptance-sk-0"))
@@ -379,6 +384,9 @@ def test_pinned_trace_key_and_ledger():
         want = PINNED[name]
         assert trace.digest() == want["digest"], name
         assert pk.A == want["A"], name
+        path = tmp_path / f"{name}.trace"
+        trace.dump(path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == want["dump"]
         ledger = CycleLedger(trace)
         for mode in ("fpga", "asic"):
             assert ledger.total_cycles(mode) == want["total"][mode]
