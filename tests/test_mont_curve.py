@@ -9,7 +9,6 @@ from csidhsim.mont_curve import (CurveSide, InfinityAffinize, ProjCurve,
                                  is_infinity, xadd, xdbl, xdbladd, xmul,
                                  xtwist)
 from csidhsim.params import get_params
-from csidhsim.trace import MOD_XAFFINIZE
 
 TOY = get_params("toy419")
 P419 = TOY.p
@@ -30,7 +29,6 @@ def aff_x(fp, P):
 
 def affinize_pt(fp, P):
     """Affine standard-domain x-coordinate X/Z, through the field context."""
-    fp.set_module(MOD_XAFFINIZE)
     if P.Z == 0:
         raise InfinityAffinize("point at infinity has no affine x")
     return fp.from_mont(fp.mul(P.X, fp.inv(P.Z)))
