@@ -32,7 +32,7 @@ from __future__ import annotations
 import hashlib
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .fp import FieldElement, Fp
 from .mont_curve import (CurveSide, ProjCurve, ProjPoint, affinize,
@@ -77,7 +77,7 @@ class InvalidPeerKey(ValueError):
 
 class Drbg:
     """Deterministic byte stream (SHA-256 in counter mode) with rejection
-    samplers for words, bounded integers, and sign bits."""
+    samplers for bounded integers and sign bits."""
 
     def __init__(self, seed: bytes):
         self._key = hashlib.sha256(seed).digest()
@@ -92,9 +92,6 @@ class Drbg:
             self._pool += block
         out, self._pool = self._pool[:n], self._pool[n:]
         return out
-
-    def word(self) -> int:
-        return int.from_bytes(self.bytes(4), "little")
 
     def bit(self) -> int:
         return self.bytes(1)[0] & 1
@@ -176,7 +173,6 @@ class PublicKey:
 @dataclass
 class ActionConfig:
     constant_time: bool = True
-    fault_check: bool = True
 
 
 def random_private_key(params: CsidhParams, rng: Drbg) -> PrivateKey:
@@ -213,10 +209,8 @@ def sample_point(fp: Fp, A_mont: int, side: CurveSide,
 # --- variable-time action (the reference batched algorithm) ---------------
 
 def group_action_vartime(pk: PublicKey, sk: PrivateKey, params: CsidhParams,
-                         rng: Drbg, config: ActionConfig | None = None,
-                         trace: OpTrace | None = None):
+                         rng: Drbg, trace: OpTrace | None = None):
     """Batched variable-time evaluation; returns (PublicKey, success)."""
-    config = config or ActionConfig()
     fp = Fp(params, trace)
     if not validate_basic(pk.A, params):
         return PublicKey(rng.below(params.p)), False
@@ -247,8 +241,7 @@ def group_action_vartime(pk: PublicKey, sk: PrivateKey, params: CsidhParams,
                 K = xmul(fp, P, cof, const)
                 if is_infinity(K):
                     continue   # P lacked this torsion; prime stays pending
-                curve, images, fault = xisog(fp, curve, [P], K, primes[idx],
-                                             config.fault_check)
+                curve, images, fault = xisog(fp, curve, [P], K, primes[idx])
                 if fault:
                     return PublicKey(rng.below(params.p)), False
                 P = images[0]
@@ -279,7 +272,7 @@ def _validate_working_curve(fp: Fp, curve: ProjCurve, params: CsidhParams,
 # --- constant-time action --------------------------------------------------
 
 def group_action_ct(pk: PublicKey, sk: PrivateKey, params: CsidhParams,
-                    rng: Drbg, config: ActionConfig | None = None):
+                    rng: Drbg):
     """Dummy-isogeny constant-time evaluation.
 
     Returns (PublicKey, success, OpTrace).  The trace is byte-identical
@@ -288,7 +281,6 @@ def group_action_ct(pk: PublicKey, sk: PrivateKey, params: CsidhParams,
     and each slot issues the same operations whether the isogeny is real or
     a dummy -- only which results are kept differs.
     """
-    config = config or ActionConfig()
     trace = OpTrace()
     fp = Fp(params, trace)
     if not validate_basic(pk.A, params):
@@ -315,7 +307,7 @@ def group_action_ct(pk: PublicKey, sk: PrivateKey, params: CsidhParams,
                                 if j not in in_batch)
         for _ in range(m):
             curve = _ct_round(fp, curve, batch, k_clear, signs, remaining,
-                              params, rng, config)
+                              params, rng)
             if curve is None:
                 return PublicKey(rng.below(params.p)), False, trace
 
@@ -348,8 +340,7 @@ def _kernel_ok(fp: Fp, K: ProjPoint, l: int, const) -> bool:
     return ok
 
 
-def _ct_round(fp, curve, batch, k_clear, signs, remaining, params, rng,
-              config):
+def _ct_round(fp, curve, batch, k_clear, signs, remaining, params, rng):
     """One batch round: sample a point pair, then one slot per prime,
     descending.  Returns the updated curve, or None on a detected fault or
     a kernel that runs out of repairs."""
@@ -385,8 +376,7 @@ def _ct_round(fp, curve, batch, k_clear, signs, remaining, params, rng,
             fp.rollback(mark)
 
         real = remaining[idx] > 0
-        new_curve, images, fault = xisog(fp, curve, [active, other], K, l,
-                                         config.fault_check)
+        new_curve, images, fault = xisog(fp, curve, [active, other], K, l)
         if fault:
             return None
         img_active, img_other = images
@@ -432,9 +422,9 @@ def run_action(pk: PublicKey, sk: PrivateKey, params: CsidhParams,
     """
     config = config or ActionConfig()
     if config.constant_time:
-        out, ok, trace = group_action_ct(pk, sk, params, rng, config)
+        out, ok, trace = group_action_ct(pk, sk, params, rng)
     else:
-        out, ok = group_action_vartime(pk, sk, params, rng, config, trace)
+        out, ok = group_action_vartime(pk, sk, params, rng, trace)
     if not ok:
         raise FaultDetected("group action failed its self-check")
     return out, trace
@@ -459,17 +449,13 @@ def shared_secret(sk: PrivateKey, peer: PublicKey, params: CsidhParams,
     return FieldElement(out.A, params)
 
 
-def estimate_keygen(params: CsidhParams, config: ActionConfig | None = None,
-                    mode: str = "fpga", seed: bytes = b"cycle-estimate",
-                    cost_table: CostTable | None = None):
+def estimate_keygen(params: CsidhParams, seed: bytes = b"cycle-estimate",
+                    cost_table: CostTable | None = None) -> CycleLedger:
     """Run one seeded keygen on the base curve and price its trace.
 
-    Always the constant-time path, whatever `config.constant_time` says:
-    only it records the trace the cycle model prices.
-    Returns (total_cycles, per-module breakdown, ledger).
+    Always the constant-time path: only it records the trace the cycle
+    model prices.
     """
-    config = replace(config or ActionConfig(), constant_time=True)
     sk = random_private_key(params, make_rng(seed))
-    _, trace = run_action(PublicKey(0), sk, params, make_rng(seed), config)
-    ledger = CycleLedger(trace, cost_table)
-    return ledger.total_cycles(mode), ledger.module_cycles(mode), ledger
+    _, trace = run_action(PublicKey(0), sk, params, make_rng(seed))
+    return CycleLedger(trace, cost_table)

@@ -49,9 +49,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="use the variable-time action (not constant-time)")
     parser.add_argument("--seed", metavar="HEX", type=bytes.fromhex,
                         help="deterministic seed for all randomness")
-    parser.add_argument("--fault-check", dest="fault_check",
-                        action=argparse.BooleanOptionalAction, default=True,
-                        help="verify [l]K = O after every isogeny")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -82,8 +79,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config(args) -> action.ActionConfig:
-    return action.ActionConfig(constant_time=not args.vartime,
-                               fault_check=args.fault_check)
+    return action.ActionConfig(constant_time=not args.vartime)
 
 
 def cmd_keygen(args) -> int:
@@ -126,9 +122,9 @@ def cmd_bench(args) -> int:
     params = get_params(args.params)
     cost_table = CostTable.load(args.cost_table) if args.cost_table else None
     seed = b"bench" if args.seed is None else args.seed
-    total, breakdown, ledger = action.estimate_keygen(
-        params, config=_config(args), mode=args.mode, seed=seed,
-        cost_table=cost_table)
+    ledger = action.estimate_keygen(params, seed, cost_table)
+    breakdown = ledger.module_cycles(args.mode)
+    total = ledger.total_cycles(args.mode)
     print(f"params         {params.name}")
     print(f"mode           {args.mode}")
     for module, cycles in sorted(breakdown.items(), key=lambda kv: -kv[1]):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .fp import int_to_words, words_to_int
-from .params import CsidhParams
+from .params import WORD_BITS, CsidhParams
 from .trace import CSEL_CYCLES, MONT_MUL_CYCLES, MUL_WIDE_CYCLES
 
 
@@ -45,16 +45,15 @@ class CycleCost:
 # Booth-core latency; datapath-only, since the ledger has no Booth opcode.
 BOOTH_CYCLES = {AluMode.FPGA: 1, AluMode.ASIC: 2}
 
-_WORD_BITS = 32
-_MASK32 = (1 << _WORD_BITS) - 1
+_MASK32 = (1 << WORD_BITS) - 1
 
 
 def _add32cs(x: int, y: int, carry_in: int):
     """One carry-select cell: both carry-in scenarios, then select."""
     t = x + y
-    s0, c0 = t & _MASK32, t >> _WORD_BITS
+    s0, c0 = t & _MASK32, t >> WORD_BITS
     t += 1
-    s1, c1 = t & _MASK32, t >> _WORD_BITS
+    s1, c1 = t & _MASK32, t >> WORD_BITS
     return (s1, c1) if carry_in else (s0, c0)
 
 
@@ -127,7 +126,7 @@ def booth_mul(x: int, y: int, width: int, mode: AluMode = AluMode.ASIC):
 
 def booth_mul32(x: int, y: int, mode: AluMode = AluMode.ASIC):
     """32x32 -> 64-bit Booth multiply: 2 cycles ASIC, 1 cycle FPGA."""
-    return booth_mul(x, y, 32, mode)
+    return booth_mul(x, y, WORD_BITS, mode)
 
 
 def _chunk_product(a_k: int, b, n: int):
@@ -137,7 +136,7 @@ def _chunk_product(a_k: int, b, n: int):
     for b_i in b:
         pp = a_k * b_i
         lo.append(pp & _MASK32)
-        hi.append(pp >> _WORD_BITS)
+        hi.append(pp >> WORD_BITS)
     words = [lo[0]]
     c = 0
     for t in range(1, n):
@@ -164,10 +163,10 @@ def mul_wide(a, b, mode: AluMode = AluMode.FPGA):
     half = (n + 1) // 2
     acc_up = 0
     for k in range(half):
-        acc_up += _chunk_product(a[k], b, n) << (_WORD_BITS * k)
+        acc_up += _chunk_product(a[k], b, n) << (WORD_BITS * k)
     acc_down = 0
     for v in range(half, n):
-        acc_down += _chunk_product(a[v], b, n) << (_WORD_BITS * v)
+        acc_down += _chunk_product(a[v], b, n) << (WORD_BITS * v)
     product = acc_up + acc_down
     return (int_to_words(product, 2 * n),
             CycleCost(MUL_WIDE_CYCLES[mode.value]))
@@ -214,7 +213,7 @@ class RandomWordRng:
         self._rng = random.Random(seed)
 
     def next_word(self) -> int:
-        return self._rng.getrandbits(32)
+        return self._rng.getrandbits(WORD_BITS)
 
 
 MASKED_OPS = ("ADD", "SUB", "MUL")

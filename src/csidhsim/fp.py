@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .params import CsidhParams
+from .params import WORD_BITS, CsidhParams
 from .trace import (MOD_CSIDH, OP_ADD, OP_MONT_MUL, OP_MONT_REDUCE, OP_SUB)
 
 
@@ -50,15 +50,15 @@ class FieldElement:
         return cls(int.from_bytes(raw, "little"), params)
 
 
-def int_to_words(value: int, n_words: int, word_bits: int = 32):
-    mask = (1 << word_bits) - 1
-    return tuple((value >> (i * word_bits)) & mask for i in range(n_words))
+def int_to_words(value: int, n_words: int):
+    mask = (1 << WORD_BITS) - 1
+    return tuple((value >> (i * WORD_BITS)) & mask for i in range(n_words))
 
 
-def words_to_int(words, word_bits: int = 32) -> int:
+def words_to_int(words) -> int:
     value = 0
     for i, w in enumerate(words):
-        value |= w << (i * word_bits)
+        value |= w << (i * WORD_BITS)
     return value
 
 

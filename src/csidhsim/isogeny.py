@@ -44,14 +44,13 @@ def _eighth_power(fp: Fp, x: int) -> int:
     return fp.mul(x, x)
 
 
-def xisog(fp: Fp, curve: ProjCurve, points, K: ProjPoint, l: int,
-          fault_check: bool = True):
+def xisog(fp: Fp, curve: ProjCurve, points, K: ProjPoint, l: int):
     """Degree-l isogeny with kernel <K>: codomain curve, point images, fault.
 
     `points` is a sequence of ProjPoint to push through the isogeny; a point
-    in <K> maps to the point at infinity.  When fault_check is set, [l]K is
-    computed at the end and any result other than the point at infinity
-    raises the fault flag (never silently); so does a codomain with Az = 0.
+    in <K> maps to the point at infinity.  [l]K is computed at the end and
+    any result other than the point at infinity raises the fault flag (never
+    silently); so does a codomain with Az = 0.
 
     Returns (curve', images, fault).
     """
@@ -96,9 +95,7 @@ def xisog(fp: Fp, curve: ProjCurve, points, K: ProjPoint, l: int,
     az = fp.sub(tp, tm)
     new_curve = ProjCurve(ax, az)
 
-    # A codomain with Az = 0 is no curve: a fault, with or without the check.
-    fault = az == 0
-    if fault_check:
-        lk = xmul(fp, K, l, const, bound_bits=l.bit_length())
-        fault = fault or not is_infinity(lk)
-    return new_curve, images, fault
+    # A codomain with Az = 0 is no curve: a fault, like a kernel of the
+    # wrong order.
+    lk = xmul(fp, K, l, const, bound_bits=l.bit_length())
+    return new_curve, images, az == 0 or not is_infinity(lk)

@@ -54,25 +54,18 @@ def is_infinity(P: ProjPoint) -> bool:
     return P.Z == 0
 
 
-def xdbl(fp: Fp, P: ProjPoint, const: CurveConstants) -> ProjPoint:
-    """x([2]P)."""
-    fp.set_module(MOD_XDBLADD)
-    a = fp.add(P.X, P.Z)
-    b = fp.sub(P.X, P.Z)
-    aa = fp.mul(a, a)
-    bb = fp.mul(b, b)
-    e = fp.sub(aa, bb)
+def _xdbl_tail(fp: Fp, aa: int, bb: int, e: int,
+               const: CurveConstants) -> ProjPoint:
+    """x([2]P) from aa = (X+Z)^2, bb = (X-Z)^2 and e = aa - bb."""
     t = fp.mul(const.C24, bb)
     x2 = fp.mul(t, aa)
     z2 = fp.mul(e, fp.add(t, fp.mul(const.A24, e)))
     return ProjPoint(x2, z2)
 
 
-def xadd(fp: Fp, P: ProjPoint, Q: ProjPoint, diff: ProjPoint) -> ProjPoint:
-    """x(P+Q) given diff = x(P-Q)."""
-    fp.set_module(MOD_XDBLADD)
-    a = fp.add(P.X, P.Z)
-    b = fp.sub(P.X, P.Z)
+def _xadd_tail(fp: Fp, a: int, b: int, Q: ProjPoint,
+               diff: ProjPoint) -> ProjPoint:
+    """x(P+Q) from a = X+Z and b = X-Z of P, given diff = x(P-Q)."""
     c = fp.add(Q.X, Q.Z)
     d = fp.sub(Q.X, Q.Z)
     da = fp.mul(d, a)
@@ -82,6 +75,22 @@ def xadd(fp: Fp, P: ProjPoint, Q: ProjPoint, diff: ProjPoint) -> ProjPoint:
     x3 = fp.mul(diff.Z, fp.mul(t0, t0))
     z3 = fp.mul(diff.X, fp.mul(t1, t1))
     return ProjPoint(x3, z3)
+
+
+def xdbl(fp: Fp, P: ProjPoint, const: CurveConstants) -> ProjPoint:
+    """x([2]P)."""
+    fp.set_module(MOD_XDBLADD)
+    a = fp.add(P.X, P.Z)
+    b = fp.sub(P.X, P.Z)
+    aa = fp.mul(a, a)
+    bb = fp.mul(b, b)
+    return _xdbl_tail(fp, aa, bb, fp.sub(aa, bb), const)
+
+
+def xadd(fp: Fp, P: ProjPoint, Q: ProjPoint, diff: ProjPoint) -> ProjPoint:
+    """x(P+Q) given diff = x(P-Q)."""
+    fp.set_module(MOD_XDBLADD)
+    return _xadd_tail(fp, fp.add(P.X, P.Z), fp.sub(P.X, P.Z), Q, diff)
 
 
 def xdbladd(fp: Fp, P: ProjPoint, Q: ProjPoint, diff: ProjPoint,
@@ -96,18 +105,8 @@ def xdbladd(fp: Fp, P: ProjPoint, Q: ProjPoint, diff: ProjPoint,
     aa = fp.mul(a, a)
     bb = fp.mul(b, b)
     e = fp.sub(aa, bb)
-    c = fp.add(Q.X, Q.Z)
-    d = fp.sub(Q.X, Q.Z)
-    da = fp.mul(d, a)
-    cb = fp.mul(c, b)
-    t0 = fp.add(da, cb)
-    t1 = fp.sub(da, cb)
-    x5 = fp.mul(diff.Z, fp.mul(t0, t0))
-    z5 = fp.mul(diff.X, fp.mul(t1, t1))
-    t = fp.mul(const.C24, bb)
-    x4 = fp.mul(t, aa)
-    z4 = fp.mul(e, fp.add(t, fp.mul(const.A24, e)))
-    return ProjPoint(x4, z4), ProjPoint(x5, z5)
+    PQ = _xadd_tail(fp, a, b, Q, diff)
+    return _xdbl_tail(fp, aa, bb, e, const), PQ
 
 
 def xmul(fp: Fp, P: ProjPoint, k: int, const: CurveConstants,

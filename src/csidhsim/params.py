@@ -20,6 +20,10 @@ from dataclasses import dataclass, field
 from importlib import resources
 
 
+# Datapath word size in bits: every operand is n_words words of this size.
+WORD_BITS = 32
+
+
 class ParamError(ValueError):
     """Raised when a parameter set fails its structural checks."""
 
@@ -30,10 +34,9 @@ class CsidhParams:
     p: int
     primes: tuple[int, ...]
     m: int                      # exponent bound: e_i in [-m, m]
-    word_bits: int = 32
     n_words: int = 16
     # derived Montgomery constants, filled in __post_init__
-    width: int = field(init=False, default=0)        # W = word_bits * n_words
+    width: int = field(init=False, default=0)        # W = WORD_BITS * n_words
     R: int = field(init=False, default=0)            # 2^W
     R2: int = field(init=False, default=0)           # R^2 mod p
     pinv: int = field(init=False, default=0)         # -p^-1 mod R
@@ -48,7 +51,7 @@ class CsidhParams:
             raise ParamError("all primes must be odd and >= 3")
         if self.p != 4 * math.prod(self.primes) - 1:
             raise ParamError("p != 4 * prod(primes) - 1")
-        width = self.word_bits * self.n_words
+        width = WORD_BITS * self.n_words
         if self.p.bit_length() > width:
             raise ParamError("p does not fit in n_words words")
         R = 1 << width
@@ -73,8 +76,7 @@ class CsidhParams:
 
 def toy_params() -> CsidhParams:
     """p = 419, primes {3, 5, 7}, m = 1.  One 32-bit word."""
-    return CsidhParams(name="toy419", p=419, primes=(3, 5, 7), m=1,
-                       word_bits=32, n_words=1)
+    return CsidhParams(name="toy419", p=419, primes=(3, 5, 7), m=1, n_words=1)
 
 
 def csidh512_params() -> CsidhParams:
@@ -85,7 +87,6 @@ def csidh512_params() -> CsidhParams:
     p = int(data["p_hex"], 16)
     params = CsidhParams(name="csidh512", p=p, primes=primes,
                          m=data["exponent_bound"],
-                         word_bits=data["word_bits"],
                          n_words=data["n_words"])
     if params.n != 74 or params.m != 5:
         raise ParamError("csidh512 constants file is inconsistent")

@@ -222,9 +222,9 @@ def test_criterion_07_trace_invariance(monkeypatch, tmp_path):
     calls = []
     real_xisog = action.xisog
 
-    def counting(fp, curve, points, K, l, fault_check=True):
+    def counting(fp, curve, points, K, l):
         calls.append(l)
-        return real_xisog(fp, curve, points, K, l, fault_check)
+        return real_xisog(fp, curve, points, K, l)
 
     monkeypatch.setattr(action, "xisog", counting)
     for e in ((0,) * FULL.n, (5,) + (0,) * (FULL.n - 1),
@@ -270,11 +270,10 @@ def test_criterion_10_validation():
     assert validate_pk(0, TOY, make_rng(b"v"))
     assert validate_pk(0, FULL, make_rng(b"v"))
     rng = make_rng(b"honest")
-    cfg = ActionConfig(constant_time=False)
     for i in range(100):
         sk = random_private_key(TOY, rng)
         pk, ok = action.group_action_vartime(PublicKey(0), sk, TOY,
-                                             make_rng(b"h%d" % i), cfg)
+                                             make_rng(b"h%d" % i))
         assert ok and validate_pk(pk.A, TOY, make_rng(b"w%d" % i))
     for i in range(3):   # full-size honest keys from the shared cache
         assert validate_pk(full_keygen(i)[1].A, FULL, make_rng(b"f%d" % i))

@@ -149,7 +149,8 @@ def test_bench_custom_cost_table(tmp_path, capsys):
                  "MONT_MUL.fpga = fast", "overhead.fpga = x",
                  "MONT_MUL.fpga = -100", "overhead.fpga = inf",
                  "overhead.fpga = nan", "overhead.fpga = 1e400",
-                 "overhead.fpga = -1e308", "MONT_MUL.fpga = " + "9" * 400):
+                 "overhead.fpga = -1e308", "MONT_MUL.fpga = " + "9" * 400,
+                 "MUL_WIDE.fpga = 22"):
         cfg.write_text("ADD.fpga = 0\n" + line + "\n")
         code, out, err = run(capsys, "--params", "toy419", "--seed", "07",
                              "bench", "--cost-table", str(cfg))
@@ -207,6 +208,9 @@ HOSTILE = {
         ["bench", "--cost-table", "c.cfg"], 2),
     "overflowing overhead": (
         {"c.cfg": b"overhead.fpga = 1e400\n"},
+        ["bench", "--cost-table", "c.cfg"], 2),
+    "undecodable cost table": (
+        {"c.cfg": b"MONT_MUL.fpga = 8\xff7\n"},
         ["bench", "--cost-table", "c.cfg"], 2),
 }
 

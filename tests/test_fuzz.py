@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from csidhsim.action import PK_MAGIC, SK_MAGIC, PrivateKey, PublicKey
 from csidhsim.params import PARAM_IDS
-from csidhsim.trace import MAX_COST, OPCODE_IDS, CostTable
+from csidhsim.trace import MAX_COST, OPCODE_IDS, CostTable, CostTableError
 
 
 def key_files(magic):
@@ -45,13 +45,15 @@ LINES = st.text(max_size=30) | st.builds(
 
 
 @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(st.lists(LINES, max_size=6))
-def test_cost_table_parser_raises_only_value_error(tmp_path, lines):
+@given(st.lists(LINES, max_size=6).map(
+    lambda lines: "\n".join(lines).encode()) | st.binary(max_size=80))
+def test_cost_table_parser_raises_only_value_error(tmp_path, raw):
+    # CostTableError is what cli.main maps to an exit code.
     path = tmp_path / "costs.cfg"
-    path.write_text("\n".join(lines), encoding="utf-8")
+    path.write_bytes(raw)
     try:
         table = CostTable.load(path)
-    except ValueError:
+    except CostTableError:
         return
     for mode, ops in table.costs.items():
         assert all(0 <= c <= MAX_COST for c in ops.values())

@@ -28,10 +28,10 @@ def aff(fp, num, den):
     return fp.from_mont(num) * pow(fp.from_mont(den), -1, P419) % P419
 
 
-def run_xisog(fp, A, eval_xs, ker_x, l, fault_check=True):
+def run_xisog(fp, A, eval_xs, ker_x, l):
     curve = ProjCurve(fp.to_mont(A), fp.one)
     return xisog(fp, curve, [mpt(fp, x) for x in eval_xs], mpt(fp, ker_x),
-                 l, fault_check)
+                 l)
 
 
 def test_kernel_multiples_match_oracle(fp):
@@ -143,9 +143,3 @@ def test_fault_soundness(fp):
         bad += fault
     assert good == 1000 and bad == 1000
 
-
-def test_fault_check_disabled(fp):
-    pts, _ = orc.enumerate_curve(0, P419)
-    C = next(P for P in pts if orc.point_order(P, 0, P419) == 105)
-    _, _, fault = run_xisog(fp, 0, [], C.x, 3, fault_check=False)
-    assert fault is False   # detection skipped by request

@@ -4,6 +4,7 @@ import ast
 from pathlib import Path
 
 import csidhsim
+from csidhsim import trace
 
 SRC = Path(csidhsim.__file__).parent
 
@@ -27,3 +28,20 @@ def test_src_has_no_imports_inside_functions():
              for inner in ast.walk(node)
              if isinstance(inner, (ast.Import, ast.ImportFrom))]
     assert found == []
+
+
+def test_every_opcode_is_emitted():
+    # An opcode that Fp never appends to a trace is dead weight in the
+    # trace format and the cost table.
+    tree = ast.parse((SRC / "fp.py").read_text())
+    fp_class = next(node for node in tree.body
+                    if isinstance(node, ast.ClassDef) and node.name == "Fp")
+    appended = {name.id for call in ast.walk(fp_class)
+                if isinstance(call, ast.Call)
+                and isinstance(call.func, ast.Attribute)
+                and call.func.attr == "append"
+                for arg in call.args for name in ast.walk(arg)
+                if isinstance(name, ast.Name) and name.id.startswith("OP_")}
+    emitted = {getattr(trace, name) for name in appended}
+    assert [name for op, name in sorted(trace.OPCODE_NAMES.items())
+            if op not in emitted] == []

@@ -11,8 +11,8 @@ from csidhsim.action import (PrivateKey, PublicKey, estimate_keygen,
 from csidhsim.datapath import AluMode, csel_add, mont_mul_dp_int, mul_wide
 from csidhsim.fp import int_to_words
 from csidhsim.params import get_params
-from csidhsim.trace import (MOD_CSIDH, MOD_XMUL, OP_ADD, OP_MONT_MUL,
-                            OP_MONT_REDUCE, OP_MUL_WIDE, OP_SUB, CostTable,
+from csidhsim.trace import (MOD_CSIDH, MOD_XMUL, MUL_WIDE_CYCLES, OP_ADD,
+                            OP_MONT_MUL, OP_MONT_REDUCE, OP_SUB, CostTable,
                             CycleLedger, OpTrace, calibrate_overhead)
 
 TOY = get_params("toy419")
@@ -69,6 +69,7 @@ def test_dump_spans_chunks(tmp_path):
 
 @pytest.mark.parametrize("opcode, module, byte", [
     (7, MOD_CSIDH, "0x2f"),    # unknown opcode
+    (2, MOD_CSIDH, "0x2a"),    # the retired MUL_WIDE opcode
     (OP_ADD, 6, "0x30"),       # unknown module
 ])
 def test_unknown_trace_byte_rejected(tmp_path, opcode, module, byte):
@@ -83,20 +84,23 @@ def test_unknown_trace_byte_rejected(tmp_path, opcode, module, byte):
 
 
 @pytest.mark.parametrize("bad", ["ADD\tFOO", "FOO\tCSIDH", "ADD CSIDH", "",
-                                 "ADD\tCSIDH\tCSIDH"])
+                                 "ADD\tCSIDH\tCSIDH", b"ADD\tCSIDH\xff"])
 def test_load_rejects_bad_line(tmp_path, bad):
+    # An undecodable byte is shown as U+FFFD in the reported line.
+    raw = bad if isinstance(bad, bytes) else bad.encode()
     path = tmp_path / "trace.txt"
-    path.write_text(f"ADD\tCSIDH\n{bad}\nSUB\txMUL\n")
+    path.write_bytes(b"ADD\tCSIDH\n" + raw + b"\nSUB\txMUL\n")
+    shown = raw.decode(errors="replace")
     with pytest.raises(ValueError, match=re.escape(
-            f"trace.txt:2: bad trace line {bad!r}")):
+            f"trace.txt:2: bad trace line {shown!r}")):
         OpTrace.load(path)
 
 
 def test_default_cost_values():
     table = CostTable()
     assert table.cost(OP_MONT_MUL, "fpga") == 87
-    assert table.cost(OP_MUL_WIDE, "fpga") == 22
-    assert table.cost(OP_MUL_WIDE, "asic") == 23
+    assert MUL_WIDE_CYCLES["fpga"] == 22
+    assert MUL_WIDE_CYCLES["asic"] == 23
 
 
 @pytest.mark.parametrize("mode", list(AluMode))
@@ -104,13 +108,13 @@ def test_default_costs_match_datapath(mode):
     table = CostTable()
     m = mode.value
     aw = bw = int_to_words(0, 16)
-    assert table.cost(OP_MUL_WIDE, m) == mul_wide(aw, bw, mode)[1].cycles
+    assert MUL_WIDE_CYCLES[m] == mul_wide(aw, bw, mode)[1].cycles
     assert table.cost(OP_MONT_MUL, m) == \
         mont_mul_dp_int(0, 0, TOY, mode)[1].cycles
     csel = csel_add(aw, bw)[2].cycles
     assert table.cost(OP_ADD, m) == table.cost(OP_SUB, m) == 2 * csel
     assert table.cost(OP_MONT_REDUCE, m) == \
-        table.cost(OP_MONT_MUL, m) - table.cost(OP_MUL_WIDE, m)
+        table.cost(OP_MONT_MUL, m) - MUL_WIDE_CYCLES[m]
 
 
 def test_single_op_pricing():
@@ -118,10 +122,10 @@ def test_single_op_pricing():
     t.record(OP_MONT_MUL, MOD_XMUL)
     assert CycleLedger(t).total_cycles("fpga") == 87
     t2 = OpTrace()
-    t2.record(OP_MUL_WIDE, MOD_CSIDH)
+    t2.record(OP_MONT_REDUCE, MOD_CSIDH)
     led = CycleLedger(t2)
-    assert led.total_cycles("fpga") == 22
-    assert led.total_cycles("asic") == 23
+    assert led.total_cycles("fpga") == 65
+    assert led.total_cycles("asic") == 66
 
 
 def test_empty_ledger_is_zero():
@@ -201,5 +205,6 @@ def test_toy_cycles_identical_across_all_keys():
 def test_estimate_keygen_deterministic():
     t1 = estimate_keygen(TOY, seed=b"e")
     t2 = estimate_keygen(TOY, seed=b"e")
-    assert t1[0] == t2[0] and t1[1] == t2[1]
-    assert t1[0] > 0
+    assert t1.total_cycles("fpga") == t2.total_cycles("fpga")
+    assert t1.module_cycles("fpga") == t2.module_cycles("fpga")
+    assert t1.total_cycles("fpga") > 0
