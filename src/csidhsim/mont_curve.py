@@ -105,6 +105,7 @@ def xdbladd(fp: Fp, P: ProjPoint, Q: ProjPoint, diff: ProjPoint,
     aa = fp.mul(a, a)
     bb = fp.mul(b, b)
     e = fp.sub(aa, bb)
+    # The addition tail runs first: the trace keeps the ladder step's order.
     PQ = _xadd_tail(fp, a, b, Q, diff)
     return _xdbl_tail(fp, aa, bb, e, const), PQ
 

@@ -1,5 +1,5 @@
-"""Hostile bytes and text for the parsers: ValueError is the only failure,
-and whatever parses is well formed."""
+"""Hostile bytes and text for the parsers: ValueError (for cost tables,
+CostTableError) is the only failure, and whatever parses is well formed."""
 
 import math
 
