@@ -30,8 +30,8 @@ def aff(fp, num, den):
 
 def run_xisog(fp, A, eval_xs, ker_x, l):
     curve = ProjCurve(fp.to_mont(A), fp.one)
-    return xisog(fp, curve, [mpt(fp, x) for x in eval_xs], mpt(fp, ker_x),
-                 l)
+    points = [mpt(fp, x) for x in eval_xs]
+    return xisog(fp, curve, points, mpt(fp, ker_x), l)
 
 
 def test_kernel_multiples_match_oracle(fp):
