@@ -14,13 +14,17 @@ Two evaluation paths are provided:
   the identical operation sequence, so the recorded OpTrace depends only on
   the parameter set, never on the key.
 
-Randomness-dependent retry loops (side rejection when sampling points,
-re-sampling the active point when a kernel comes out trivial) are modeled
-as fixed-latency units: each attempt runs on the one traced context, and a
-rejected attempt is rolled back (:meth:`Fp.rollback`), so only the accepted
-one stays in the trace.  Retry counts depend only on the sampled
-randomness, so this keeps the trace structure-determined without hiding any
-key-dependent work.
+Randomness-dependent retry loops are modeled as fixed-latency units, so
+only the accepted attempt stays in the trace.  Point sampling screens each
+candidate x for its side by an untraced Jacobi symbol
+(:func:`~csidhsim.mont_curve.screen_side`), so a rejected candidate issues
+no op.  The ct path then classifies each accepted point of a round's pair
+once on the traced context with ``xtwist``, and the action fails if that
+disagrees with the screen.  Re-sampling the active point when a kernel
+comes out trivial runs on the one traced context and is rolled back
+(:meth:`Fp.rollback`).  Retry counts depend only on the sampled
+randomness, so this keeps the trace structure-determined without hiding
+any key-dependent work.
 
 Negative exponents never negate the curve: a twist-side x-coordinate is a
 perfectly good x-only kernel, and pushing it through the same isogeny
@@ -35,9 +39,9 @@ import os
 from dataclasses import dataclass
 
 from .fp import FieldElement, Fp
-from .mont_curve import (CurveSide, ProjCurve, ProjPoint, affinize,
-                         affinize_mont, curve_constants, is_infinity, xmul,
-                         xtwist)
+from .mont_curve import (CurveSide, InfinityAffinize, ProjCurve, ProjPoint,
+                         affinize, affinize_mont, curve_constants,
+                         is_infinity, screen_side, xmul, xtwist)
 from .isogeny import xisog
 from .params import PARAM_IDS, PARAM_NAMES, CsidhParams, get_params
 from .trace import MOD_CSIDH, CostTable, CycleLedger, OpTrace
@@ -188,21 +192,20 @@ def validate_basic(A: int, params: CsidhParams) -> bool:
 
 # --- point sampling -------------------------------------------------------
 
-def sample_point(fp: Fp, A_mont: int, side: CurveSide,
+def sample_point(fp: Fp, curve: ProjCurve, side: CurveSide,
                  rng: Drbg) -> ProjPoint:
-    """Random projective point with x on the requested side of E_A; each
-    rejected candidate's classification is rolled back, so the trace holds
-    exactly one."""
+    """Random projective point with x on the requested side of the curve.
+
+    Candidates are screened by `screen_side`, off the ALU model, so the only
+    op issued on `fp` is the accepted x's `to_mont`.
+    """
+    if curve.Az == 0:
+        raise InfinityAffinize("projective curve with Az = 0")
+    p = fp.p
     for _ in range(_MAX_REJECTS):
-        x = rng.below(fp.p)
-        if x == 0:
-            continue
-        mark = fp.mark()
-        xm = fp.to_mont(x)
-        if xtwist(fp, xm, A_mont) is not side:
-            fp.rollback(mark)
-            continue
-        return ProjPoint(xm, fp.one)
+        x = rng.below(p)
+        if x and screen_side(p, curve, x) is side:
+            return ProjPoint(fp.to_mont(x), fp.one)
     raise RngFailure("point sampling exceeded retry ceiling")
 
 
@@ -230,8 +233,7 @@ def group_action_vartime(pk: PublicKey, sk: PrivateKey, params: CsidhParams,
             in_batch = set(batch)
             k = 4 * math.prod(primes[j] for j in range(n)
                               if j not in in_batch)
-            A_mont = affinize_mont(fp, curve)
-            P = sample_point(fp, A_mont, side, rng)
+            P = sample_point(fp, curve, side, rng)
             const = curve_constants(fp, curve)
             P = xmul(fp, P, k, const)
             for idx in reversed(batch):
@@ -319,10 +321,18 @@ def group_action_ct(pk: PublicKey, sk: PrivateKey, params: CsidhParams,
 
 
 def _sample_pair(fp: Fp, curve: ProjCurve, clear: int, rng: Drbg):
-    """One curve-side and one twist-side point, cofactor-cleared by [clear]."""
+    """One curve-side and one twist-side point, cofactor-cleared by [clear].
+
+    Each point is classified once more on the traced context; None when
+    that disagrees with the side `sample_point` screened it for.
+    """
     A_mont = affinize_mont(fp, curve)
-    P_plus = sample_point(fp, A_mont, CurveSide.CURVE, rng)
-    P_minus = sample_point(fp, A_mont, CurveSide.TWIST, rng)
+    P_plus = sample_point(fp, curve, CurveSide.CURVE, rng)
+    if xtwist(fp, P_plus.X, A_mont) is not CurveSide.CURVE:
+        return None
+    P_minus = sample_point(fp, curve, CurveSide.TWIST, rng)
+    if xtwist(fp, P_minus.X, A_mont) is not CurveSide.TWIST:
+        return None
     const = curve_constants(fp, curve)
     bound = clear.bit_length()
     P_plus = xmul(fp, P_plus, clear, const, bound_bits=bound)
@@ -345,7 +355,10 @@ def _ct_round(fp, curve, batch, k_clear, signs, remaining, params, rng):
     descending.  Returns the updated curve, or None on a detected fault or
     a kernel that runs out of repairs."""
     primes = params.primes
-    P_plus, P_minus, const = _sample_pair(fp, curve, k_clear, rng)
+    pair = _sample_pair(fp, curve, k_clear, rng)
+    if pair is None:
+        return None
+    P_plus, P_minus, const = pair
 
     for idx in reversed(batch):
         l = primes[idx]
@@ -370,7 +383,7 @@ def _ct_round(fp, curve, batch, k_clear, signs, remaining, params, rng):
                 return None
             side = CurveSide.CURVE if s > 0 else CurveSide.TWIST
             clear = k_clear * math.prod(primes[j] for j in batch if j > idx)
-            fresh = sample_point(fp, affinize_mont(fp, curve), side, rng)
+            fresh = sample_point(fp, curve, side, rng)
             active = xmul(fp, fresh, clear, const,
                           bound_bits=clear.bit_length())
             fp.rollback(mark)

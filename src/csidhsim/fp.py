@@ -62,6 +62,25 @@ def words_to_int(words) -> int:
     return value
 
 
+def jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd n > 0: 1, -1, or 0 when gcd(a, n) > 1.
+
+    Plain bignum arithmetic, outside the ALU model: it records no trace op
+    and its running time depends on `a`.
+    """
+    a %= n
+    t = 1
+    while a:
+        z = (a & -a).bit_length() - 1
+        a >>= z
+        if z & 1 and n & 7 in (3, 5):
+            t = -t
+        if a & n & 2:      # quadratic reciprocity: both are 3 mod 4
+            t = -t
+        a, n = n % a, a
+    return t if n == 1 else 0
+
+
 class Fp:
     """Int-valued field context with optional ALU-op tracing.
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import NamedTuple
 
-from .fp import Fp
+from .fp import Fp, jacobi
 from .trace import MOD_XAFFINIZE, MOD_XDBLADD, MOD_XMUL, MOD_XTWIST
 
 
@@ -146,6 +146,19 @@ def xtwist(fp: Fp, x: int, A: int) -> CurveSide:
     ax = fp.mul(A, x)
     rhs = fp.mul(x, fp.add(fp.add(x2, ax), fp.one))
     return CurveSide.CURVE if fp.is_square(rhs) else CurveSide.TWIST
+
+
+def screen_side(p: int, curve: ProjCurve, x: int) -> CurveSide:
+    """`xtwist`'s side of a standard-domain x on the curve (Ax : Az), Az != 0.
+
+    Az*x*(Az*x^2 + Ax*x + Az) is Az^2 * (x^3 + A*x^2 + x) times the square
+    R^2, so its Jacobi symbol gives the side without an inversion.  Untraced:
+    it issues no op on any `Fp`.
+    """
+    Ax, Az = curve
+    azx = Az * x % p
+    j = jacobi(azx * ((azx + Ax) * x + Az), p)
+    return CurveSide.CURVE if j >= 0 else CurveSide.TWIST
 
 
 def affinize_mont(fp: Fp, curve: ProjCurve) -> int:

@@ -11,7 +11,7 @@ from csidhsim.action import (ActionConfig, Drbg, FaultDetected, InvalidPeerKey,
                              make_rng, random_private_key, sample_point,
                              shared_secret, validate_basic, validate_pk)
 from csidhsim.fp import Fp
-from csidhsim.mont_curve import CurveSide, xtwist
+from csidhsim.mont_curve import CurveSide, ProjCurve, xtwist
 from csidhsim.params import get_params
 from csidhsim.trace import OpTrace
 
@@ -87,22 +87,27 @@ def test_random_private_key_uniform_bounds():
 
 # --- point sampling ----------------------------------------------------------
 
+def e0(fp):
+    """E_0 as a projective curve, and its affine Montgomery-domain A."""
+    return ProjCurve(fp.to_mont(0), fp.one), fp.to_mont(0)
+
+
 def test_sample_point_side_postcondition():
     fp = Fp(TOY)
-    A = fp.to_mont(0)
+    curve, A = e0(fp)
     rng = make_rng(b"pts")
     for side in (CurveSide.CURVE, CurveSide.TWIST):
         for _ in range(500):
-            P = sample_point(fp, A, side, rng)
+            P = sample_point(fp, curve, side, rng)
             assert xtwist(fp, P.X, A) is side
 
 
 def test_sample_point_deterministic():
     fp = Fp(TOY)
-    A = fp.to_mont(0)
-    xs1 = [sample_point(fp, A, CurveSide.CURVE, make_rng(bytes([i]))).X
+    curve, _ = e0(fp)
+    xs1 = [sample_point(fp, curve, CurveSide.CURVE, make_rng(bytes([i]))).X
            for i in range(10)]
-    xs2 = [sample_point(fp, A, CurveSide.CURVE, make_rng(bytes([i]))).X
+    xs2 = [sample_point(fp, curve, CurveSide.CURVE, make_rng(bytes([i]))).X
            for i in range(10)]
     assert xs1 == xs2
 
@@ -132,16 +137,16 @@ def test_sample_point_rng_failure():
             return 10   # always the same curve-side x (10 is on E_0)
 
     fp = Fp(TOY)
-    A = fp.to_mont(0)
+    curve, _ = e0(fp)
     with pytest.raises(RngFailure):
-        sample_point(fp, A, CurveSide.TWIST, StuckRng())
+        sample_point(fp, curve, CurveSide.TWIST, StuckRng())
 
 
 def test_sample_point_records_one_classification():
-    # Seed 0 rejects 4 candidates before a twist-side x; their
-    # classifications are rolled back, so the trace holds exactly one.
+    # Seed 0 rejects 4 candidates before a twist-side x; they are screened
+    # off the trace, so it holds exactly the accepted x's to_mont.
     plain = Fp(TOY)
-    A = plain.to_mont(0)
+    curve, A = e0(plain)
     rng = make_rng(bytes([0]))
     rejected = 0
     while True:
@@ -152,11 +157,11 @@ def test_sample_point_records_one_classification():
     assert rejected == 4
 
     got = OpTrace()
-    P = sample_point(Fp(TOY, got), A, CurveSide.TWIST, make_rng(bytes([0])))
+    P = sample_point(Fp(TOY, got), curve, CurveSide.TWIST,
+                     make_rng(bytes([0])))
     assert P.X == plain.to_mont(x)
     want = OpTrace()
-    fp = Fp(TOY, want)
-    xtwist(fp, fp.to_mont(x), A)
+    Fp(TOY, want).to_mont(x)
     assert got == want
 
 
@@ -207,6 +212,63 @@ def test_ct_repair_resamples_only_the_active_point(monkeypatch):
         isog_at = next(j for j in range(i, len(events))
                        if events[j][0] == "xisog")
         assert events[isog_at][1] == events[i][1]
+
+
+def test_xtwist_runs_once_per_pair_point(monkeypatch):
+    # In the pinned toy419 run xtwist classifies only the two points of each
+    # sampled pair: not a rejected candidate, not a kernel repair, and
+    # nothing on the vartime path.
+    calls = {"xtwist": 0, "pair": 0, "repair": 0}
+    per_pair = []
+    real_xtwist, pair, kernel_ok = (action.xtwist, action._sample_pair,
+                                    action._kernel_ok)
+
+    def spy_xtwist(fp, x, A):
+        calls["xtwist"] += 1
+        return real_xtwist(fp, x, A)
+
+    def spy_pair(*args):
+        before = calls["xtwist"]
+        calls["pair"] += 1
+        out = pair(*args)
+        per_pair.append(calls["xtwist"] - before)
+        return out
+
+    def spy_kernel_ok(fp, K, l, const):
+        ok = kernel_ok(fp, K, l, const)
+        calls["repair"] += not ok
+        return ok
+
+    monkeypatch.setattr(action, "xtwist", spy_xtwist)
+    monkeypatch.setattr(action, "_sample_pair", spy_pair)
+    monkeypatch.setattr(action, "_kernel_ok", spy_kernel_ok)
+    sk = random_private_key(TOY, make_rng(b"acceptance-sk-0"))
+    pk, ok, _ = action.group_action_ct(PublicKey(0), sk, TOY,
+                                       make_rng(b"acceptance-shared-seed"))
+    assert ok and pk.A == 6
+    assert calls["repair"] >= 1 and calls["pair"] >= 1
+    assert per_pair == [2] * calls["pair"]
+    assert calls["xtwist"] == 2 * calls["pair"]
+
+    calls["xtwist"] = 0
+    pk, ok = action.group_action_vartime(PublicKey(0), sk, TOY,
+                                         make_rng(b"acceptance-shared-seed"))
+    assert ok and pk.A == 6
+    assert calls["xtwist"] == 0
+
+
+def test_traced_classification_disagreeing_with_screen_faults(monkeypatch):
+    real_xtwist = action.xtwist
+
+    def wrong_side(fp, x, A):
+        side = real_xtwist(fp, x, A)
+        return (CurveSide.TWIST if side is CurveSide.CURVE
+                else CurveSide.CURVE)
+
+    monkeypatch.setattr(action, "xtwist", wrong_side)
+    sk = random_private_key(TOY, make_rng(b"acceptance-sk-0"))
+    with pytest.raises(FaultDetected):
+        keygen(sk, TOY, make_rng(b"acceptance-shared-seed"))
 
 
 def test_identity_action_fixes_keys():

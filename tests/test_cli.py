@@ -106,6 +106,25 @@ def test_exit_invalid_peer_on_singular_curve(tmp_path, capsys):
     assert code == 4
 
 
+def test_exit_fault_on_traced_side_mismatch(tmp_path, capsys, monkeypatch):
+    # The ct path re-classifies each sampled point on the traced context;
+    # a classification that disagrees with the sampler is a fault.
+    real_xtwist = csidhsim.action.xtwist
+
+    def wrong_side(fp, x, A):
+        side = real_xtwist(fp, x, A)
+        return (csidhsim.CurveSide.TWIST if side is csidhsim.CurveSide.CURVE
+                else csidhsim.CurveSide.CURVE)
+
+    monkeypatch.setattr(csidhsim.action, "xtwist", wrong_side)
+    prefix = tmp_path / "k"
+    code, out, err = run(capsys, "--params", "toy419", "--seed", "00",
+                         "keygen", "--out", str(prefix))
+    assert code == 3 and out == ""
+    assert err.startswith("fault: ") and "Traceback" not in err
+    assert not prefix.with_suffix(".pk").exists()
+
+
 def test_trace_command_key_independent(tmp_path, capsys):
     files = []
     for seed in ("0a", "0b"):   # different seeds -> different keys

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from csidhsim.fp import (FieldElement, Fp, ZeroInverse, int_to_words,
-                         words_to_int)
+                         jacobi, words_to_int)
 from csidhsim.oracle import naive_redc
 from csidhsim.params import get_params
 from csidhsim.trace import (MOD_CSIDH, MOD_XAFFINIZE, MOD_XTWIST, OP_ADD,
@@ -157,6 +157,15 @@ def test_is_square_edges(full):
     fp = Fp(full)
     assert fp.is_square(1)
     assert not fp.is_square(full.p - 1)   # p = 3 mod 4
+
+
+def test_jacobi_matches_euler_criterion(full, rnd):
+    # Euler's criterion: a^((p-1)/2) mod p is 0, 1 or p-1 = (a/p) mod p.
+    p = full.p
+    values = [0, 1, p - 1] + [rnd.randrange(p) for _ in range(200)]
+    for a in values:
+        assert jacobi(a, p) % p == pow(a, (p - 1) >> 1, p), a
+    assert jacobi(p - 1, p) == -1 and jacobi(0, p) == 0
 
 
 # --- fixed operation schedules ------------------------------------------------

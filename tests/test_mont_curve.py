@@ -1,13 +1,15 @@
 """x-only curve arithmetic against the affine group-law oracle (F_419)."""
 
+import random
+
 import pytest
 
 from csidhsim import oracle as orc
 from csidhsim.fp import Fp
 from csidhsim.mont_curve import (CurveSide, InfinityAffinize, ProjCurve,
                                  ProjPoint, affinize, curve_constants,
-                                 is_infinity, xadd, xdbl, xdbladd, xmul,
-                                 xtwist)
+                                 is_infinity, screen_side, xadd, xdbl,
+                                 xdbladd, xmul, xtwist)
 from csidhsim.params import get_params
 
 TOY = get_params("toy419")
@@ -144,6 +146,26 @@ def test_xtwist_exhaustive_toy(fp):
         want = CurveSide.CURVE if x in curve_xs else CurveSide.TWIST
         assert side is want, x
     assert xtwist(fp, fp.to_mont(0), A_m) is CurveSide.CURVE
+
+
+def test_screen_side_matches_xtwist_exhaustive_toy(fp):
+    # Every nonsingular A and every nonzero x, on (A : 1) and on one seeded
+    # rescaling (c*A : c); this includes the 2-torsion x whose right-hand
+    # side is 0, which count as CURVE.
+    c = fp.to_mont(random.Random(419).randrange(2, P419))
+    zero_rhs = 0
+    for A in range(P419):
+        if A in (2, P419 - 2):
+            continue
+        A_m = fp.to_mont(A)
+        curves = (ProjCurve(A_m, fp.one),
+                  ProjCurve(fp.mul(A_m, c), c))
+        for x in range(1, P419):
+            want = xtwist(fp, fp.to_mont(x), A_m)
+            zero_rhs += (x * x + A * x + 1) % P419 == 0
+            for curve in curves:
+                assert screen_side(P419, curve, x) is want, (A, x, curve)
+    assert zero_rhs > 0
 
 
 def test_projective_invariance(fp, base):
