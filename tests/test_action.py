@@ -11,7 +11,8 @@ from csidhsim.action import (ActionConfig, Drbg, FaultDetected, InvalidPeerKey,
                              make_rng, random_private_key, sample_point,
                              shared_secret, validate_basic, validate_pk)
 from csidhsim.fp import Fp
-from csidhsim.mont_curve import CurveSide, ProjCurve, xtwist
+from csidhsim.mont_curve import (CurveSide, InfinityAffinize, ProjCurve,
+                                 xtwist)
 from csidhsim.params import get_params
 from csidhsim.trace import OpTrace
 
@@ -140,6 +141,13 @@ def test_sample_point_rng_failure():
     curve, _ = e0(fp)
     with pytest.raises(RngFailure):
         sample_point(fp, curve, CurveSide.TWIST, StuckRng())
+
+
+def test_sample_point_rejects_az_zero():
+    fp = Fp(TOY)
+    with pytest.raises(InfinityAffinize):
+        sample_point(fp, ProjCurve(fp.one, 0), CurveSide.CURVE,
+                     make_rng(b"az"))
 
 
 def test_sample_point_records_one_classification():
