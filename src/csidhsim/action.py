@@ -266,9 +266,7 @@ def _validate_working_curve(fp: Fp, curve: ProjCurve, params: CsidhParams,
         x = rng.below(params.p)
     P = ProjPoint(fp.to_mont(x), fp.one)
     const = curve_constants(fp, curve)
-    Q = xmul(fp, P, params.p + 1, const,
-             bound_bits=(params.p + 1).bit_length())
-    return is_infinity(Q)
+    return is_infinity(xmul(fp, P, params.p + 1, const))
 
 
 # --- constant-time action --------------------------------------------------
@@ -334,20 +332,19 @@ def _sample_pair(fp: Fp, curve: ProjCurve, clear: int, rng: Drbg):
     if xtwist(fp, P_minus.X, A_mont) is not CurveSide.TWIST:
         return None
     const = curve_constants(fp, curve)
-    bound = clear.bit_length()
-    P_plus = xmul(fp, P_plus, clear, const, bound_bits=bound)
-    P_minus = xmul(fp, P_minus, clear, const, bound_bits=bound)
+    P_plus = xmul(fp, P_plus, clear, const)
+    P_minus = xmul(fp, P_minus, clear, const)
     return P_plus, P_minus, const
 
 
-def _kernel_ok(fp: Fp, K: ProjPoint, l: int, const) -> bool:
-    """Pre-flight: K is a genuine order-l kernel.  [l]K is rolled back."""
-    if is_infinity(K):
-        return False
-    mark = fp.mark()
-    ok = is_infinity(xmul(fp, K, l, const))
-    fp.rollback(mark)
-    return ok
+def _kernel_ok(K: ProjPoint) -> bool:
+    """K is not the point at infinity.
+
+    On a supersingular curve K = [cof]active has order 1 or l, so this is
+    the only check an honest slot needs.  Any other order is a fault, and
+    `xisog`'s [l]K = O flag reports it.
+    """
+    return not is_infinity(K)
 
 
 def _ct_round(fp, curve, batch, k_clear, signs, remaining, params, rng):
@@ -366,17 +363,16 @@ def _ct_round(fp, curve, batch, k_clear, signs, remaining, params, rng):
         s = signs[idx]
         active, other = (P_plus, P_minus) if s > 0 else (P_minus, P_plus)
 
-        # Repair loop: while the active point lacks the l-torsion, replace
-        # it with a fresh point on its side, cleared of the primes outside
-        # the batch and those earlier slots of this round already applied.
-        # The inactive point keeps its value.  The rejected K and the
-        # repair are rolled back.
+        # Repair loop: while K is the point at infinity (the active point
+        # lacks the l-torsion), replace the active point with a fresh point
+        # on its side, cleared of the primes outside the batch and those
+        # earlier slots of this round already applied.  The inactive point
+        # keeps its value.  The rejected K and the repair are rolled back.
         repairs = 0
         mark = fp.mark()
         while True:
-            K = xmul(fp, active, cof, const,
-                     bound_bits=max(cof.bit_length(), 1))
-            if _kernel_ok(fp, K, l, const):
+            K = xmul(fp, active, cof, const)
+            if _kernel_ok(K):
                 break
             repairs += 1
             if repairs > _MAX_REPAIRS:
@@ -384,8 +380,7 @@ def _ct_round(fp, curve, batch, k_clear, signs, remaining, params, rng):
             side = CurveSide.CURVE if s > 0 else CurveSide.TWIST
             clear = k_clear * math.prod(primes[j] for j in batch if j > idx)
             fresh = sample_point(fp, curve, side, rng)
-            active = xmul(fp, fresh, clear, const,
-                          bound_bits=clear.bit_length())
+            active = xmul(fp, fresh, clear, const)
             fp.rollback(mark)
 
         real = remaining[idx] > 0
@@ -400,8 +395,8 @@ def _ct_round(fp, curve, batch, k_clear, signs, remaining, params, rng):
         next_const = curve_constants(fp, next_curve)
         in_active = img_active if real else active
         in_other = img_other if real else other
-        la = xmul(fp, in_active, l, next_const, bound_bits=l.bit_length())
-        lo = xmul(fp, in_other, l, next_const, bound_bits=l.bit_length())
+        la = xmul(fp, in_active, l, next_const)
+        lo = xmul(fp, in_other, l, next_const)
         new_active = img_active if real else la
         new_other = lo
         if real:
@@ -462,7 +457,7 @@ def shared_secret(sk: PrivateKey, peer: PublicKey, params: CsidhParams,
     return FieldElement(out.A, params)
 
 
-def estimate_keygen(params: CsidhParams, seed: bytes = b"cycle-estimate",
+def estimate_keygen(params: CsidhParams, seed: bytes,
                     cost_table: CostTable | None = None) -> CycleLedger:
     """Run one seeded keygen on the base curve and price its trace.
 

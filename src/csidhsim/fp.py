@@ -89,11 +89,9 @@ class Fp:
     opcode byte tagged with the currently active control-unit module.
     """
 
-    __slots__ = ("params", "p", "mask", "shift", "pinv", "one", "R2",
-                 "trace", "_mod")
+    __slots__ = ("p", "mask", "shift", "pinv", "one", "R2", "trace", "_mod")
 
     def __init__(self, params: CsidhParams, trace=None):
-        self.params = params
         self.p = params.p
         self.mask = params.R - 1
         self.shift = params.width

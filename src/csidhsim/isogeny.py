@@ -50,7 +50,8 @@ def xisog(fp: Fp, curve: ProjCurve, points, K: ProjPoint, l: int):
     `points` is a sequence of ProjPoint to push through the isogeny; a point
     in <K> maps to the point at infinity.  [l]K is computed at the end and
     any result other than the point at infinity raises the fault flag (never
-    silently); so does a codomain with Az = 0.
+    silently); so does a codomain with Az = 0.  This is the ct action's only
+    kernel-order check.
 
     Returns (curve', images, fault).
     """
@@ -97,5 +98,5 @@ def xisog(fp: Fp, curve: ProjCurve, points, K: ProjPoint, l: int):
 
     # A codomain with Az = 0 is no curve: a fault, like a kernel of the
     # wrong order.
-    lk = xmul(fp, K, l, const, bound_bits=l.bit_length())
+    lk = xmul(fp, K, l, const)
     return new_curve, images, az == 0 or not is_infinity(lk)

@@ -110,24 +110,21 @@ def xdbladd(fp: Fp, P: ProjPoint, Q: ProjPoint, diff: ProjPoint,
     return _xdbl_tail(fp, aa, bb, e, const), PQ
 
 
-def xmul(fp: Fp, P: ProjPoint, k: int, const: CurveConstants,
-         bound_bits: int | None = None) -> ProjPoint:
-    """x([k]P) via a fixed-length Montgomery ladder.
+def xmul(fp: Fp, P: ProjPoint, k: int, const: CurveConstants) -> ProjPoint:
+    """x([k]P) via a Montgomery ladder of max(bit length of k, 1) steps.
 
-    The ladder runs exactly `bound_bits` steps (default: bit length of k),
-    so the operation sequence depends only on the supplied bound, not on
-    the value of k.  P must not be the X = 0 two-torsion point (the usual
-    x-only exclusion); the action layer never ladders it because sampling
-    rejects x = 0 and cofactor clearing removes the even part.
+    Every step is one `xdbladd`, whichever bit it consumes, so the operation
+    sequence depends only on the bit length of k.  Every scalar the action
+    ladders is public (a product of the parameter set's primes, or p + 1),
+    so this keeps the trace key-independent.  P must not be the X = 0
+    two-torsion point (the usual x-only exclusion); the action layer never
+    ladders it because sampling rejects x = 0 and cofactor clearing removes
+    the even part.
     """
     fp.set_module(MOD_XMUL)
-    if bound_bits is None:
-        bound_bits = max(k.bit_length(), 1)
-    if k >> bound_bits:
-        raise ValueError("scalar exceeds the supplied bit-length bound")
     r0 = ProjPoint(fp.one, 0)          # point at infinity
     r1 = P
-    for i in reversed(range(bound_bits)):
+    for i in reversed(range(max(k.bit_length(), 1))):
         if (k >> i) & 1:
             r1, r0 = xdbladd(fp, r1, r0, P, const)
         else:

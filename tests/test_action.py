@@ -183,8 +183,8 @@ def test_ct_repair_resamples_only_the_active_point(monkeypatch):
     kernel_ok, sample, pair, isog = (action._kernel_ok, action.sample_point,
                                      action._sample_pair, action.xisog)
 
-    def spy_kernel_ok(fp, K, l, const):
-        ok = kernel_ok(fp, K, l, const)
+    def spy_kernel_ok(K):
+        ok = kernel_ok(K)
         if not ok:
             # _ct_round's inactive point as the check failed
             events.append(("repair", sys._getframe(1).f_locals["other"]))
@@ -242,8 +242,8 @@ def test_xtwist_runs_once_per_pair_point(monkeypatch):
         per_pair.append(calls["xtwist"] - before)
         return out
 
-    def spy_kernel_ok(fp, K, l, const):
-        ok = kernel_ok(fp, K, l, const)
+    def spy_kernel_ok(K):
+        ok = kernel_ok(K)
         calls["repair"] += not ok
         return ok
 
@@ -421,3 +421,24 @@ def test_unvalidated_ordinary_peer_faults(constant_time):
         with pytest.raises(FaultDetected):
             shared_secret(sk, PublicKey(A), TOY, make_rng(b"%d" % A), cfg,
                           validate=False)
+
+
+def test_unvalidated_hostile_peer_faults_at_first_isogeny(monkeypatch, full):
+    # On an ordinary csidh512 curve a kernel of the wrong order is reported
+    # by xisog's [l]K flag in the first slot, not re-sampled: the round's
+    # point pair is the only sampling, so no kernel repair runs.
+    sk = random_private_key(full, make_rng(b"hostile-sk"))
+    sides = []
+    sample = action.sample_point
+
+    def spy_sample(fp, curve, side, rng):
+        sides.append(side)
+        return sample(fp, curve, side, rng)
+
+    monkeypatch.setattr(action, "sample_point", spy_sample)
+    for A in (5, 7, 11):
+        sides.clear()
+        with pytest.raises(FaultDetected):
+            shared_secret(sk, PublicKey(A), full, make_rng(b"%d" % A),
+                          validate=False)
+        assert sides == [CurveSide.CURVE, CurveSide.TWIST]

@@ -1,0 +1,41 @@
+"""The benchmark's per-layer tracer still finds what it wraps in the library.
+
+`perfbench/layers.Tracer` patches functions of `action`, `isogeny` and
+`mont_curve` by name; a rename there would break `run.py --trace 1`.
+"""
+
+import importlib.util
+from pathlib import Path
+
+from csidhsim import action, isogeny, mont_curve
+from csidhsim.action import make_rng, random_private_key
+from csidhsim.params import get_params
+
+TOY = get_params("toy419")
+LAYERS_PY = Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
+
+
+def _load_layers():
+    spec = importlib.util.spec_from_file_location("perfbench_layers",
+                                                  LAYERS_PY)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_hooks_count_the_pinned_keygen():
+    originals = (action.keygen, action._kernel_ok, action.xmul,
+                 isogeny.xmul, mont_curve.xdbladd)
+    tracer = _load_layers().Tracer()
+    tracer.install()
+    try:
+        sk = random_private_key(TOY, make_rng(b"acceptance-sk-0"))
+        pk, _ = action.keygen(sk, TOY, make_rng(b"acceptance-shared-seed"))
+    finally:
+        tracer.uninstall()
+    assert pk.A == 6
+    counts = tracer.counts
+    assert counts["ladder_steps"] == counts["xdbladd"] > 0
+    assert counts["kernel_ok"] > 0
+    assert (action.keygen, action._kernel_ok, action.xmul, isogeny.xmul,
+            mont_curve.xdbladd) == originals

@@ -118,22 +118,16 @@ def test_ladder_trivial_scalars(fp, base):
     assert aff_x(fp, xmul(fp, P, 1, const)) == 4
 
 
-def test_ladder_fixed_length_rejects_oversize(fp, base):
-    _, const = base
-    with pytest.raises(ValueError):
-        xmul(fp, mpt(fp, 4), 9, const, bound_bits=3)
-
-
 def test_ladder_schedule_depends_only_on_bound(base):
     from csidhsim.trace import OpTrace
     _, _ = base
     traces = []
-    for k in (5, 7, 4):   # different values, same 3-bit bound
+    for k in (5, 7, 4):   # different values, same bit length 3
         t = OpTrace()
         ctx = Fp(TOY, t)
         curve = ProjCurve(ctx.to_mont(0), ctx.one)
         const = curve_constants(ctx, curve)
-        xmul(ctx, mpt(ctx, 4), k, const, bound_bits=3)
+        xmul(ctx, mpt(ctx, 4), k, const)
         traces.append(bytes(t.buf))
     assert traces[0] == traces[1] == traces[2]
 
