@@ -213,10 +213,10 @@ def sample_point(fp: Fp, curve: ProjCurve, side: CurveSide,
 
 def group_action_vartime(pk: PublicKey, sk: PrivateKey, params: CsidhParams,
                          rng: Drbg, trace: OpTrace | None = None):
-    """Batched variable-time evaluation; returns (PublicKey, success)."""
+    """Batched variable-time evaluation; returns (PublicKey or None, ok)."""
     fp = Fp(params, trace)
     if not validate_basic(pk.A, params):
-        return PublicKey(rng.below(params.p)), False
+        return None, False
     primes = params.primes
     n = params.n
     e = list(sk.exponents)
@@ -245,14 +245,14 @@ def group_action_vartime(pk: PublicKey, sk: PrivateKey, params: CsidhParams,
                     continue   # P lacked this torsion; prime stays pending
                 curve, images, fault = xisog(fp, curve, [P], K, primes[idx])
                 if fault:
-                    return PublicKey(rng.below(params.p)), False
+                    return None, False
                 P = images[0]
                 const = curve_constants(fp, curve)
                 e[idx] += 1 if twist else -1
             # next while-iteration draws a fresh point
 
     if not _validate_working_curve(fp, curve, params, rng):
-        return PublicKey(rng.below(params.p)), False
+        return None, False
     return PublicKey(affinize(fp, curve)), True
 
 
@@ -275,16 +275,17 @@ def group_action_ct(pk: PublicKey, sk: PrivateKey, params: CsidhParams,
                     rng: Drbg):
     """Dummy-isogeny constant-time evaluation.
 
-    Returns (PublicKey, success, OpTrace).  The trace is byte-identical
-    across private keys of the same parameter set: every prime is processed
-    in a fixed batch/round/slot schedule with exactly m isogeny computations,
-    and each slot issues the same operations whether the isogeny is real or
-    a dummy -- only which results are kept differs.
+    Returns (PublicKey, success, OpTrace); the key is None on failure.  The
+    trace is byte-identical across private keys of the same parameter set:
+    every prime is processed in a fixed batch/round/slot schedule with
+    exactly m isogeny computations, and each slot issues the same operations
+    whether the isogeny is real or a dummy -- only which results are kept
+    differs.
     """
     trace = OpTrace()
     fp = Fp(params, trace)
     if not validate_basic(pk.A, params):
-        return PublicKey(rng.below(params.p)), False, trace
+        return None, False, trace
 
     primes = params.primes
     n = params.n
@@ -309,12 +310,12 @@ def group_action_ct(pk: PublicKey, sk: PrivateKey, params: CsidhParams,
             curve = _ct_round(fp, curve, batch, k_clear, signs, remaining,
                               params, rng)
             if curve is None:
-                return PublicKey(rng.below(params.p)), False, trace
+                return None, False, trace
 
     if any(remaining):
         raise RuntimeError("ct schedule left isogenies unapplied")
     if not _validate_working_curve(fp, curve, params, rng):
-        return PublicKey(rng.below(params.p)), False, trace
+        return None, False, trace
     return PublicKey(affinize(fp, curve)), True, trace
 
 

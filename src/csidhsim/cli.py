@@ -26,7 +26,7 @@ import sys
 from pathlib import Path
 
 from . import action
-from .params import get_params
+from .params import PARAM_TABLE, get_params
 from .trace import CostTable, CostTableError, OpTrace
 
 EXIT_IO = 2
@@ -41,8 +41,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="csidhsim",
         description="CSIDH key exchange over a cycle-accounted datapath model")
-    parser.add_argument("--params", choices=("csidh512", "toy419"),
-                        default="csidh512", help="parameter set")
+    names = tuple(PARAM_TABLE)
+    parser.add_argument("--params", choices=names, default=names[0],
+                        help="parameter set")
     parser.add_argument("--mode", choices=("fpga", "asic"), default="fpga",
                         help="ALU cost model for cycle accounting")
     parser.add_argument("--vartime", action="store_true",

@@ -13,7 +13,7 @@ from csidhsim.action import (ActionConfig, Drbg, FaultDetected, InvalidPeerKey,
 from csidhsim.fp import Fp
 from csidhsim.mont_curve import (CurveSide, InfinityAffinize, ProjCurve,
                                  xtwist)
-from csidhsim.params import get_params
+from csidhsim.params import CsidhParams, get_params
 from csidhsim.trace import OpTrace
 
 TOY = get_params("toy419")
@@ -309,11 +309,12 @@ def test_action_composition_commutes():
 
 def test_invalid_input_returns_failure():
     sk = PrivateKey((1, 0, 0), TOY)
-    _, ok = action.group_action_vartime(PublicKey(2), sk, TOY, make_rng(b"x"))
-    assert not ok
-    _, ok, _ = action.group_action_ct(PublicKey(TOY.p - 2), sk, TOY,
-                                      make_rng(b"x"))
-    assert not ok
+    key, ok = action.group_action_vartime(PublicKey(2), sk, TOY,
+                                          make_rng(b"x"))
+    assert (key, ok) == (None, False)
+    key, ok, _ = action.group_action_ct(PublicKey(TOY.p - 2), sk, TOY,
+                                        make_rng(b"x"))
+    assert (key, ok) == (None, False)
 
 
 def test_ct_isogeny_budget_is_exactly_m(monkeypatch):
@@ -330,6 +331,37 @@ def test_ct_isogeny_budget_is_exactly_m(monkeypatch):
         ct(e)
         for l in TOY.primes:
             assert calls.count(l) == TOY.m
+
+
+def test_mid90_two_batches(monkeypatch):
+    # p = 4*3*5*...*71 - 1 is a 90-bit prime.  Its 19 primes exceed
+    # BATCH_LIMIT, so the ct schedule runs two batches, and with m = 3 one
+    # prime can get both real and dummy slots, which toy419 never does.
+    mid = CsidhParams("mid90", (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41,
+                                43, 47, 53, 59, 61, 67, 71), 3)
+    assert mid.n > action.BATCH_LIMIT
+    assert (mid.p.bit_length(), mid.n_words) == (90, 3)
+    calls = []
+    real_xisog = action.xisog
+
+    def counting(fp, curve, points, K, l):
+        calls.append(l)
+        return real_xisog(fp, curve, points, K, l)
+
+    monkeypatch.setattr(action, "xisog", counting)
+    traces = set()
+    for i in range(10):
+        sk = random_private_key(mid, make_rng(b"mid90-sk-%d" % i))
+        calls.clear()
+        pk, ok, trace = action.group_action_ct(PublicKey(0), sk, mid,
+                                               make_rng(b"mid90-ct-%d" % i))
+        assert ok
+        assert all(calls.count(l) == mid.m for l in mid.primes)
+        traces.add(bytes(trace.buf))
+        vt_pk, ok = action.group_action_vartime(
+            PublicKey(0), sk, mid, make_rng(b"mid90-vt-%d" % i))
+        assert ok and vt_pk == pk
+    assert [len(t) for t in traces] == [89_788]
 
 
 def test_ct_trace_differs_from_vartime():

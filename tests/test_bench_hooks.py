@@ -2,12 +2,13 @@
 
 `perfbench/layers.Tracer` patches functions of `action`, `isogeny` and
 `mont_curve` by name; a rename there would break `run.py --trace 1`.
+`run.py` also times `params.csidh512_params` for `params.load_s`.
 """
 
 import importlib.util
 from pathlib import Path
 
-from csidhsim import action, isogeny, mont_curve
+from csidhsim import action, isogeny, mont_curve, params
 from csidhsim.action import make_rng, random_private_key
 from csidhsim.params import get_params
 
@@ -39,3 +40,11 @@ def test_tracer_hooks_count_the_pinned_keygen():
     assert counts["kernel_ok"] > 0
     assert (action.keygen, action._kernel_ok, action.xmul, isogeny.xmul,
             mont_curve.xdbladd) == originals
+
+
+def test_csidh512_params_builds_a_fresh_set():
+    # measure_params_load times a build, not a cache lookup.
+    built = params.csidh512_params()
+    assert built == get_params("csidh512")
+    assert built is not get_params("csidh512")
+    assert built is not params.csidh512_params()
