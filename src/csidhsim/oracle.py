@@ -1,8 +1,9 @@
 """Brute-force reference implementations for tests (toy-sized fields only).
 
 Everything here is deliberately independent of the production modules: plain
-affine group-law arithmetic, exhaustive enumeration, translation-form Velu
-isogenies normalized to the Montgomery model by explicit isomorphism search.
+affine group-law arithmetic, exhaustive point counting and enumeration,
+translation-form Velu isogenies normalized to the Montgomery model by
+explicit isomorphism search.
 Nothing is constant-time and nothing is shared with the main code paths.
 """
 
@@ -31,6 +32,17 @@ INFINITY = None  # affine point at infinity marker
 def _check_toy(p: int) -> None:
     if p >= TOY_LIMIT:
         raise ValueError("oracle is restricted to toy-sized fields")
+    if p % 4 != 3:
+        raise ValueError("oracle square roots need p = 3 mod 4")
+
+
+def _check_curve(A: int, p: int) -> int:
+    """A mod p for a toy field, rejecting singular coefficients (A = +-2)."""
+    _check_toy(p)
+    A %= p
+    if A == 2 or A == p - 2:
+        raise ValueError("singular curve coefficient")
+    return A
 
 
 def add_points(P, Q, A: int, p: int):
@@ -86,23 +98,36 @@ def sqrt_mod(a: int, p: int):
     return s if s * s % p == a else None
 
 
-def enumerate_curve(A: int, p: int):
-    """All affine points of y^2 = x^3 + A*x^2 + x plus the group order.
+def curve_points(A: int, p: int):
+    """The affine points of y^2 = x^3 + A*x^2 + x, generated lazily in
+    ascending x, (x, y) before (x, p - y)."""
+    A = _check_curve(A, p)
+    return _scan_points(A, p)   # checked now, not at the first next()
 
-    Rejects singular coefficients (A = +-2)."""
-    _check_toy(p)
-    A %= p
-    if A == 2 or A == p - 2:
-        raise ValueError("singular curve coefficient")
-    points = []
+
+def _scan_points(A: int, p: int):
     for x in range(p):
-        rhs = (x ** 3 + A * x * x + x) % p
-        y = sqrt_mod(rhs, p)
+        y = sqrt_mod(x ** 3 + A * x * x + x, p)
         if y is None:
             continue
-        points.append(AffinePoint(x, y))
+        yield AffinePoint(x, y)
         if y != 0:
-            points.append(AffinePoint(x, (p - y) % p))
+            yield AffinePoint(x, p - y)
+
+
+def curve_order(A: int, p: int) -> int:
+    """#E_A(F_p), counted against a table of squares; builds no points."""
+    A = _check_curve(A, p)
+    points_at = [0] * p         # affine points with x^3 + A*x^2 + x = index
+    for y in range(1, (p + 1) // 2):
+        points_at[y * y % p] = 2
+    points_at[0] = 1
+    return 1 + sum([points_at[((x + A) * x + 1) * x % p] for x in range(p)])
+
+
+def enumerate_curve(A: int, p: int):
+    """All affine points of y^2 = x^3 + A*x^2 + x plus the group order."""
+    points = list(curve_points(A, p))
     return points, len(points) + 1   # + point at infinity
 
 
@@ -193,10 +218,9 @@ def velu_isogeny(A: int, kernel_gen, l: int, p: int):
 
     # Normalize y^2 = x^3 + a2 x^2 + a4 x + a6 to Montgomery form via
     # x -> u^2 x + r with r a rational 2-torsion x and u in F_p.
+    roots = [r for r in range(p) if (((r + a2) * r + a4) * r + a6) % p == 0]
     candidates = []
-    for r in range(p):
-        if (r ** 3 + a2 * r * r + a4 * r + a6) % p != 0:
-            continue
+    for r in roots:
         u4 = (3 * r * r + 2 * a2 * r + a4) % p
         u2 = sqrt_mod(u4, p)
         if u2 is None or u2 == 0:
@@ -233,11 +257,11 @@ def find_order_l_point(A: int, l: int, p: int, side: int = 1):
     """A point of exact order l on E_A (side=+1) or on its twist, handled
     as E_{-A} via the standard twist isomorphism (side=-1)."""
     coeff = A % p if side > 0 else (-A) % p
-    points, order = enumerate_curve(coeff, p)
+    order = curve_order(coeff, p)
     if order % l:
         raise ValueError("group order not divisible by l")
     cof = order // l
-    for P in points:
+    for P in curve_points(coeff, p):
         K = scalar_mul(cof, P, coeff, p)
         if K is not INFINITY:
             return K, coeff

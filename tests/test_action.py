@@ -400,7 +400,7 @@ def test_validate_pk_rejects_singular_and_ordinary():
     assert not validate_pk(TOY.p - 2, TOY, make_rng(b"v"))
     ordinary = [A for A in range(3, 50)
                 if A not in (2, TOY.p - 2)
-                and orc.enumerate_curve(A, TOY.p)[1] != TOY.p + 1]
+                and orc.curve_order(A, TOY.p) != TOY.p + 1]
     rejected = sum(not validate_thrice(A, make_rng(b"v")) for A in ordinary)
     assert rejected == len(ordinary)
 
@@ -434,7 +434,7 @@ def test_shared_secret_rejects_invalid_peer():
     with pytest.raises(InvalidPeerKey):
         shared_secret(sk, PublicKey(2), TOY, make_rng(b"x"))
     ordinary = next(A for A in range(3, 50)
-                    if orc.enumerate_curve(A, TOY.p)[1] != TOY.p + 1)
+                    if orc.curve_order(A, TOY.p) != TOY.p + 1)
     with pytest.raises(InvalidPeerKey):
         shared_secret(sk, PublicKey(ordinary), TOY, make_rng(b"x"))
 
@@ -445,7 +445,7 @@ def test_unvalidated_ordinary_peer_faults(constant_time):
     # kernel repair used to spin forever, or a codomain with Az = 0 raised
     # InfinityAffinize; both paths must now fail with FaultDetected.
     ordinary = [A for A in range(TOY.p) if validate_basic(A, TOY)
-                and orc.enumerate_curve(A, TOY.p)[1] != TOY.p + 1][::13]
+                and orc.curve_order(A, TOY.p) != TOY.p + 1][::13]
     assert len(ordinary) == 30
     sk = PrivateKey((1, 0, -1), TOY)
     cfg = ActionConfig(constant_time=constant_time)

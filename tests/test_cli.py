@@ -189,7 +189,7 @@ def test_malformed_seed_is_usage_error(tmp_path, capsys):
 
 TOY = get_params("toy419")
 ORDINARY = next(A for A in range(3, TOY.p) if validate_basic(A, TOY)
-                and oracle.enumerate_curve(A, TOY.p)[1] != TOY.p + 1)
+                and oracle.curve_order(A, TOY.p) != TOY.p + 1)
 
 # (files to write, argv after "--params toy419", exit code).  Paths in argv
 # are relative to the directory holding alice.sk / alice.pk.

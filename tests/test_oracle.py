@@ -36,7 +36,7 @@ def test_enumerate_rejects_singular():
 
 
 def test_ordinary_curves_exist():
-    orders = {orc.enumerate_curve(A, P)[1] for A in range(3, 30)}
+    orders = {orc.curve_order(A, P) for A in range(3, 30)}
     assert any(o != P + 1 for o in orders)
 
 
@@ -61,7 +61,7 @@ def test_velu_codomain_supersingular():
     for l in PRIMES:
         K, _ = orc.find_order_l_point(0, l, P, side=1)
         A2, _ = orc.velu_isogeny(0, K, l, P)
-        assert orc.enumerate_curve(A2, P)[1] == P + 1
+        assert orc.curve_order(A2, P) == P + 1
 
 
 def test_action_inverse_round_trip():
@@ -79,3 +79,56 @@ def test_action_commutes_under_permutation():
 def test_oracle_refuses_large_fields():
     with pytest.raises(ValueError):
         orc.enumerate_curve(0, 1 << 40)
+
+
+NONSINGULAR = [A for A in range(P) if A not in (2, P - 2)]
+
+
+def enumerate_first_kernel(A, l, p, side):
+    """find_order_l_point as it was written over enumerate_curve."""
+    coeff = A % p if side > 0 else (-A) % p
+    points, order = orc.enumerate_curve(coeff, p)
+    cof = order // l
+    for Q in points:
+        K = orc.scalar_mul(cof, Q, coeff, p)
+        if K is not orc.INFINITY:
+            return K, coeff
+    raise AssertionError("no point of order l")
+
+
+def test_curve_order_matches_enumeration():
+    assert len(NONSINGULAR) == 417
+    for A in NONSINGULAR:
+        assert orc.curve_order(A, P) == orc.enumerate_curve(A, P)[1]
+
+
+def test_find_order_l_point_matches_enumerate_first():
+    supersingular = [A for A in NONSINGULAR if orc.curve_order(A, P) == P + 1]
+    assert len(supersingular) == 27
+    for A in supersingular:
+        for l in PRIMES:
+            for side in (1, -1):
+                assert (orc.find_order_l_point(A, l, P, side)
+                        == enumerate_first_kernel(A, l, P, side))
+
+
+@pytest.mark.parametrize("name", ["curve_points", "curve_order"])
+def test_point_scans_reject_singular_and_large_fields(name):
+    scan = getattr(orc, name)
+    for A in (2, P - 2, -2):
+        with pytest.raises(ValueError, match="singular"):
+            scan(A, P)
+    with pytest.raises(ValueError, match="toy-sized"):
+        scan(0, orc.TOY_LIMIT + 3)   # = 3 mod 4, so only the size is wrong
+
+
+@pytest.mark.parametrize("call", [
+    lambda: orc.enumerate_curve(0, 13),
+    lambda: orc.curve_order(0, 13),
+    lambda: orc.find_order_l_point(0, 3, 13),
+], ids=["enumerate_curve", "curve_order", "find_order_l_point"])
+def test_oracle_rejects_p_1_mod_4(call):
+    # sqrt_mod's a^((p+1)/4) is a square root only for p = 3 mod 4; at
+    # p = 13 it would count 6 points on E_0 instead of 20.
+    with pytest.raises(ValueError, match="3 mod 4"):
+        call()

@@ -45,3 +45,22 @@ def test_every_opcode_is_emitted():
     emitted = {getattr(trace, name) for name in appended}
     assert [name for op, name in sorted(trace.OPCODE_NAMES.items())
             if op not in emitted] == []
+
+
+def _imported_modules(node):
+    """Module names an import statement names; relative ones keep their dots."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom):
+        return ["." * node.level + (node.module or "")]
+    return []
+
+
+def test_oracle_imports_no_production_module():
+    # The oracle is the independent reference the production code is checked
+    # against; importing from the package would let a bug agree with itself.
+    tree = ast.parse((SRC / "oracle.py").read_text())
+    found = [f"oracle.py:{node.lineno} {name}"
+             for node in ast.walk(tree) for name in _imported_modules(node)
+             if name.startswith(".") or name.split(".")[0] == "csidhsim"]
+    assert found == []
