@@ -1,15 +1,17 @@
 """Brute-force reference implementations for tests (toy-sized fields only).
 
 Everything here is deliberately independent of the production modules: plain
-affine group-law arithmetic, exhaustive point counting and enumeration,
-translation-form Velu isogenies normalized to the Montgomery model by
-explicit isomorphism search.
+affine group-law arithmetic, exhaustive point counting and enumeration, and
+Velu isogenies. The codomain comes from Velu's closed-form sums over the
+kernel; the translation-form map phi(P) = P + sum((P + K) - K) gives the
+point images and the image of (0, 0), a rational 2-torsion x, and the
+codomain is normalized to the Montgomery model by explicit isomorphism
+search.
 Nothing is constant-time and nothing is shared with the main code paths.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 TOY_LIMIT = 1 << 32
@@ -63,6 +65,9 @@ def add_points(P, Q, A: int, p: int):
 
 
 def scalar_mul(k: int, P, A: int, p: int):
+    """[k]P for k >= 0 by double-and-add."""
+    if k < 0:
+        raise ValueError("scalar must be non-negative")
     R = INFINITY
     Q = P
     while k:
@@ -131,58 +136,23 @@ def enumerate_curve(A: int, p: int):
     return points, len(points) + 1   # + point at infinity
 
 
-def _fit_cubic(samples, p: int):
-    """Solve y^2 = x^3 + a2*x^2 + a4*x + a6 for (a2, a4, a6) by Gaussian
-    elimination over three (x, y) samples, verifying with the rest."""
-    rows = []
-    for P in samples:
-        rows.append(([P.x * P.x % p, P.x, 1], (P.y * P.y - P.x ** 3) % p))
-    # eliminate over the first three independent rows
-    for trio in itertools.combinations(range(len(rows)), 3):
-        m = [[rows[i][0][0], rows[i][0][1], rows[i][0][2], rows[i][1]]
-             for i in trio]
-        sol = _solve3(m, p)
-        if sol is None:
-            continue
-        a2, a4, a6 = sol
-        if all((P.y * P.y - (P.x ** 3 + a2 * P.x * P.x + a4 * P.x + a6)) % p == 0
-               for P in samples):
-            return a2, a4, a6
-    raise ArithmeticError("could not fit codomain cubic")
-
-
-def _solve3(m, p: int):
-    # 3x4 augmented matrix, Gauss-Jordan mod p
-    m = [row[:] for row in m]
-    for col in range(3):
-        piv = next((r for r in range(col, 3) if m[r][col] % p), None)
-        if piv is None:
-            return None
-        m[col], m[piv] = m[piv], m[col]
-        inv = pow(m[col][col], -1, p)
-        m[col] = [v * inv % p for v in m[col]]
-        for r in range(3):
-            if r != col and m[r][col]:
-                f = m[r][col]
-                m[r] = [(v - f * w) % p for v, w in zip(m[r], m[col])]
-    return m[0][3], m[1][3], m[2][3]
-
-
 def velu_isogeny(A: int, kernel_gen, l: int, p: int):
-    """Degree-l isogeny by translation-form Velu, normalized to the unique
+    """Degree-l isogeny by Velu's formulas, normalized to the unique
     Montgomery codomain.
 
     Returns (A', phi) where phi maps an affine x (or AffinePoint) to the
     image x on y^2 = x^3 + A'*x^2 + x, or INFINITY for kernel inputs.
     """
     _check_toy(p)
-    if point_order(kernel_gen, A, p) != l:
-        raise ValueError("kernel generator does not have exact order l")
+    # One walk K, 2K, ... lists the kernel; it reaches O after exactly l - 1
+    # points only if K has exact order l, and it stops after l points.
     kernel = []
     Q = kernel_gen
-    while Q is not INFINITY:
+    while Q is not INFINITY and len(kernel) < l:
         kernel.append(Q)
         Q = add_points(Q, kernel_gen, A, p)
+    if len(kernel) != l - 1:
+        raise ValueError("kernel generator does not have exact order l")
     kernel_x = {K.x for K in kernel}
 
     def raw_map(P):
@@ -197,30 +167,29 @@ def velu_isogeny(A: int, kernel_gen, l: int, p: int):
             y = (y + S.y - K.y) % p
         return AffinePoint(x, y)
 
-    # Sample images and fit the (non-Montgomery) codomain cubic.
-    samples = []
-    seen = set()
-    for x in range(p):
-        rhs = (x ** 3 + A * x * x + x) % p
-        if x in kernel_x or rhs == 0:
-            continue
-        y = sqrt_mod(rhs, p)
-        if y is None:
-            continue
-        img = raw_map(AffinePoint(x, y))
-        if img is INFINITY or img.x in seen:
-            continue
-        seen.add(img.x)
-        samples.append(img)
-        if len(samples) >= 8:
-            break
-    a2, a4, a6 = _fit_cubic(samples, p)
+    # Velu's closed form for a1 = a3 = 0 (Washington, Elliptic Curves,
+    # Thm 12.16), summed over one of each pair +-K: the codomain is
+    # y^2 = x^3 + A*x^2 + (1 - 5v)*x - (4A*v + 7w).
+    v = w = 0
+    for K in kernel[:(l - 1) // 2]:
+        g = (3 * K.x + 2 * A) * K.x + 1
+        v += 2 * g
+        w += 4 * K.y * K.y + 2 * K.x * g
+    a2, a4, a6 = A, (1 - 5 * v) % p, -(4 * A * v + 7 * w) % p
 
     # Normalize y^2 = x^3 + a2 x^2 + a4 x + a6 to Montgomery form via
-    # x -> u^2 x + r with r a rational 2-torsion x and u in F_p.
-    roots = [r for r in range(p) if (((r + a2) * r + a4) * r + a6) % p == 0]
+    # x -> u^2 x + r with r a rational 2-torsion x and u in F_p. The image
+    # of (0, 0) is one such r; the quotient quadratic holds the others.
+    r0 = raw_map(AffinePoint(0, 0)).x
+    if ((r0 + a2) * r0 + a4) * r0 % p != -a6 % p:
+        raise ArithmeticError("image of (0, 0) is off the Velu codomain")
+    b = a2 + r0                      # cubic = (x - r0)(x^2 + b*x + c)
+    s = sqrt_mod(b * b - 4 * (a4 + r0 * b), p)
+    half = (p + 1) // 2
+    roots = {r0} if s is None else {r0, (s - b) * half % p,
+                                    (-s - b) * half % p}
     candidates = []
-    for r in roots:
+    for r in sorted(roots):
         u4 = (3 * r * r + 2 * a2 * r + a4) % p
         u2 = sqrt_mod(u4, p)
         if u2 is None or u2 == 0:
@@ -283,6 +252,9 @@ def act_one(A: int, l: int, sign: int, p: int) -> int:
 def brute_group_action(A: int, e, primes, p: int) -> int:
     """Apply |e_i| Velu isogenies of degree l_i per prime, signs included."""
     _check_toy(p)
+    if len(e) != len(primes):
+        raise ValueError(
+            f"exponent vector has {len(e)} entries for {len(primes)} primes")
     A %= p
     for l, ei in zip(primes, e):
         for _ in range(abs(ei)):

@@ -6,6 +6,8 @@ from csidhsim import oracle as orc
 
 P = 419
 PRIMES = (3, 5, 7)
+NONSINGULAR = [A for A in range(P) if A not in (2, P - 2)]
+SUPERSINGULAR = [A for A in NONSINGULAR if orc.curve_order(A, P) == P + 1]
 
 
 def on_curve(pt, A, p):
@@ -57,6 +59,51 @@ def test_velu_kernel_to_infinity():
     assert phi(K) is orc.INFINITY
 
 
+def test_velu_maps_every_point_onto_its_codomain():
+    # For every supersingular curve, l and side, phi sends exactly the
+    # kernel to O and every other affine point to an x on E_{A'}. Under a
+    # wrong A' each of the at least 29 distinct nonzero image x per case
+    # (7,506 over the 162 cases) would be a square by chance about half
+    # the time.
+    for A in SUPERSINGULAR:
+        for l in PRIMES:
+            for side in (1, -1):
+                K, coeff = orc.find_order_l_point(A, l, P, side)
+                A2, phi = orc.velu_isogeny(coeff, K, l, P)
+                kernel = {orc.scalar_mul(i, K, coeff, P) for i in range(1, l)}
+                for Q in orc.curve_points(coeff, P):
+                    img = phi(Q)
+                    assert (img is orc.INFINITY) == (Q in kernel)
+                    if img is not orc.INFINITY:
+                        x = img.x
+                        assert orc.legendre(x ** 3 + A2 * x * x + x, P) != -1
+
+
+@pytest.mark.parametrize("l", PRIMES)
+def test_velu_rejects_wrong_order_kernel(l):
+    K, _ = orc.find_order_l_point(0, l, P, side=1)
+    T = orc.AffinePoint(0, 0)                     # order 2
+    K2 = orc.add_points(K, T, 0, P)
+    other, _ = orc.find_order_l_point(0, {3: 5, 5: 7, 7: 3}[l], P, side=1)
+    assert orc.point_order(K2, 0, P) == 2 * l
+    for bad in (orc.INFINITY, K2, T, other):
+        with pytest.raises(ValueError, match="exact order"):
+            orc.velu_isogeny(0, bad, l, P)
+
+
+def test_scalar_mul_rejects_negative_scalar():
+    Q = next(orc.curve_points(0, P))
+    assert orc.scalar_mul(0, Q, 0, P) is orc.INFINITY
+    with pytest.raises(ValueError, match="non-negative"):
+        orc.scalar_mul(-1, Q, 0, P)
+
+
+@pytest.mark.parametrize("e", [(1, 1, 1, 1), (1,), ()])
+def test_brute_group_action_rejects_wrong_length(e):
+    with pytest.raises(ValueError, match=f"{len(e)} entries for 3 primes"):
+        orc.brute_group_action(0, e, PRIMES, P)
+
+
 def test_velu_codomain_supersingular():
     for l in PRIMES:
         K, _ = orc.find_order_l_point(0, l, P, side=1)
@@ -81,9 +128,6 @@ def test_oracle_refuses_large_fields():
         orc.enumerate_curve(0, 1 << 40)
 
 
-NONSINGULAR = [A for A in range(P) if A not in (2, P - 2)]
-
-
 def enumerate_first_kernel(A, l, p, side):
     """find_order_l_point as it was written over enumerate_curve."""
     coeff = A % p if side > 0 else (-A) % p
@@ -103,9 +147,8 @@ def test_curve_order_matches_enumeration():
 
 
 def test_find_order_l_point_matches_enumerate_first():
-    supersingular = [A for A in NONSINGULAR if orc.curve_order(A, P) == P + 1]
-    assert len(supersingular) == 27
-    for A in supersingular:
+    assert len(SUPERSINGULAR) == 27
+    for A in SUPERSINGULAR:
         for l in PRIMES:
             for side in (1, -1):
                 assert (orc.find_order_l_point(A, l, P, side)
