@@ -29,6 +29,9 @@ any key-dependent work.
 Negative exponents never negate the curve: a twist-side x-coordinate is a
 perfectly good x-only kernel, and pushing it through the same isogeny
 formulas walks the class-group action in the inverse direction.
+
+:func:`shared_secret` always validates the peer key; :func:`run_action`,
+the one runner behind every action, acts on the curve it is given.
 """
 
 from __future__ import annotations
@@ -384,28 +387,23 @@ def _ct_round(fp, curve, batch, k_clear, signs, remaining, params, rng):
             active = xmul(fp, fresh, clear, const)
             fp.rollback(mark)
 
-        real = remaining[idx] > 0
         new_curve, images, fault = xisog(fp, curve, [active, other], K, l)
         if fault:
             return None
-        img_active, img_other = images
 
         # Identical traced work either way; the flag only selects which
-        # results survive.
-        next_curve = new_curve if real else curve
-        next_const = curve_constants(fp, next_curve)
-        in_active = img_active if real else active
-        in_other = img_other if real else other
-        la = xmul(fp, in_active, l, next_const)
-        lo = xmul(fp, in_other, l, next_const)
-        new_active = img_active if real else la
-        new_other = lo
+        # results survive.  A real slot moves to the codomain and images and
+        # keeps its active image; a dummy slot keeps [l]active instead.
+        real = remaining[idx] > 0
         if real:
+            curve, (active, other) = new_curve, images
             remaining[idx] -= 1
-
-        curve, const = next_curve, next_const
-        P_plus, P_minus = ((new_active, new_other) if s > 0
-                           else (new_other, new_active))
+        const = curve_constants(fp, curve)
+        l_active = xmul(fp, active, l, const)
+        other = xmul(fp, other, l, const)
+        if not real:
+            active = l_active
+        P_plus, P_minus = (active, other) if s > 0 else (other, active)
     return curve
 
 
@@ -427,8 +425,12 @@ def run_action(pk: PublicKey, sk: PrivateKey, params: CsidhParams,
     """[sk]pk on the path `config` selects; raises FaultDetected on failure.
 
     Returns (PublicKey, OpTrace or None).  The ct path records a fresh
-    trace; the vartime path records into `trace` when one is given.
+    trace; the vartime path records into `trace` when one is given.  A key
+    for another parameter set raises InvalidPrivateKey.
     """
+    if sk.params != params:
+        raise InvalidPrivateKey(
+            f"key is for {sk.params.name}, not {params.name}")
     config = config or ActionConfig()
     if config.constant_time:
         out, ok, trace = group_action_ct(pk, sk, params, rng)
@@ -446,25 +448,23 @@ def keygen(sk: PrivateKey, params: CsidhParams, rng: Drbg,
 
 
 def shared_secret(sk: PrivateKey, peer: PublicKey, params: CsidhParams,
-                  rng: Drbg, config: ActionConfig | None = None,
-                  validate: bool = True) -> FieldElement:
-    """Affine coefficient of [sk]E_peer; `validate` checks the peer first."""
-    if validate:
-        if not validate_pk(peer.A, params, rng):
-            raise InvalidPeerKey("peer public key failed validation")
-    elif not validate_basic(peer.A, params):
-        raise InvalidPeerKey("peer public key is malformed")
+                  rng: Drbg, config: ActionConfig | None = None
+                  ) -> FieldElement:
+    """Affine coefficient of [sk]E_peer, after validating the peer key."""
+    if not validate_pk(peer.A, params, rng):
+        raise InvalidPeerKey("peer public key failed validation")
     out, _ = run_action(peer, sk, params, rng, config)
     return FieldElement(out.A, params)
 
 
-def estimate_keygen(params: CsidhParams, seed: bytes,
+def estimate_keygen(params: CsidhParams,
                     cost_table: CostTable | None = None) -> CycleLedger:
-    """Run one seeded keygen on the base curve and price its trace.
+    """Price the constant-time keygen trace of `params`.
 
-    Always the constant-time path: only it records the trace the cycle
-    model prices.
+    The trace is the same for every key and seed, so this runs the zero key
+    under one fixed seed.  Always the constant-time path: only it records
+    the trace the cycle model prices.
     """
-    sk = random_private_key(params, make_rng(seed))
-    _, trace = run_action(PublicKey(0), sk, params, make_rng(seed))
+    sk = PrivateKey((0,) * params.n, params)
+    _, trace = run_action(PublicKey(0), sk, params, make_rng(b"estimate"))
     return CycleLedger(trace, cost_table)

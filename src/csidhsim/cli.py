@@ -4,8 +4,10 @@ Subcommands:
 
 * ``keygen`` -- sample a private key, derive the public key, write both.
 * ``dh``     -- derive the shared secret from a private key and a peer key.
+  The peer key is always validated first; there is no switch to skip that.
 * ``bench``  -- cycle estimate for one constant-time key generation (also
-  under ``--vartime``), with latency report.
+  under ``--vartime``), with latency report.  The trace it prices is the
+  same for every key and seed, so ``--seed`` does not change it.
 * ``trace``  -- export the operation trace of one seeded key generation.
 
 All randomness flows through a single DRBG: with ``--seed`` (the empty
@@ -60,8 +62,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dh", help="derive a shared secret")
     p.add_argument("sk_path", help="own private-key file")
     p.add_argument("pk_path", help="peer public-key file")
-    p.add_argument("--skip-validate", action="store_true",
-                   help="skip peer-key supersingularity validation")
     p.add_argument("--reveal", action="store_true",
                    help="print the raw secret instead of its SHA-256")
     p.add_argument("--out", metavar="PATH",
@@ -101,14 +101,10 @@ def cmd_dh(args) -> int:
     pk_raw = Path(args.pk_path).read_bytes()
     sk = action.PrivateKey.from_bytes(sk_raw)
     peer, peer_params = action.PublicKey.from_bytes(pk_raw)
-    if sk.params is not params:
-        raise action.InvalidPrivateKey(
-            f"key is for {sk.params.name}, not --params {params.name}")
     if peer_params is not params:
         raise action.InvalidPeerKey(
             f"key is for {peer_params.name}, not --params {params.name}")
-    secret = action.shared_secret(sk, peer, params, rng, _config(args),
-                                  validate=not args.skip_validate)
+    secret = action.shared_secret(sk, peer, params, rng, _config(args))
     raw = secret.to_bytes()
     if args.out:
         Path(args.out).write_bytes(raw)
@@ -122,8 +118,7 @@ def cmd_dh(args) -> int:
 def cmd_bench(args) -> int:
     params = get_params(args.params)
     cost_table = CostTable.load(args.cost_table) if args.cost_table else None
-    seed = b"bench" if args.seed is None else args.seed
-    ledger = action.estimate_keygen(params, seed, cost_table)
+    ledger = action.estimate_keygen(params, cost_table)
     breakdown = ledger.module_cycles(args.mode)
     total = ledger.total_cycles(args.mode)
     print(f"params         {params.name}")

@@ -7,13 +7,14 @@ import pytest
 
 from csidhsim import action, oracle as orc
 from csidhsim.action import (ActionConfig, Drbg, FaultDetected, InvalidPeerKey,
-                             PrivateKey, PublicKey, RngFailure, keygen,
-                             make_rng, random_private_key, sample_point,
-                             shared_secret, validate_basic, validate_pk)
+                             InvalidPrivateKey, PrivateKey, PublicKey,
+                             RngFailure, keygen, make_rng, random_private_key,
+                             run_action, sample_point, shared_secret,
+                             validate_basic, validate_pk)
 from csidhsim.fp import Fp
 from csidhsim.mont_curve import (CurveSide, InfinityAffinize, ProjCurve,
                                  xtwist)
-from csidhsim.params import CsidhParams, get_params
+from csidhsim.params import CsidhParams, csidh512_params, get_params
 from csidhsim.trace import OpTrace
 
 TOY = get_params("toy419")
@@ -440,6 +441,24 @@ def test_shared_secret_rejects_invalid_peer():
 
 
 @pytest.mark.parametrize("constant_time", [True, False])
+def test_private_key_for_other_params_rejected(constant_time):
+    # A key is checked against the set by value: csidh512_params() builds a
+    # set equal to, but not the same object as, get_params("csidh512").
+    full = csidh512_params()
+    cfg = ActionConfig(constant_time=constant_time)
+    toy_sk = PrivateKey((1, -1, 1), TOY)
+    full_sk = PrivateKey((1, -1, 1, 5) + (0,) * (full.n - 4), full)
+    for sk, params in ((toy_sk, full), (full_sk, TOY)):
+        with pytest.raises(InvalidPrivateKey, match=f"not {params.name}"):
+            run_action(PublicKey(0), sk, params, make_rng(b"p"), cfg)
+    zero = PrivateKey((0,) * full.n, full)
+    vt_cfg = ActionConfig(constant_time=False)
+    pk, _ = run_action(PublicKey(0), zero, get_params("csidh512"),
+                       make_rng(b"p"), vt_cfg)
+    assert pk.A == 0
+
+
+@pytest.mark.parametrize("constant_time", [True, False])
 def test_unvalidated_ordinary_peer_faults(constant_time):
     # Every 13th ordinary toy curve (30 of 390).  Without validation the ct
     # kernel repair used to spin forever, or a codomain with Az = 0 raised
@@ -451,8 +470,7 @@ def test_unvalidated_ordinary_peer_faults(constant_time):
     cfg = ActionConfig(constant_time=constant_time)
     for A in ordinary:
         with pytest.raises(FaultDetected):
-            shared_secret(sk, PublicKey(A), TOY, make_rng(b"%d" % A), cfg,
-                          validate=False)
+            run_action(PublicKey(A), sk, TOY, make_rng(b"%d" % A), cfg)
 
 
 def test_unvalidated_hostile_peer_faults_at_first_isogeny(monkeypatch, full):
@@ -471,6 +489,5 @@ def test_unvalidated_hostile_peer_faults_at_first_isogeny(monkeypatch, full):
     for A in (5, 7, 11):
         sides.clear()
         with pytest.raises(FaultDetected):
-            shared_secret(sk, PublicKey(A), full, make_rng(b"%d" % A),
-                          validate=False)
+            run_action(PublicKey(A), sk, full, make_rng(b"%d" % A))
         assert sides == [CurveSide.CURVE, CurveSide.TWIST]
