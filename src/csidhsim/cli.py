@@ -1,13 +1,13 @@
 """Command-line front end.
 
-Subcommands:
+Subcommands, each taking only the flags it reads:
 
 * ``keygen`` -- sample a private key, derive the public key, write both.
-* ``dh``     -- derive the shared secret from a private key and a peer key.
-  The peer key is always validated first; there is no switch to skip that.
-* ``bench``  -- cycle estimate for one constant-time key generation (also
-  under ``--vartime``), with latency report.  The trace it prices is the
-  same for every key and seed, so ``--seed`` does not change it.
+* ``dh``     -- derive the shared secret from a private key and a peer key,
+  in the parameter set both key files name.  The peer key is always
+  validated first; there is no switch to skip that.
+* ``bench``  -- cycle estimate for one constant-time key generation, one
+  column per ALU mode.  The trace it prices is the same for every key.
 * ``trace``  -- export the operation trace of one seeded key generation.
 
 All randomness flows through a single DRBG: with ``--seed`` (the empty
@@ -40,26 +40,26 @@ CLOCK_HZ = {"fpga": 200e6, "asic": 180e6}
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    names = tuple(PARAM_TABLE)
+    params = argparse.ArgumentParser(add_help=False)
+    params.add_argument("--params", choices=names, default=names[0],
+                        help="parameter set")
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", metavar="HEX", type=bytes.fromhex,
+                        help="deterministic seed for all randomness")
+    seeded.add_argument("--vartime", action="store_true",
+                        help="use the variable-time action (not constant-time)")
     parser = argparse.ArgumentParser(
         prog="csidhsim",
         description="CSIDH key exchange over a cycle-accounted datapath model")
-    names = tuple(PARAM_TABLE)
-    parser.add_argument("--params", choices=names, default=names[0],
-                        help="parameter set")
-    parser.add_argument("--mode", choices=("fpga", "asic"), default="fpga",
-                        help="ALU cost model for cycle accounting")
-    parser.add_argument("--vartime", action="store_true",
-                        help="use the variable-time action (not constant-time)")
-    parser.add_argument("--seed", metavar="HEX", type=bytes.fromhex,
-                        help="deterministic seed for all randomness")
-
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("keygen", help="generate a keypair")
+    p = sub.add_parser("keygen", parents=[params, seeded],
+                       help="generate a keypair")
     p.add_argument("--out", required=True, metavar="PREFIX",
                    help="write PREFIX.sk and PREFIX.pk")
 
-    p = sub.add_parser("dh", help="derive a shared secret")
+    p = sub.add_parser("dh", parents=[seeded], help="derive a shared secret")
     p.add_argument("sk_path", help="own private-key file")
     p.add_argument("pk_path", help="peer public-key file")
     p.add_argument("--reveal", action="store_true",
@@ -67,12 +67,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", metavar="PATH",
                    help="also write the raw secret bytes to PATH")
 
-    p = sub.add_parser("bench", help="cycle estimate for one key generation")
+    p = sub.add_parser("bench", parents=[params],
+                       help="cycle estimate for one key generation")
     p.add_argument("--cost-table", metavar="PATH",
                    help="cost-table file overriding the built-in defaults")
     p.add_argument("--out", metavar="PATH", help="write the ledger report")
 
-    p = sub.add_parser("trace", help="export a key-generation operation trace")
+    p = sub.add_parser("trace", parents=[params, seeded],
+                       help="export a key-generation operation trace")
     p.add_argument("--out", required=True, metavar="PATH",
                    help="trace output file (opcode<TAB>module lines)")
 
@@ -95,16 +97,15 @@ def cmd_keygen(args) -> int:
 
 
 def cmd_dh(args) -> int:
-    params = get_params(args.params)
     rng = action.make_rng(args.seed)
     sk_raw = Path(args.sk_path).read_bytes()
     pk_raw = Path(args.pk_path).read_bytes()
     sk = action.PrivateKey.from_bytes(sk_raw)
     peer, peer_params = action.PublicKey.from_bytes(pk_raw)
-    if peer_params is not params:
+    if peer_params != sk.params:
         raise action.InvalidPeerKey(
-            f"key is for {peer_params.name}, not --params {params.name}")
-    secret = action.shared_secret(sk, peer, params, rng, _config(args))
+            f"key is for {peer_params.name}, private key for {sk.params.name}")
+    secret = action.shared_secret(sk, peer, sk.params, rng, _config(args))
     raw = secret.to_bytes()
     if args.out:
         Path(args.out).write_bytes(raw)
@@ -119,17 +120,19 @@ def cmd_bench(args) -> int:
     params = get_params(args.params)
     cost_table = CostTable.load(args.cost_table) if args.cost_table else None
     ledger = action.estimate_keygen(params, cost_table)
-    breakdown = ledger.module_cycles(args.mode)
-    total = ledger.total_cycles(args.mode)
+    columns = [ledger.module_cycles(mode) for mode in CLOCK_HZ]
+    totals = [ledger.total_cycles(mode) for mode in CLOCK_HZ]
+    rows = [("mode", CLOCK_HZ)]
+    rows += [(f"cycles.{module}", [column[module] for column in columns])
+             for module in sorted(columns[0], key=lambda m: -columns[0][m])]
+    rows += [("total cycles", totals), ("latency", [
+        f"{total / hz * 1e3:.1f} ms at {hz / 1e6:.0f} MHz"
+        for total, hz in zip(totals, CLOCK_HZ.values())])]
     print(f"params         {params.name}")
-    print(f"mode           {args.mode}")
-    for module, cycles in sorted(breakdown.items(), key=lambda kv: -kv[1]):
-        print(f"cycles.{module:<12} {cycles}")
-    print(f"total cycles   {total}")
-    hz = CLOCK_HZ[args.mode]
-    print(f"latency        {total / hz * 1e3:.1f} ms at {hz / 1e6:.0f} MHz")
+    for label, cells in rows:
+        print(f"{label:<16}", *(f"{cell:>20}" for cell in cells))
     if args.out:
-        ledger.dump(args.out, args.mode)
+        ledger.dump(args.out)
     return 0
 
 

@@ -256,14 +256,16 @@ class CycleLedger:
         return (self.raw_cycles(mode)
                 + round(self.cost_table.overhead[mode] * self.total_ops))
 
-    def dump(self, path, mode: str) -> None:
+    def dump(self, path) -> None:
+        """Counts once, then each mode's module cycles, overhead and total."""
         with open(path, "w") as f:
             for name, n in sorted(self.opcode_counts().items()):
                 f.write(f"count.{name} = {n}\n")
-            for name, cyc in sorted(self.module_cycles(mode).items()):
-                f.write(f"cycles.{name} = {cyc}\n")
-            f.write(f"overhead.{mode} = {self.cost_table.overhead[mode]}\n")
-            f.write(f"total.{mode} = {self.total_cycles(mode)}\n")
+            for mode, overhead in self.cost_table.overhead.items():
+                for name, cyc in sorted(self.module_cycles(mode).items()):
+                    f.write(f"cycles.{name}.{mode} = {cyc}\n")
+                f.write(f"overhead.{mode} = {overhead}\n")
+                f.write(f"total.{mode} = {self.total_cycles(mode)}\n")
 
 
 def calibrate_overhead(ledger: CycleLedger, target_cycles: int,

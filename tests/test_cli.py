@@ -3,6 +3,7 @@
 import argparse
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +15,7 @@ from csidhsim import oracle
 from csidhsim.action import PrivateKey, PublicKey, validate_basic
 from csidhsim.cli import _build_parser, main
 from csidhsim.params import get_params
+from test_acceptance import PINNED
 
 
 def run(capsys, *argv):
@@ -27,8 +29,8 @@ def test_keygen_reproducible(tmp_path, capsys):
         outs = []
         for name in ("a1", "a2"):
             prefix = str(tmp_path / name)
-            code, out, _ = run(capsys, "--params", "toy419", "--seed", seed,
-                               "keygen", "--out", prefix)
+            code, out, _ = run(capsys, "keygen", "--params", "toy419",
+                               "--seed", seed, "--out", prefix)
             assert code == 0
             outs.append((out, (tmp_path / (name + ".sk")).read_bytes(),
                          (tmp_path / (name + ".pk")).read_bytes()))
@@ -37,19 +39,19 @@ def test_keygen_reproducible(tmp_path, capsys):
 
 def test_dh_agreement_and_reveal(tmp_path, capsys):
     alice, bob = str(tmp_path / "alice"), str(tmp_path / "bob")
-    assert run(capsys, "--params", "toy419", "--seed", "01",
-               "keygen", "--out", alice)[0] == 0
-    assert run(capsys, "--params", "toy419", "--seed", "02",
-               "keygen", "--out", bob)[0] == 0
-    code, s1, _ = run(capsys, "--params", "toy419", "--seed", "03", "dh",
+    assert run(capsys, "keygen", "--params", "toy419", "--seed", "01",
+               "--out", alice)[0] == 0
+    assert run(capsys, "keygen", "--params", "toy419", "--seed", "02",
+               "--out", bob)[0] == 0
+    code, s1, _ = run(capsys, "dh", "--seed", "03",
                       alice + ".sk", bob + ".pk", "--reveal")
     assert code == 0
-    code, s2, _ = run(capsys, "--params", "toy419", "--seed", "04", "dh",
+    code, s2, _ = run(capsys, "dh", "--seed", "04",
                       bob + ".sk", alice + ".pk", "--reveal")
     assert code == 0
     assert s1 == s2
     # default output is a hash, not the secret
-    code, hashed, _ = run(capsys, "--params", "toy419", "--seed", "05", "dh",
+    code, hashed, _ = run(capsys, "dh", "--seed", "05",
                           alice + ".sk", bob + ".pk")
     assert code == 0 and hashed.startswith("sha256:")
     assert s1.strip() not in hashed
@@ -57,10 +59,10 @@ def test_dh_agreement_and_reveal(tmp_path, capsys):
 
 def test_dh_secret_file(tmp_path, capsys):
     alice, bob = str(tmp_path / "a"), str(tmp_path / "b")
-    run(capsys, "--params", "toy419", "--seed", "01", "keygen", "--out", alice)
-    run(capsys, "--params", "toy419", "--seed", "02", "keygen", "--out", bob)
+    run(capsys, "keygen", "--params", "toy419", "--seed", "01", "--out", alice)
+    run(capsys, "keygen", "--params", "toy419", "--seed", "02", "--out", bob)
     out = tmp_path / "secret.bin"
-    code, shown, _ = run(capsys, "--params", "toy419", "--seed", "03", "dh",
+    code, shown, _ = run(capsys, "dh", "--seed", "03",
                          alice + ".sk", bob + ".pk", "--reveal",
                          "--out", str(out))
     assert code == 0
@@ -68,19 +70,18 @@ def test_dh_secret_file(tmp_path, capsys):
 
 
 def test_exit_io_on_bad_path(tmp_path, capsys):
-    code, _, err = run(capsys, "--params", "toy419", "--seed", "00",
-                       "keygen", "--out", str(tmp_path / "no/such/dir/x"))
+    code, _, err = run(capsys, "keygen", "--params", "toy419", "--seed", "00",
+                       "--out", str(tmp_path / "no/such/dir/x"))
     assert code == 2 and "failed" in err
 
 
 def test_exit_invalid_peer_on_garbage(tmp_path, capsys):
     alice = str(tmp_path / "alice")
-    run(capsys, "--params", "toy419", "--seed", "01", "keygen",
+    run(capsys, "keygen", "--params", "toy419", "--seed", "01",
         "--out", alice)
     bad = tmp_path / "bad.pk"
     bad.write_bytes(b"CSIDHPK1" + b"\xff" * 10)
-    code, _, err = run(capsys, "--params", "toy419", "dh",
-                       alice + ".sk", str(bad))
+    code, _, err = run(capsys, "dh", alice + ".sk", str(bad))
     assert code == 4 and "invalid" in err
     # header-only files: magic present, parameter id and body missing; the
     # message names the file at fault
@@ -88,8 +89,7 @@ def test_exit_invalid_peer_on_garbage(tmp_path, capsys):
             (b"CSIDHPK1", alice + ".sk", str(bad), "peer"),
             (b"CSIDHSK1", str(bad), alice + ".pk", "private")):
         bad.write_bytes(magic)
-        code, _, err = run(capsys, "--params", "toy419", "dh",
-                           sk_path, pk_path)
+        code, _, err = run(capsys, "dh", sk_path, pk_path)
         assert code == 4 and "truncated" in err
         assert err.startswith(f"invalid {kind} key: ")
 
@@ -99,12 +99,11 @@ def test_exit_invalid_peer_on_singular_curve(tmp_path, capsys):
     from csidhsim.params import get_params
     toy = get_params("toy419")
     alice = str(tmp_path / "alice")
-    run(capsys, "--params", "toy419", "--seed", "01", "keygen",
+    run(capsys, "keygen", "--params", "toy419", "--seed", "01",
         "--out", alice)
     evil = tmp_path / "evil.pk"
     evil.write_bytes(PublicKey(2).to_bytes(toy))
-    code, _, _ = run(capsys, "--params", "toy419", "--seed", "02", "dh",
-                     alice + ".sk", str(evil))
+    code, _, _ = run(capsys, "dh", "--seed", "02", alice + ".sk", str(evil))
     assert code == 4
 
 
@@ -120,8 +119,8 @@ def test_exit_fault_on_traced_side_mismatch(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(csidhsim.action, "xtwist", wrong_side)
     prefix = tmp_path / "k"
-    code, out, err = run(capsys, "--params", "toy419", "--seed", "00",
-                         "keygen", "--out", str(prefix))
+    code, out, err = run(capsys, "keygen", "--params", "toy419",
+                         "--seed", "00", "--out", str(prefix))
     assert code == 3 and out == ""
     assert err.startswith("fault: ") and "Traceback" not in err
     assert not prefix.with_suffix(".pk").exists()
@@ -131,8 +130,8 @@ def test_trace_command_key_independent(tmp_path, capsys):
     files = []
     for seed in ("0a", "0b"):   # different seeds -> different keys
         path = tmp_path / f"trace-{seed}.txt"
-        code, _, _ = run(capsys, "--params", "toy419", "--seed", seed,
-                         "trace", "--out", str(path))
+        code, _, _ = run(capsys, "trace", "--params", "toy419",
+                         "--seed", seed, "--out", str(path))
         assert code == 0
         files.append(path.read_bytes())
     assert files[0] == files[1]   # ct trace depends only on the params
@@ -142,30 +141,41 @@ def test_trace_command_vartime_key_dependent(tmp_path, capsys):
     files = []
     for seed in ("0a", "1b"):
         path = tmp_path / f"vt-{seed}.txt"
-        code, _, _ = run(capsys, "--params", "toy419", "--seed", seed,
-                         "--vartime", "trace", "--out", str(path))
+        code, _, _ = run(capsys, "trace", "--params", "toy419",
+                         "--seed", seed, "--vartime", "--out", str(path))
         assert code == 0
         files.append(path.read_bytes())
     assert files[0] != files[1]
 
 
+def bench_totals(out):
+    """{mode: total cycles} from a bench report's mode and total rows."""
+    rows = {line[:16].strip(): line[16:].split()
+            for line in out.splitlines()}
+    return dict(zip(rows["mode"], map(int, rows["total cycles"])))
+
+
 def test_bench_report(tmp_path, capsys):
     ledger = tmp_path / "ledger.txt"
-    code, out, _ = run(capsys, "--params", "toy419", "--seed", "07",
-                       "--mode", "asic", "bench", "--out", str(ledger))
+    code, out, _ = run(capsys, "bench", "--params", "toy419",
+                       "--out", str(ledger))
     assert code == 0
-    assert "total cycles" in out and "180 MHz" in out
-    assert "total.asic" in ledger.read_text()
+    assert "total cycles" in out and "200 MHz" in out and "180 MHz" in out
+    assert bench_totals(out) == PINNED["toy419"]["total"]
+    text = ledger.read_text()
+    assert "total.fpga" in text and "total.asic" in text
 
 
 def test_bench_custom_cost_table(tmp_path, capsys):
     cfg = tmp_path / "costs.cfg"
     cfg.write_text("MONT_MUL.fpga = 1\nADD.fpga = 0\nSUB.fpga = 0\n")
-    code, out, _ = run(capsys, "--params", "toy419", "--seed", "07",
-                       "bench", "--cost-table", str(cfg))
+    code, out, _ = run(capsys, "bench", "--params", "toy419",
+                       "--cost-table", str(cfg))
     assert code == 0
-    cheap = int(out.splitlines()[-2].split()[-1])   # latency line is last
-    assert cheap > 0
+    totals = bench_totals(out)
+    assert totals["fpga"] > 0
+    # the table prices fpga only; the asic column keeps the default costs
+    assert totals["asic"] == PINNED["toy419"]["total"]["asic"]
     for line in ("MONT_MUL.fpga 1", "FOO.fpga = 3", "MONT_MUL.gpu = 3",
                  "MONT_MUL.fpga = fast", "overhead.fpga = x",
                  "MONT_MUL.fpga = -100", "overhead.fpga = inf",
@@ -173,20 +183,89 @@ def test_bench_custom_cost_table(tmp_path, capsys):
                  "overhead.fpga = -1e308", "MONT_MUL.fpga = " + "9" * 400,
                  "MUL_WIDE.fpga = 22"):
         cfg.write_text("ADD.fpga = 0\n" + line + "\n")
-        code, out, err = run(capsys, "--params", "toy419", "--seed", "07",
-                             "bench", "--cost-table", str(cfg))
+        code, out, err = run(capsys, "bench", "--params", "toy419",
+                             "--cost-table", str(cfg))
         assert code == 2 and out == ""
         assert f"costs.cfg:2: bad cost-table line {line!r}" in err
 
 
 def test_malformed_seed_is_usage_error(tmp_path, capsys):
     prefix = str(tmp_path / "x")
-    for argv in (("keygen", "--out", prefix), ("bench",)):
+    for command in ("keygen", "trace"):
         with pytest.raises(SystemExit) as exc:
-            main(["--params", "toy419", "--seed", "zz", *argv])
+            main([command, "--params", "toy419", "--seed", "zz",
+                  "--out", prefix])
         assert exc.value.code == 2
         assert "argument --seed" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+# The options each subcommand reads, and so takes; -h aside, there are no
+# global options.
+OPTIONS = {
+    "keygen": {"--params", "--seed", "--vartime", "--out"},
+    "dh": {"--seed", "--vartime", "--reveal", "--out"},
+    "bench": {"--params", "--cost-table", "--out"},
+    "trace": {"--params", "--seed", "--vartime", "--out"},
+}
+
+
+def subparsers(parser):
+    sub, = (act for act in parser._actions
+            if isinstance(act, argparse._SubParsersAction))
+    return sub.choices
+
+
+def test_each_subcommand_takes_exactly_the_flags_it_reads():
+    parser = _build_parser()
+    assert set(parser._option_string_actions) == {"-h", "--help"}
+    subs = subparsers(parser)
+    assert set(subs) == set(OPTIONS)
+    for name, sub in subs.items():
+        options = set(sub._option_string_actions) - {"-h", "--help"}
+        assert options == OPTIONS[name], name
+    assert sum(map(len, OPTIONS.values())) == 15
+
+
+@pytest.mark.parametrize("argv", [
+    ["--seed", "00", "bench"],
+    ["bench", "--mode", "asic"],
+    ["bench", "--vartime"],
+    ["keygen", "--mode", "asic", "--out", "k"],
+    ["dh", "--params", "toy419", "a.sk", "b.pk"],
+], ids=" ".join)
+def test_flag_in_wrong_place_is_usage_error(argv, tmp_path, monkeypatch,
+                                            capsys):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:   # argparse, not an I/O error
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ") and "Traceback" not in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_dh_takes_params_from_key_files(tmp_path, capsys):
+    alice, bob = str(tmp_path / "alice"), str(tmp_path / "bob")
+    for seed, prefix in (("01", alice), ("02", bob)):
+        assert run(capsys, "keygen", "--params", "toy419", "--seed", seed,
+                   "--out", prefix)[0] == 0
+    for vartime in ((), ("--vartime",)):
+        code, out, _ = run(capsys, "dh", "--seed", "03", *vartime,
+                           alice + ".sk", bob + ".pk")
+        assert code == 0
+        assert out == ("sha256:60ad1fb6b44656467ab4ba43861bf2f4"
+                       "6c5eaa8597ba606b417764c630f351fd\n")
+    # a key pair from different sets is refused, naming both, either way
+    full_sk, full_pk = tmp_path / "full.sk", tmp_path / "full.pk"
+    full_sk.write_bytes(PrivateKey((0,) * FULL.n, FULL).to_bytes())
+    full_pk.write_bytes(PublicKey(0).to_bytes(FULL))
+    for sk_path, pk_path in ((alice + ".sk", full_pk),
+                             (full_sk, alice + ".pk")):
+        code, out, err = run(capsys, "dh", str(sk_path), str(pk_path))
+        assert code == 4 and out == ""
+        assert err.startswith("invalid peer key: ")
+        assert "toy419" in err and "csidh512" in err
 
 
 TOY = get_params("toy419")
@@ -194,8 +273,8 @@ FULL = get_params("csidh512")
 ORDINARY = next(A for A in range(3, TOY.p) if validate_basic(A, TOY)
                 and oracle.curve_order(A, TOY.p) != TOY.p + 1)
 
-# (files to write, argv after "--params toy419", exit code).  Paths in argv
-# are relative to the directory holding alice.sk / alice.pk.
+# (files to write, argv, exit code).  Paths in argv are relative to the
+# directory holding alice.sk / alice.pk, a toy419 key pair.
 HOSTILE = {
     "garbage peer key": (
         {"x.pk": b"CSIDHPK1" + b"\xff" * 10}, ["dh", "alice.sk", "x.pk"], 4),
@@ -204,7 +283,7 @@ HOSTILE = {
     "header-only private key": (
         {"x.sk": b"CSIDHSK1"}, ["dh", "x.sk", "alice.pk"], 4),
     "key for other params": (
-        {}, ["--params", "csidh512", "dh", "alice.sk", "alice.pk"], 4),
+        {"f.pk": PublicKey(0).to_bytes(FULL)}, ["dh", "alice.sk", "f.pk"], 4),
     "private key for other params": (
         {"f.sk": PrivateKey((0,) * FULL.n, FULL).to_bytes()},
         ["dh", "f.sk", "alice.pk"], 4),
@@ -217,27 +296,29 @@ HOSTILE = {
         {"x.pk": PublicKey(ORDINARY).to_bytes(TOY)},
         ["dh", "alice.sk", "x.pk", "--skip-validate"], 2),
     "missing key file": ({}, ["dh", "alice.sk", "none.pk"], 2),
-    "unwritable output": ({}, ["keygen", "--out", "none/x"], 2),
-    "non-hex seed": ({}, ["--seed", "zz", "keygen", "--out", "y"], 2),
+    "unwritable output": (
+        {}, ["keygen", "--params", "toy419", "--out", "none/x"], 2),
+    "non-hex seed": (
+        {}, ["keygen", "--params", "toy419", "--seed", "zz", "--out", "y"], 2),
     "infinite overhead": (
         {"c.cfg": b"overhead.fpga = inf\n"},
-        ["bench", "--cost-table", "c.cfg"], 2),
+        ["bench", "--params", "toy419", "--cost-table", "c.cfg"], 2),
     "nan overhead": (
         {"c.cfg": b"overhead.fpga = nan\n"},
-        ["bench", "--cost-table", "c.cfg"], 2),
+        ["bench", "--params", "toy419", "--cost-table", "c.cfg"], 2),
     "overflowing overhead": (
         {"c.cfg": b"overhead.fpga = 1e400\n"},
-        ["bench", "--cost-table", "c.cfg"], 2),
+        ["bench", "--params", "toy419", "--cost-table", "c.cfg"], 2),
     "undecodable cost table": (
         {"c.cfg": b"MONT_MUL.fpga = 8\xff7\n"},
-        ["bench", "--cost-table", "c.cfg"], 2),
+        ["bench", "--params", "toy419", "--cost-table", "c.cfg"], 2),
 }
 
 
 @pytest.fixture(scope="module")
 def alice_dir(tmp_path_factory):
     d = tmp_path_factory.mktemp("hostile")
-    assert main(["--params", "toy419", "--seed", "01", "keygen",
+    assert main(["keygen", "--params", "toy419", "--seed", "01",
                  "--out", str(d / "alice")]) == 0
     return d
 
@@ -252,7 +333,7 @@ def test_hostile_input_exit_code(case, alice_dir):
     env = dict(os.environ,
                PYTHONPATH=str(Path(csidhsim.__file__).parent.parent))
     proc = subprocess.run(
-        [sys.executable, "-m", "csidhsim.cli", "--params", "toy419", *argv],
+        [sys.executable, "-m", "csidhsim.cli", *argv],
         cwd=alice_dir, env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == expected, proc.stderr
     assert proc.stderr and "Traceback" not in proc.stderr
@@ -260,19 +341,31 @@ def test_hostile_input_exit_code(case, alice_dir):
 
 def test_unknown_params_rejected(capsys):
     with pytest.raises(SystemExit):
-        main(["--params", "csidh1024", "keygen", "--out", "x"])
+        main(["keygen", "--params", "csidh1024", "--out", "x"])
+
+
+def readme_cli_section():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    return readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
 
 
 def test_readme_names_only_real_flags():
     # Every --flag the README's CLI section names, exit-code table included,
-    # must be a global or per-subcommand option of the real parser.
-    readme = (Path(__file__).parent.parent / "README.md").read_text()
-    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
-    named = set(re.findall(r"--[a-z][a-z-]*", section))
-    parser = _build_parser()
-    options = set(parser._option_string_actions)
-    for act in parser._actions:
-        if isinstance(act, argparse._SubParsersAction):
-            for sub in act.choices.values():
-                options |= set(sub._option_string_actions)
+    # must be an option of some subcommand of the real parser.
+    named = set(re.findall(r"--[a-z][a-z-]*", readme_cli_section()))
+    options = set()
+    for sub in subparsers(_build_parser()).values():
+        options |= set(sub._option_string_actions)
     assert named and named <= options, named - options
+
+
+def test_readme_commands_parse():
+    # Every csidhsim command in the README's CLI code block, comments
+    # stripped, must be accepted by the real parser as written.
+    block = readme_cli_section().split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [line.split("#", 1)[0].strip() for line in block.splitlines()]
+    commands = [c for c in commands if c.startswith("csidhsim ")]
+    assert commands
+    parser = _build_parser()
+    for command in commands:
+        parser.parse_args(shlex.split(command)[1:])

@@ -188,11 +188,19 @@ def test_calibrate_overhead_rejects_empty_trace():
 
 
 def test_ledger_dump_format(tmp_path):
-    t = toy_trace()
+    ledger = CycleLedger(toy_trace())
     path = tmp_path / "ledger.txt"
-    CycleLedger(t).dump(path, "fpga")
-    text = path.read_text()
-    assert "count.MONT_MUL" in text and "total.fpga" in text
+    ledger.dump(path)
+    lines = [line.split(" = ") for line in path.read_text().splitlines()]
+    want = {f"count.{name}": str(n)
+            for name, n in ledger.opcode_counts().items()}
+    for mode in ("fpga", "asic"):
+        want |= {f"cycles.{module}.{mode}": str(cycles)
+                 for module, cycles in ledger.module_cycles(mode).items()}
+        want[f"overhead.{mode}"] = str(ledger.cost_table.overhead[mode])
+        want[f"total.{mode}"] = str(ledger.total_cycles(mode))
+    assert "count.MONT_MUL" in want
+    assert dict(lines) == want and len(lines) == len(want)   # each name once
 
 
 def test_toy_cycles_identical_across_all_keys():
