@@ -12,17 +12,28 @@ Modeling granularity is the pipeline phase: per-phase values are computed
 the way the hardware's register structure implies (dual-path sums per
 32-bit chunk, 17 Booth partial products, up/down accumulator batches),
 but no gate-level timing is modeled.
+
+Where the cells run: `_add32cs` is the one carry-select cell and
+`_sub32cs` the one borrow-select cell.  `csel_add` / `csel_sub` chain one
+cell per 32-bit chunk; `mul_wide` folds each 32-bit overlap of a chunk
+product through one `_add32cs`.  The Montgomery reduction
+(`mont_reduce_dp_int`, and the tail of `mont_mul_dp_int`) is two
+`mul_wide`s, one `csel_add` and one `csel_sub`.  Words are packed and
+unpacked in bulk by `fp.int_to_words` / `fp.words_to_int`, which are
+bookkeeping, not modelled hardware.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from enum import Enum
 
 from .fp import int_to_words, words_to_int
 from .params import WORD_BITS, CsidhParams
-from .trace import CSEL_CYCLES, MONT_MUL_CYCLES, MUL_WIDE_CYCLES
+from .trace import (CSEL_CYCLES, DEFAULT_COSTS, MONT_MUL_CYCLES,
+                    MUL_WIDE_CYCLES, OP_MONT_REDUCE)
 
 
 class AluMode(Enum):
@@ -44,6 +55,15 @@ class CycleCost:
 
 # Booth-core latency; datapath-only, since the ledger has no Booth opcode.
 BOOTH_CYCLES = {AluMode.FPGA: 1, AluMode.ASIC: 2}
+
+# The fixed cost of each operation, built once.  MONT_REDUCE is priced as
+# the ledger prices it: the Montgomery multiply without its first mul_wide.
+_CSEL_COST = CycleCost(CSEL_CYCLES)
+_BOOTH_COST = {m: CycleCost(BOOTH_CYCLES[m]) for m in AluMode}
+_MUL_WIDE_COST = {m: CycleCost(MUL_WIDE_CYCLES[m.value]) for m in AluMode}
+_MONT_MUL_COST = {m: CycleCost(MONT_MUL_CYCLES[m.value]) for m in AluMode}
+_MONT_REDUCE_COST = {m: CycleCost(DEFAULT_COSTS[m.value][OP_MONT_REDUCE])
+                     for m in AluMode}
 
 _MASK32 = (1 << WORD_BITS) - 1
 
@@ -79,7 +99,7 @@ def _select_chain(cell, a, b, c: int):
     for x, y in zip(a, b):
         w, c = cell(x, y, c)
         out.append(w)
-    return tuple(out), c, CycleCost(CSEL_CYCLES)
+    return tuple(out), c, _CSEL_COST
 
 
 def csel_add(a, b, carry_in: int = 0):
@@ -121,7 +141,7 @@ def booth_mul(x: int, y: int, width: int, mode: AluMode = AluMode.ASIC):
     product = stage1 + sum(partials[split:])
     if product != x * y:
         raise RuntimeError("Booth partial products do not sum to x*y")
-    return product, CycleCost(BOOTH_CYCLES[mode])
+    return product, _BOOTH_COST[mode]
 
 
 def booth_mul32(x: int, y: int, mode: AluMode = AluMode.ASIC):
@@ -129,24 +149,29 @@ def booth_mul32(x: int, y: int, mode: AluMode = AluMode.ASIC):
     return booth_mul(x, y, WORD_BITS, mode)
 
 
-def _chunk_product(a_k: int, b, n: int):
+def _chunk_product(a_k: int, b):
     """One 32-bit chunk of `a` against all n chunks of `b`, folded with
-    carry-select cells into an (n+1)-word chunk product."""
-    lo, hi = [], []
-    for b_i in b:
-        pp = a_k * b_i
-        lo.append(pp & _MASK32)
-        hi.append(pp >> WORD_BITS)
-    words = [lo[0]]
+    carry-select cells into an (n+1)-word chunk product.
+
+    One pass: partial product t is split into its low and high words, its
+    low word meets the high word of partial product t-1 in one cell, and
+    the cell's sum word is placed at word t of the result.
+    """
+    pp = a_k * b[0]
+    product = pp & _MASK32
+    hi = pp >> WORD_BITS
     c = 0
-    for t in range(1, n):
-        w, c = _add32cs(hi[t - 1], lo[t], c)
-        words.append(w)
-    w, c = _add32cs(hi[n - 1], 0, c)
-    words.append(w)
+    shift = WORD_BITS
+    for b_t in b[1:]:
+        pp = a_k * b_t
+        w, c = _add32cs(hi, pp & _MASK32, c)
+        product |= w << shift
+        hi = pp >> WORD_BITS
+        shift += WORD_BITS
+    w, c = _add32cs(hi, 0, c)
     if c:
         raise RuntimeError("chunk product overflowed n+1 words")
-    return words_to_int(words)
+    return product | w << shift
 
 
 def mul_wide(a, b, mode: AluMode = AluMode.FPGA):
@@ -163,25 +188,25 @@ def mul_wide(a, b, mode: AluMode = AluMode.FPGA):
     half = (n + 1) // 2
     acc_up = 0
     for k in range(half):
-        acc_up += _chunk_product(a[k], b, n) << (WORD_BITS * k)
+        acc_up += _chunk_product(a[k], b) << (WORD_BITS * k)
     acc_down = 0
     for v in range(half, n):
-        acc_down += _chunk_product(a[v], b, n) << (WORD_BITS * v)
+        acc_down += _chunk_product(a[v], b) << (WORD_BITS * v)
     product = acc_up + acc_down
-    return (int_to_words(product, 2 * n),
-            CycleCost(MUL_WIDE_CYCLES[mode.value]))
+    return int_to_words(product, 2 * n), _MUL_WIDE_COST[mode]
 
 
-def mont_mul_dp_int(a: int, b: int, params: CsidhParams,
-                    mode: AluMode = AluMode.FPGA):
-    """Montgomery multiply a*b*R^-1 mod p on the word-level datapath."""
+@functools.cache
+def _modulus_words(params: CsidhParams):
+    """Words of p and of -p^-1 mod R, built once per parameter set."""
     n = params.n_words
-    p_words = int_to_words(params.p, n)
-    pinv_words = int_to_words(params.pinv, n)
-    a_words = int_to_words(a, n)
-    b_words = int_to_words(b, n)
+    return int_to_words(params.p, n), int_to_words(params.pinv, n)
 
-    t_words, _ = mul_wide(a_words, b_words, mode)            # T = a*b
+
+def _mont_reduce_words(t_words, params: CsidhParams, mode: AluMode) -> int:
+    """The reduction tail: (T + m*p) / R, then the masked subtraction of p."""
+    n = params.n_words
+    p_words, pinv_words = _modulus_words(params)
     t_low = t_words[:n]
     m_words = mul_wide(t_low, pinv_words, mode)[0][:n]       # m = T_low*pinv mod R
     mp_words, _ = mul_wide(m_words, p_words, mode)           # m*p
@@ -191,7 +216,26 @@ def mont_mul_dp_int(a: int, b: int, params: CsidhParams,
     t_out = t1[n:]                                           # T'/R (right shift)
     diff, borrow, _ = csel_sub(t_out, p_words)
     result = t_out if borrow else diff                       # masked select
-    return words_to_int(result), CycleCost(MONT_MUL_CYCLES[mode.value])
+    return words_to_int(result)
+
+
+def mont_reduce_dp_int(T: int, params: CsidhParams,
+                       mode: AluMode = AluMode.FPGA):
+    """MONT_REDUCE: T*R^-1 mod p for 0 <= T < p*R on the word-level
+    datapath, at the ledger's MONT_REDUCE cost."""
+    if not 0 <= T < params.p << params.width:
+        raise ValueError("mont_reduce input out of range [0, p*R)")
+    t_words = int_to_words(T, 2 * params.n_words)
+    return _mont_reduce_words(t_words, params, mode), _MONT_REDUCE_COST[mode]
+
+
+def mont_mul_dp_int(a: int, b: int, params: CsidhParams,
+                    mode: AluMode = AluMode.FPGA):
+    """Montgomery multiply a*b*R^-1 mod p on the word-level datapath:
+    one mul_wide for T = a*b, then the MONT_REDUCE tail."""
+    n = params.n_words
+    t_words, _ = mul_wide(int_to_words(a, n), int_to_words(b, n), mode)
+    return _mont_reduce_words(t_words, params, mode), _MONT_MUL_COST[mode]
 
 
 # --- masked ALU ---
@@ -204,6 +248,12 @@ class AluActivity:
 
     def all_units_always_active(self) -> bool:
         return all(all(flags) for flags in self.cycles) and len(self.cycles) > 0
+
+
+@functools.cache
+def _all_active(n_cycles: int) -> AluActivity:
+    """The all-units-busy record of an n-cycle issue, built once per n."""
+    return AluActivity(((True, True, True),) * n_cycles)
 
 
 class RandomWordRng:
@@ -240,5 +290,4 @@ def masked_issue(op: str, operands, rng, mode: AluMode = AluMode.FPGA):
             # two fresh operand words per idle unit per cycle
             rng.next_word()
             rng.next_word()
-    activity = AluActivity(tuple((True, True, True) for _ in range(n_cycles)))
-    return result, activity
+    return result, _all_active(n_cycles)

@@ -15,6 +15,7 @@ keyed only to public exponents.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 
 from .params import WORD_BITS, CsidhParams
@@ -50,16 +51,26 @@ class FieldElement:
         return cls(int.from_bytes(raw, "little"), params)
 
 
+# struct code of one datapath word: standard-size "I" is WORD_BITS = 32 bits
+_WORD_CODE = "I"
+
+
 def int_to_words(value: int, n_words: int):
-    mask = (1 << WORD_BITS) - 1
-    return tuple((value >> (i * WORD_BITS)) & mask for i in range(n_words))
+    """Little-endian words; needs 0 <= value < 2^(WORD_BITS * n_words)."""
+    try:
+        raw = value.to_bytes(n_words * WORD_BITS // 8, "little")
+    except OverflowError:
+        raise ValueError(f"value does not fit in {n_words} words") from None
+    return struct.unpack(f"<{n_words}{_WORD_CODE}", raw)
 
 
 def words_to_int(words) -> int:
-    value = 0
-    for i, w in enumerate(words):
-        value |= w << (i * WORD_BITS)
-    return value
+    """Inverse of int_to_words; each word must lie in [0, 2^WORD_BITS)."""
+    try:
+        raw = struct.pack(f"<{len(words)}{_WORD_CODE}", *words)
+    except struct.error:
+        raise ValueError(f"word out of range [0, 2**{WORD_BITS})") from None
+    return int.from_bytes(raw, "little")
 
 
 def jacobi(a: int, n: int) -> int:

@@ -6,12 +6,16 @@ straight off the run log.  Full-size CSIDH-512 artifacts are computed once
 and shared across criteria.
 
 The 100-keypair full-size agreement check is marked `slow` (deselected by
-default); the default run exercises the 10-keypair smoke variant.
+default); the default run exercises the 10-keypair smoke variant.  The
+independent full-size trials (criterion 06's agreements, criterion 07's
+keygens) run in up to two worker processes.
 """
 
 import functools
 import hashlib
 import itertools
+import multiprocessing
+import os
 import random
 
 import pytest
@@ -22,7 +26,7 @@ from csidhsim.action import (ActionConfig, PrivateKey, PublicKey, keygen,
                              validate_pk)
 from csidhsim.datapath import (AluMode, CycleCost, RandomWordRng, csel_add,
                                csel_sub, masked_issue, mont_mul_dp_int,
-                               mul_wide)
+                               mont_reduce_dp_int, mul_wide)
 from csidhsim.fp import Fp, int_to_words, words_to_int
 from csidhsim.isogeny import xisog
 from csidhsim.mont_curve import ProjCurve, ProjPoint
@@ -55,19 +59,57 @@ def criterion(num, desc):
     return deco
 
 
+def run_trials(trial, args):
+    """[trial(x) for x in args], in up to two worker processes.
+
+    Workers are spawned, so each imports this module afresh and a trial
+    depends only on its argument.  An exception raised in a worker, a
+    failed assert included, is raised again here; the pool is shut down
+    and its workers joined before this returns.
+    """
+    workers = min(os.cpu_count() or 1, 2, len(args))
+    if workers < 2:
+        return [trial(x) for x in args]
+    with multiprocessing.get_context("spawn").Pool(workers) as pool:
+        results = pool.map(trial, args, chunksize=1)
+        pool.close()
+        pool.join()
+    return results
+
+
+def _trial_fails_at_one(i):
+    assert i != 1, "trial 1 failed"
+    return i
+
+
+def test_run_trials_raises_a_worker_failure():
+    assert run_trials(_trial_fails_at_one, [0, 2, 3]) == [0, 2, 3]
+    with pytest.raises(AssertionError, match="trial 1 failed"):
+        run_trials(_trial_fails_at_one, range(4))
+
+
 # Shared full-size artifacts: 20 seeded constant-time keygens.
 _FULL_KEYGENS = {}
 
 
+def _full_keygen_trial(i):
+    rng = make_rng(b"acceptance-sk-%d" % i)
+    sk = random_private_key(FULL, rng)
+    pk, ok, trace = action.group_action_ct(
+        PublicKey(0), sk, FULL, make_rng(b"acceptance-shared-seed"))
+    assert ok
+    return sk, pk, trace
+
+
+def full_keygens(indices):
+    """The cached keygens for `indices`; the missing ones run as trials."""
+    missing = [i for i in indices if i not in _FULL_KEYGENS]
+    _FULL_KEYGENS.update(zip(missing, run_trials(_full_keygen_trial, missing)))
+    return [_FULL_KEYGENS[i] for i in indices]
+
+
 def full_keygen(i):
-    if i not in _FULL_KEYGENS:
-        rng = make_rng(b"acceptance-sk-%d" % i)
-        sk = random_private_key(FULL, rng)
-        pk, ok, trace = action.group_action_ct(
-            PublicKey(0), sk, FULL, make_rng(b"acceptance-shared-seed"))
-        assert ok
-        _FULL_KEYGENS[i] = (sk, pk, trace)
-    return _FULL_KEYGENS[i]
+    return full_keygens([i])[0]
 
 
 @criterion(1, "mul_wide costs exactly 22 (FPGA) / 23 (ASIC) cycles, "
@@ -134,6 +176,12 @@ def test_criterion_03_arithmetic_oracle():
             a, b = rnd.getrandbits(width), rnd.getrandbits(width)
             prod, _ = mul_wide(int_to_words(a, n), int_to_words(b, n))
             assert words_to_int(prod) == a * b
+    # word-level MONT_REDUCE on a sampled subset (bit-identical to fp.redc)
+    for params in (TOY, FULL):
+        fp = Fp(params)
+        for _ in range(2_000):
+            T = rnd.randrange(params.p * params.R)
+            assert mont_reduce_dp_int(T, params)[0] == fp.redc(T)
 
 
 @criterion(4, "xisog codomain and point image match the Velu oracle for "
@@ -196,22 +244,20 @@ def _agreement_trial(i):
 @criterion(6, "CSIDH-512 key agreement, ct and vartime paths "
               "(10-keypair smoke variant)")
 def test_criterion_06_key_agreement_smoke():
-    for i in range(10):
-        _agreement_trial(i)
+    run_trials(_agreement_trial, range(10))
 
 
 @pytest.mark.slow
 @criterion(6, "CSIDH-512 key agreement, ct and vartime paths "
               "(full 100-keypair variant)")
 def test_criterion_06_key_agreement_full():
-    for i in range(10, 110):
-        _agreement_trial(i)
+    run_trials(_agreement_trial, range(10, 110))
 
 
 @criterion(7, "ct traces byte-identical across 20 CSIDH-512 keys with a "
               "fixed seed; per-prime isogeny budget exactly m")
 def test_criterion_07_trace_invariance(monkeypatch, tmp_path):
-    digests = {full_keygen(i)[2].digest() for i in range(20)}
+    digests = {trace.digest() for _, _, trace in full_keygens(range(20))}
     assert len(digests) == 1
     # spot byte-compare via the exported trace files
     f1, f2 = tmp_path / "k0.trace", tmp_path / "k1.trace"

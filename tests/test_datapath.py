@@ -1,13 +1,17 @@
 """Word-level datapath model: value equivalence with fp and fixed cycle costs."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from csidhsim.datapath import (AluMode, CycleCost, RandomWordRng, booth_mul,
                                booth_mul32, csel_add, csel_sub, masked_issue,
-                               mont_mul_dp_int, mul_wide)
+                               mont_mul_dp_int, mont_reduce_dp_int, mul_wide)
 from csidhsim.fp import Fp, int_to_words, words_to_int
+from csidhsim.oracle import naive_redc
 from csidhsim.params import get_params
+from csidhsim.trace import OP_MONT_REDUCE, CostTable
 
 FULL = get_params("csidh512")
 TOY = get_params("toy419")
@@ -120,6 +124,40 @@ def test_mont_mul_dp_cost_value_independent():
 def test_mont_mul_dp_toy():
     got, _ = mont_mul_dp_int(100, 200, TOY)
     assert got == 100 * 200 * pow(TOY.R, -1, TOY.p) % TOY.p
+
+
+@pytest.mark.parametrize("params", [TOY, FULL], ids=lambda p: p.name)
+def test_mont_mul_dp_rejects_operand_beyond_R(params):
+    # an operand >= R was once truncated to its low n words and reduced
+    for a, b in ((params.R, 1), (1, params.R + 5), (-1, 1)):
+        with pytest.raises(ValueError):
+            mont_mul_dp_int(a, b, params)
+
+
+# --- Montgomery reduction on the datapath ------------------------------------
+
+@pytest.mark.parametrize("mode", list(AluMode))
+@pytest.mark.parametrize("params", [TOY, FULL], ids=lambda p: p.name)
+def test_mont_reduce_dp_matches_fp_and_oracle(params, mode):
+    fp = Fp(params)
+    p, R = params.p, params.R
+    rnd = random.Random(f"{params.name}-{mode.value}")
+    a = rnd.randrange(p)
+    edges = [0, 1, a * R, p * R - 1, p - 1, R - 1, R]
+    cases = edges + [rnd.randrange(p * R) for _ in range(200)]
+    cost = CycleCost(CostTable().cost(OP_MONT_REDUCE, mode.value))
+    for T in cases:
+        got, got_cost = mont_reduce_dp_int(T, params, mode)
+        assert got == fp.redc(T) == naive_redc(T, p, R)
+        assert got_cost == cost
+    assert mont_reduce_dp_int(a * R, params, mode)[0] == a
+
+
+@pytest.mark.parametrize("params", [TOY, FULL], ids=lambda p: p.name)
+def test_mont_reduce_dp_range(params):
+    for T in (-1, params.p * params.R, params.R ** 2):
+        with pytest.raises(ValueError, match=r"\[0, p\*R\)"):
+            mont_reduce_dp_int(T, params)
 
 
 # --- masked ALU --------------------------------------------------------------

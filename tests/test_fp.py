@@ -34,6 +34,30 @@ def test_word_roundtrip():
     assert words_to_int(words) == v
 
 
+def test_word_roundtrip_edges():
+    for n in (1, 3, 16):
+        for v in (0, 1, 2**(32 * n) - 1):
+            words = int_to_words(v, n)
+            assert len(words) == n and words_to_int(words) == v
+    assert int_to_words(2**32 + 5, 2) == (5, 1)
+    assert words_to_int(()) == 0
+
+
+@pytest.mark.parametrize("value", [2**512, 2**600, -1, -(2**512)],
+                         ids=["2^512", "2^600", "-1", "-2^512"])
+def test_int_to_words_rejects_unrepresentable(value):
+    # once truncated to 16 words or wrapped to all-ones words
+    with pytest.raises(ValueError):
+        int_to_words(value, 16)
+
+
+@pytest.mark.parametrize("words", [(2**32,), (0, 2**32, 0), (-1,), (1, -5)])
+def test_words_to_int_rejects_out_of_range_word(words):
+    # a wide word was once ORed into the next word's bits
+    with pytest.raises(ValueError):
+        words_to_int(words)
+
+
 def test_canonical_range_enforced(toy):
     with pytest.raises(ValueError):
         FieldElement(toy.p, toy)

@@ -8,7 +8,8 @@ import pytest
 from csidhsim import action
 from csidhsim.action import (PrivateKey, PublicKey, estimate_keygen,
                              make_rng)
-from csidhsim.datapath import AluMode, csel_add, mont_mul_dp_int, mul_wide
+from csidhsim.datapath import (AluMode, csel_add, mont_mul_dp_int,
+                               mont_reduce_dp_int, mul_wide)
 from csidhsim.fp import int_to_words
 from csidhsim.params import get_params
 from csidhsim.trace import (MOD_CSIDH, MOD_XMUL, MUL_WIDE_CYCLES, OP_ADD,
@@ -115,7 +116,8 @@ def test_default_costs_match_datapath(mode):
     csel = csel_add(aw, bw)[2].cycles
     assert table.cost(OP_ADD, m) == table.cost(OP_SUB, m) == 2 * csel
     assert table.cost(OP_MONT_REDUCE, m) == \
-        table.cost(OP_MONT_MUL, m) - MUL_WIDE_CYCLES[m]
+        table.cost(OP_MONT_MUL, m) - MUL_WIDE_CYCLES[m] == \
+        mont_reduce_dp_int(0, TOY, mode)[1].cycles
 
 
 def test_single_op_pricing():
