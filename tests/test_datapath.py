@@ -128,7 +128,7 @@ def test_mont_mul_dp_toy():
 
 @pytest.mark.parametrize("params", [TOY, FULL], ids=lambda p: p.name)
 def test_mont_mul_dp_rejects_operand_beyond_R(params):
-    # an operand >= R was once truncated to its low n words and reduced
+    # an operand >= R has no n-word form, so it is rejected, not truncated
     for a, b in ((params.R, 1), (1, params.R + 5), (-1, 1)):
         with pytest.raises(ValueError):
             mont_mul_dp_int(a, b, params)

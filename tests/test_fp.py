@@ -46,14 +46,14 @@ def test_word_roundtrip_edges():
 @pytest.mark.parametrize("value", [2**512, 2**600, -1, -(2**512)],
                          ids=["2^512", "2^600", "-1", "-2^512"])
 def test_int_to_words_rejects_unrepresentable(value):
-    # once truncated to 16 words or wrapped to all-ones words
+    # no 16-word form: neither truncated nor wrapped to all-ones words
     with pytest.raises(ValueError):
         int_to_words(value, 16)
 
 
 @pytest.mark.parametrize("words", [(2**32,), (0, 2**32, 0), (-1,), (1, -5)])
 def test_words_to_int_rejects_out_of_range_word(words):
-    # a wide word was once ORed into the next word's bits
+    # a word outside [0, 2^32) would spill into its neighbour's bits
     with pytest.raises(ValueError):
         words_to_int(words)
 
