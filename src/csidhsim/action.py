@@ -32,6 +32,12 @@ formulas walks the class-group action in the inverse direction.
 
 :func:`shared_secret` always validates the peer key; :func:`run_action`,
 the one runner behind every action, acts on the curve it is given.
+
+Only an action whose trace is priced or exported records one: the
+constant-time :func:`keygen` and :func:`estimate_keygen` do, as do the CLI's
+``trace`` and ``bench``.  :func:`shared_secret`, the variable-time
+:func:`keygen` and the CLI's ``keygen`` and ``dh`` run untraced, with the
+same arithmetic and the same DRBG draws.
 """
 
 from __future__ import annotations
@@ -275,7 +281,7 @@ def _validate_working_curve(fp: Fp, curve: ProjCurve, params: CsidhParams,
 # --- constant-time action --------------------------------------------------
 
 def group_action_ct(pk: PublicKey, sk: PrivateKey, params: CsidhParams,
-                    rng: Drbg):
+                    rng: Drbg, record: bool = True):
     """Dummy-isogeny constant-time evaluation.
 
     Returns (PublicKey, success, OpTrace); the key is None on failure.  The
@@ -283,10 +289,11 @@ def group_action_ct(pk: PublicKey, sk: PrivateKey, params: CsidhParams,
     every prime is processed in a fixed batch/round/slot schedule with
     exactly m isogeny computations, and each slot issues the same operations
     whether the isogeny is real or a dummy -- only which results are kept
-    differs.
+    differs.  With `record` false the action runs on an untraced Fp, with
+    the same arithmetic and DRBG draws, and the trace stays empty.
     """
     trace = OpTrace()
-    fp = Fp(params, trace)
+    fp = Fp(params, trace if record else None)
     if not validate_basic(pk.A, params):
         return None, False, trace
 
@@ -421,36 +428,46 @@ def validate_pk(A: int, params: CsidhParams, rng: Drbg) -> bool:
 
 def run_action(pk: PublicKey, sk: PrivateKey, params: CsidhParams,
                rng: Drbg, config: ActionConfig | None = None,
-               trace: OpTrace | None = None):
+               record: bool = False):
     """[sk]pk on the path `config` selects; raises FaultDetected on failure.
 
-    Returns (PublicKey, OpTrace or None).  The ct path records a fresh
-    trace; the vartime path records into `trace` when one is given.  A key
-    for another parameter set raises InvalidPrivateKey.
+    Returns (PublicKey, OpTrace or None): the action's operation trace when
+    `record`, else None, on either path.  Recording changes no value and no
+    DRBG draw.  A key for another parameter set raises InvalidPrivateKey.
     """
     if sk.params != params:
         raise InvalidPrivateKey(
             f"key is for {sk.params.name}, not {params.name}")
     config = config or ActionConfig()
     if config.constant_time:
-        out, ok, trace = group_action_ct(pk, sk, params, rng)
+        out, ok, trace = group_action_ct(pk, sk, params, rng, record)
     else:
+        trace = OpTrace() if record else None
         out, ok = group_action_vartime(pk, sk, params, rng, trace)
     if not ok:
         raise FaultDetected("group action failed its self-check")
-    return out, trace
+    return out, trace if record else None
 
 
 def keygen(sk: PrivateKey, params: CsidhParams, rng: Drbg,
            config: ActionConfig | None = None):
-    """Public key [sk]E_0; returns (PublicKey, OpTrace or None)."""
-    return run_action(PublicKey(0), sk, params, rng, config)
+    """Public key [sk]E_0; returns (PublicKey, OpTrace or None).
+
+    The constant-time path returns its trace, the one the cycle model
+    prices; the variable-time path records none.
+    """
+    config = config or ActionConfig()
+    return run_action(PublicKey(0), sk, params, rng, config,
+                      record=config.constant_time)
 
 
 def shared_secret(sk: PrivateKey, peer: PublicKey, params: CsidhParams,
                   rng: Drbg, config: ActionConfig | None = None
                   ) -> FieldElement:
-    """Affine coefficient of [sk]E_peer, after validating the peer key."""
+    """Affine coefficient of [sk]E_peer, after validating the peer key.
+
+    Records no trace: nothing prices the action on a peer's curve.
+    """
     if not validate_pk(peer.A, params, rng):
         raise InvalidPeerKey("peer public key failed validation")
     out, _ = run_action(peer, sk, params, rng, config)
@@ -466,5 +483,6 @@ def estimate_keygen(params: CsidhParams,
     the trace the cycle model prices.
     """
     sk = PrivateKey((0,) * params.n, params)
-    _, trace = run_action(PublicKey(0), sk, params, make_rng(b"estimate"))
+    _, trace = run_action(PublicKey(0), sk, params, make_rng(b"estimate"),
+                          record=True)
     return CycleLedger(trace, cost_table)

@@ -29,7 +29,7 @@ from pathlib import Path
 
 from . import action
 from .params import PARAM_TABLE, get_params
-from .trace import CostTable, CostTableError, OpTrace
+from .trace import CostTable, CostTableError
 
 EXIT_IO = 2
 EXIT_FAULT = 3
@@ -89,7 +89,8 @@ def cmd_keygen(args) -> int:
     params = get_params(args.params)
     rng = action.make_rng(args.seed)
     sk = action.random_private_key(params, rng)
-    pk, _ = action.keygen(sk, params, rng, _config(args))
+    pk, _ = action.run_action(action.PublicKey(0), sk, params, rng,
+                              _config(args))
     Path(args.out + ".sk").write_bytes(sk.to_bytes())
     Path(args.out + ".pk").write_bytes(pk.to_bytes(params))
     print(pk.A.to_bytes(params.byte_length, "little").hex())
@@ -141,7 +142,7 @@ def cmd_trace(args) -> int:
     rng = action.make_rng(args.seed)
     sk = action.random_private_key(params, rng)
     _, trace = action.run_action(action.PublicKey(0), sk, params, rng,
-                                 _config(args), OpTrace())
+                                 _config(args), record=True)
     trace.dump(args.out)
     print(f"{len(trace)} operations -> {args.out}")
     return 0

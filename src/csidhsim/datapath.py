@@ -219,12 +219,17 @@ def _mont_reduce_words(t_words, params: CsidhParams, mode: AluMode) -> int:
     return words_to_int(result)
 
 
+def _check_reducible(T: int, params: CsidhParams) -> None:
+    """The reduction tail is exact only for 0 <= T < p*R."""
+    if not 0 <= T < params.p << params.width:
+        raise ValueError("mont_reduce input out of range [0, p*R)")
+
+
 def mont_reduce_dp_int(T: int, params: CsidhParams,
                        mode: AluMode = AluMode.FPGA):
     """MONT_REDUCE: T*R^-1 mod p for 0 <= T < p*R on the word-level
     datapath, at the ledger's MONT_REDUCE cost."""
-    if not 0 <= T < params.p << params.width:
-        raise ValueError("mont_reduce input out of range [0, p*R)")
+    _check_reducible(T, params)
     t_words = int_to_words(T, 2 * params.n_words)
     return _mont_reduce_words(t_words, params, mode), _MONT_REDUCE_COST[mode]
 
@@ -232,7 +237,9 @@ def mont_reduce_dp_int(T: int, params: CsidhParams,
 def mont_mul_dp_int(a: int, b: int, params: CsidhParams,
                     mode: AluMode = AluMode.FPGA):
     """Montgomery multiply a*b*R^-1 mod p on the word-level datapath:
-    one mul_wide for T = a*b, then the MONT_REDUCE tail."""
+    one mul_wide for T = a*b, then the MONT_REDUCE tail.  Operands must
+    fit in n words and T in [0, p*R), else ValueError."""
+    _check_reducible(a * b, params)
     n = params.n_words
     t_words, _ = mul_wide(int_to_words(a, n), int_to_words(b, n), mode)
     return _mont_reduce_words(t_words, params, mode), _MONT_MUL_COST[mode]

@@ -430,6 +430,34 @@ def test_shared_secret_agreement_toy():
         assert sab == sba
 
 
+def test_shared_secret_is_the_traced_action_untraced(monkeypatch):
+    # shared_secret runs the ct action untraced; with the same DRBG draws
+    # (validate_pk's point, then the action's) it lands on the curve a
+    # traced group_action_ct reaches, for every toy key.
+    peer = PublicKey(vt((1, 0, -1)))
+    untraced = []
+    real_ct = action.group_action_ct
+
+    def capture(*args, **kwargs):
+        result = real_ct(*args, **kwargs)
+        untraced.append(result[2])
+        return result
+
+    for i, e in enumerate(itertools.product((-1, 0, 1), repeat=3)):
+        sk, seed = PrivateKey(e, TOY), b"ss-%d" % i
+        rng = make_rng(seed)
+        assert validate_pk(peer.A, TOY, rng)
+        pk, ok, trace = real_ct(peer, sk, TOY, rng)
+        assert ok and len(trace) > 0
+        monkeypatch.setattr(action, "group_action_ct", capture)
+        secret = shared_secret(sk, peer, TOY, make_rng(seed))
+        monkeypatch.setattr(action, "group_action_ct", real_ct)
+        assert secret.value == pk.A
+    # each shared_secret ran one ct action, and it recorded no op
+    assert len(untraced) == 27
+    assert all(t == OpTrace() for t in untraced)
+
+
 def test_shared_secret_rejects_invalid_peer():
     sk = PrivateKey((1, 0, 0), TOY)
     with pytest.raises(InvalidPeerKey):

@@ -25,20 +25,28 @@ def _load_layers():
 
 
 def test_tracer_hooks_count_the_pinned_keygen():
-    originals = (action.keygen, action._kernel_ok, action.xmul,
-                 isogeny.xmul, mont_curve.xdbladd)
+    # The traced run also wraps the untraced ct action of shared_secret, so
+    # its trace.ops hook must get a sized (empty) trace from it.
+    originals = (action.keygen, action.shared_secret, action.group_action_ct,
+                 action._kernel_ok, action.xmul, isogeny.xmul,
+                 mont_curve.xdbladd)
     tracer = _load_layers().Tracer()
     tracer.install()
     try:
         sk = random_private_key(TOY, make_rng(b"acceptance-sk-0"))
-        pk, _ = action.keygen(sk, TOY, make_rng(b"acceptance-shared-seed"))
+        pk, trace = action.keygen(sk, TOY,
+                                  make_rng(b"acceptance-shared-seed"))
+        action.shared_secret(sk, pk, TOY, make_rng(b"dh"))
     finally:
         tracer.uninstall()
     assert pk.A == 6
     counts = tracer.counts
+    assert counts["group_action_ct"] == 2
+    assert counts["trace.ops"] == len(trace) > 0
     assert counts["ladder_steps"] == counts["xdbladd"] > 0
     assert counts["kernel_ok"] > 0
-    assert (action.keygen, action._kernel_ok, action.xmul, isogeny.xmul,
+    assert (action.keygen, action.shared_secret, action.group_action_ct,
+            action._kernel_ok, action.xmul, isogeny.xmul,
             mont_curve.xdbladd) == originals
 
 

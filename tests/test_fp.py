@@ -242,6 +242,7 @@ def test_rollback_untraced_touches_no_buffer(toy):
     mark = fp.mark()
     fp.set_module(MOD_XTWIST)
     fp.mul(3, 4)
+    assert fp.mark() != mark          # the module tag moved
     fp.rollback(mark)
-    assert fp.trace is None and fp.mark() == mark
+    assert fp.trace is None and fp.mark() == mark   # and is restored
     assert bytes(other.buf) == bytes([(MOD_CSIDH << 3) | OP_ADD])
