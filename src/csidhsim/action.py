@@ -12,7 +12,8 @@ Two evaluation paths are provided:
   isogeny whose results are discarded while the point is advanced by a
   degree-``l`` scalar multiplication instead.  Real and dummy slots issue
   the identical operation sequence, so the recorded OpTrace depends only on
-  the parameter set, never on the key.
+  the parameter set, never on the key.  Its loops read only the public
+  :func:`ct_schedule`: batches, clearing scalars, slots and cofactors.
 
 Randomness-dependent retry loops are modeled as fixed-latency units, so
 only the accepted attempt stays in the trace.  Point sampling screens each
@@ -138,7 +139,7 @@ def _parse_header(raw: bytes, magic: bytes, error: type[ValueError]):
 
 @dataclass(frozen=True)
 class PrivateKey:
-    """Exponent vector e with |e_i| <= m."""
+    """Exponent vector e of ints with |e_i| <= m."""
 
     exponents: tuple
     params: CsidhParams
@@ -146,6 +147,8 @@ class PrivateKey:
     def __post_init__(self):
         if len(self.exponents) != self.params.n:
             raise InvalidPrivateKey("exponent vector has wrong length")
+        if not all(isinstance(e, int) for e in self.exponents):
+            raise InvalidPrivateKey("exponent is not an int")
         if any(abs(e) > self.params.m for e in self.exponents):
             raise InvalidPrivateKey("exponent out of range")
 
@@ -280,14 +283,34 @@ def _validate_working_curve(fp: Fp, curve: ProjCurve, params: CsidhParams,
 
 # --- constant-time action --------------------------------------------------
 
+def ct_schedule(params: CsidhParams):
+    """The public constant-time schedule, one entry per batch of at most
+    `BATCH_LIMIT` consecutive primes: ``(k_clear, slots)``.
+
+    ``k_clear`` = 4 * the primes outside the batch = (p + 1) / the batch's
+    primes.  ``slots`` are ``(index, l, cof, clear)`` in descending l:
+    ``cof`` is the product of the batch's smaller primes and ``clear`` =
+    ``k_clear`` * its larger ones, the scalar that clears a repair point.
+    """
+    schedule = []
+    for lo in range(0, params.n, BATCH_LIMIT):
+        batch = params.primes[lo:lo + BATCH_LIMIT]
+        k_clear = (params.p + 1) // math.prod(batch)
+        slots = tuple((lo + j, l, math.prod(batch[:j]),
+                       k_clear * math.prod(batch[j + 1:]))
+                      for j, l in reversed(tuple(enumerate(batch))))
+        schedule.append((k_clear, slots))
+    return tuple(schedule)
+
+
 def group_action_ct(pk: PublicKey, sk: PrivateKey, params: CsidhParams,
                     rng: Drbg, record: bool = True):
     """Dummy-isogeny constant-time evaluation.
 
     Returns (PublicKey, success, OpTrace); the key is None on failure.  The
     trace is byte-identical across private keys of the same parameter set:
-    every prime is processed in a fixed batch/round/slot schedule with
-    exactly m isogeny computations, and each slot issues the same operations
+    each `ct_schedule` batch runs m rounds, so every prime gets exactly m
+    isogeny computations, and each slot issues the same operations
     whether the isogeny is real or a dummy -- only which results are kept
     differs.  With `record` false the action runs on an untraced Fp, with
     the same arithmetic and DRBG draws, and the trace stays empty.
@@ -297,9 +320,6 @@ def group_action_ct(pk: PublicKey, sk: PrivateKey, params: CsidhParams,
     if not validate_basic(pk.A, params):
         return None, False, trace
 
-    primes = params.primes
-    n = params.n
-    m = params.m
     # Sign-match e_ct[i] = +-m; the sign bit is drawn for every index so rng
     # usage never depends on where the zeros sit.
     signs = []
@@ -309,16 +329,9 @@ def group_action_ct(pk: PublicKey, sk: PrivateKey, params: CsidhParams,
     remaining = [abs(ei) for ei in sk.exponents]
 
     curve = ProjCurve(fp.to_mont(pk.A), fp.one)
-    batches = [list(range(lo, min(lo + BATCH_LIMIT, n)))
-               for lo in range(0, n, BATCH_LIMIT)]
-
-    for batch in batches:
-        in_batch = set(batch)
-        k_clear = 4 * math.prod(primes[j] for j in range(n)
-                                if j not in in_batch)
-        for _ in range(m):
-            curve = _ct_round(fp, curve, batch, k_clear, signs, remaining,
-                              params, rng)
+    for k_clear, slots in ct_schedule(params):
+        for _ in range(params.m):
+            curve = _ct_round(fp, curve, k_clear, slots, signs, remaining, rng)
             if curve is None:
                 return None, False, trace
 
@@ -358,19 +371,16 @@ def _kernel_ok(K: ProjPoint) -> bool:
     return not is_infinity(K)
 
 
-def _ct_round(fp, curve, batch, k_clear, signs, remaining, params, rng):
-    """One batch round: sample a point pair, then one slot per prime,
-    descending.  Returns the updated curve, or None on a detected fault or
-    a kernel that runs out of repairs."""
-    primes = params.primes
+def _ct_round(fp, curve, k_clear, slots, signs, remaining, rng):
+    """One batch round: sample a point pair cleared by [k_clear], then run
+    the batch's `ct_schedule` slots in order.  Returns the updated curve, or
+    None on a detected fault or a kernel that runs out of repairs."""
     pair = _sample_pair(fp, curve, k_clear, rng)
     if pair is None:
         return None
     P_plus, P_minus, const = pair
 
-    for idx in reversed(batch):
-        l = primes[idx]
-        cof = math.prod(primes[j] for j in batch if j < idx)
+    for idx, l, cof, clear in slots:
         s = signs[idx]
         active, other = (P_plus, P_minus) if s > 0 else (P_minus, P_plus)
 
@@ -389,7 +399,6 @@ def _ct_round(fp, curve, batch, k_clear, signs, remaining, params, rng):
             if repairs > _MAX_REPAIRS:
                 return None
             side = CurveSide.CURVE if s > 0 else CurveSide.TWIST
-            clear = k_clear * math.prod(primes[j] for j in batch if j > idx)
             fresh = sample_point(fp, curve, side, rng)
             active = xmul(fp, fresh, clear, const)
             fp.rollback(mark)

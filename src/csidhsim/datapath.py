@@ -126,8 +126,6 @@ def booth_mul(x: int, y: int, width: int, mode: AluMode = AluMode.ASIC):
         raise ValueError("operand out of range")
     padded = width + 1          # zero MSB makes the operands non-negative
     n_partials = (padded + 1) // 2
-    if width == 32 and n_partials != 17:
-        raise RuntimeError("radix-4 recoding must give 17 partials")
     partials = []
     for j in range(n_partials):
         b_hi = (y >> (2 * j + 1)) & 1
@@ -135,8 +133,8 @@ def booth_mul(x: int, y: int, width: int, mode: AluMode = AluMode.ASIC):
         b_lo = (y >> (2 * j - 1)) & 1 if j > 0 else 0
         digit = b_lo + b_mid - 2 * b_hi       # in {-2..2}
         partials.append((digit * x) << (2 * j))
-    # Stage 1: reduce the first ceil(n/2)+1 partials; stage 2 adds the rest.
-    split = 9 if n_partials == 17 else (n_partials + 1) // 2
+    # Stage 1 sums the first ceil(n/2) partials; stage 2 adds the rest.
+    split = (n_partials + 1) // 2
     stage1 = sum(partials[:split])
     product = stage1 + sum(partials[split:])
     if product != x * y:

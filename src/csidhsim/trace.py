@@ -171,14 +171,6 @@ class CostTable:
     def cost(self, opcode: int, mode: str) -> int:
         return self.costs[mode][opcode]
 
-    def dump(self, path) -> None:
-        with open(path, "w") as f:
-            for mode, ops in sorted(self.costs.items()):
-                for op, cyc in sorted(ops.items()):
-                    f.write(f"{OPCODE_NAMES[op]}.{mode} = {cyc}\n")
-            for mode, ov in sorted(self.overhead.items()):
-                f.write(f"overhead.{mode} = {ov}\n")
-
     @classmethod
     def load(cls, path) -> "CostTable":
         """Read ``NAME.mode = value`` lines over the defaults.

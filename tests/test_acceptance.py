@@ -32,6 +32,7 @@ from csidhsim.isogeny import xisog
 from csidhsim.mont_curve import ProjCurve, ProjPoint
 from csidhsim.params import get_params
 from csidhsim.trace import CostTable, CycleLedger, calibrate_overhead
+from test_action import schedule_xdbladd_mont_muls, xdbladd_mont_muls
 
 TOY = get_params("toy419")
 FULL = get_params("csidh512")
@@ -436,3 +437,12 @@ def test_pinned_trace_key_and_ledger(tmp_path):
         for mode in ("fpga", "asic"):
             assert ledger.total_cycles(mode) == want["total"][mode]
             assert ledger.module_cycles(mode) == want["modules"][mode]
+
+
+def test_ct_schedule_is_the_trace_schedule_full():
+    # The cached csidh512 keygen's xDBLADD MONT_MULs match the count from
+    # `ct_schedule`: 46,451 ladder steps x 12 + 31,755 kernel-multiple
+    # steps x 6.
+    trace = full_keygen(0)[2]
+    assert xdbladd_mont_muls(trace) == schedule_xdbladd_mont_muls(FULL)
+    assert schedule_xdbladd_mont_muls(FULL) == 747_942

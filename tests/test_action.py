@@ -1,6 +1,7 @@
 """Group action, sampling, validation, and key serialization (toy-scale)."""
 
 import itertools
+import math
 import sys
 
 import pytest
@@ -15,9 +16,14 @@ from csidhsim.fp import Fp
 from csidhsim.mont_curve import (CurveSide, InfinityAffinize, ProjCurve,
                                  xtwist)
 from csidhsim.params import CsidhParams, csidh512_params, get_params
-from csidhsim.trace import OpTrace
+from csidhsim.trace import MOD_XDBLADD, OP_MONT_MUL, OpTrace
 
 TOY = get_params("toy419")
+# p = 4*3*5*...*71 - 1 is a 90-bit prime.  Its 19 primes exceed
+# BATCH_LIMIT, so the ct schedule runs two batches, and with m = 3 one prime
+# can get both real and dummy slots, which toy419 never does.
+MID90 = CsidhParams("mid90", (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41,
+                              43, 47, 53, 59, 61, 67, 71), 3)
 
 
 def ct(e, seed=b"ct"):
@@ -58,6 +64,11 @@ def test_private_key_bounds():
         PrivateKey((2, 0, 0), TOY)
     with pytest.raises(ValueError):
         PrivateKey((1, 1), TOY)
+    # Only ints: a float or a string is no exponent, even one in range.
+    for e in ((0.5, 0, 0), ("1", 0, 0)):
+        with pytest.raises(InvalidPrivateKey):
+            PrivateKey(e, TOY)
+    assert PrivateKey((True, False, 0), TOY) == PrivateKey((1, 0, 0), TOY)
 
 
 def test_private_key_roundtrip():
@@ -335,13 +346,19 @@ def test_ct_isogeny_budget_is_exactly_m(monkeypatch):
 
 
 def test_mid90_two_batches(monkeypatch):
-    # p = 4*3*5*...*71 - 1 is a 90-bit prime.  Its 19 primes exceed
-    # BATCH_LIMIT, so the ct schedule runs two batches, and with m = 3 one
-    # prime can get both real and dummy slots, which toy419 never does.
-    mid = CsidhParams("mid90", (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41,
-                                43, 47, 53, 59, 61, 67, 71), 3)
-    assert mid.n > action.BATCH_LIMIT
-    assert (mid.p.bit_length(), mid.n_words) == (90, 3)
+    assert MID90.n > action.BATCH_LIMIT
+    assert (MID90.p.bit_length(), MID90.n_words) == (90, 3)
+    # Consecutive batches, each in descending l; cof * l * clear and
+    # k_clear * the batch's primes are both p + 1.
+    schedule = action.ct_schedule(MID90)
+    assert [len(slots) for _, slots in schedule] == [16, 3]
+    assert [idx for _, slots in schedule for idx, *_ in slots] == [
+        *range(15, -1, -1), 18, 17, 16]
+    for k_clear, slots in schedule:
+        for idx, l, cof, clear in slots:
+            assert l == MID90.primes[idx]
+            assert cof * l * clear == MID90.p + 1
+        assert k_clear * math.prod(l for _, l, _, _ in slots) == MID90.p + 1
     calls = []
     real_xisog = action.xisog
 
@@ -352,17 +369,53 @@ def test_mid90_two_batches(monkeypatch):
     monkeypatch.setattr(action, "xisog", counting)
     traces = set()
     for i in range(10):
-        sk = random_private_key(mid, make_rng(b"mid90-sk-%d" % i))
+        sk = random_private_key(MID90, make_rng(b"mid90-sk-%d" % i))
         calls.clear()
-        pk, ok, trace = action.group_action_ct(PublicKey(0), sk, mid,
+        pk, ok, trace = action.group_action_ct(PublicKey(0), sk, MID90,
                                                make_rng(b"mid90-ct-%d" % i))
         assert ok
-        assert all(calls.count(l) == mid.m for l in mid.primes)
+        assert all(calls.count(l) == MID90.m for l in MID90.primes)
         traces.add(bytes(trace.buf))
         vt_pk, ok = action.group_action_vartime(
-            PublicKey(0), sk, mid, make_rng(b"mid90-vt-%d" % i))
+            PublicKey(0), sk, MID90, make_rng(b"mid90-vt-%d" % i))
         assert ok and vt_pk == pk
     assert [len(t) for t in traces] == [89_788]
+
+
+def schedule_xdbladd_mont_muls(params):
+    """xDBLADD-tagged MONT_MULs of a recorded ct action, counted from
+    `ct_schedule`: 12 per ladder step and 6 per kernel-multiple step.
+
+    Each round ladders its pair by k_clear, then each slot ladders its
+    cofactor, [l]K in `xisog` and [l] of both points; `xisog` takes
+    (l - 1)/2 - 1 xDBL/xADD steps for its kernel multiples.  The final
+    check ladders [p + 1].  Rolled-back repairs leave no op.
+    """
+    def bl(k):
+        return max(k.bit_length(), 1)
+
+    ladder, multiples = bl(params.p + 1), 0
+    for k_clear, slots in action.ct_schedule(params):
+        ladder += params.m * (2 * bl(k_clear) + sum(
+            bl(cof) + 3 * bl(l) for _, l, cof, _ in slots))
+        multiples += params.m * sum(max((l - 1) // 2 - 1, 0)
+                                    for _, l, _, _ in slots)
+    return 12 * ladder + 6 * multiples
+
+
+def xdbladd_mont_muls(trace):
+    return trace.buf.count((MOD_XDBLADD << 3) | OP_MONT_MUL)
+
+
+@pytest.mark.parametrize("params, want", [(TOY, 570), (MID90, 40_068)],
+                         ids=["toy419", "mid90"])
+def test_ct_schedule_is_the_trace_schedule(params, want):
+    sk = random_private_key(params, make_rng(b"schedule-sk"))
+    _, ok, trace = action.group_action_ct(PublicKey(0), sk, params,
+                                          make_rng(b"schedule"))
+    assert ok
+    assert xdbladd_mont_muls(trace) == schedule_xdbladd_mont_muls(params)
+    assert schedule_xdbladd_mont_muls(params) == want
 
 
 def test_ct_trace_differs_from_vartime():

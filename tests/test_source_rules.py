@@ -110,3 +110,17 @@ def test_oracle_keeps_no_state_across_calls():
                   and isinstance(node.func, ast.Name)
                   and node.func.id in ("dict", "list", "set"))]
     assert found == []
+
+
+def test_ct_loops_compute_no_cofactor():
+    # The ct loops take every cofactor and clearing scalar from
+    # `ct_schedule`, so the schedule stays their one source.
+    tree = ast.parse((SRC / "action.py").read_text())
+    funcs = {node.name: node for node in tree.body
+             if isinstance(node, ast.FunctionDef)}
+    found = [f"action.py:{call.lineno} {ast.unparse(call)}"
+             for name in ("group_action_ct", "_ct_round")
+             for call in ast.walk(funcs[name])
+             if isinstance(call, ast.Call)
+             and ast.unparse(call.func) in ("math.prod", "prod")]
+    assert found == []

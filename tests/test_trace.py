@@ -153,14 +153,16 @@ def test_replay_reprices_identically(tmp_path):
 
 
 def test_cost_table_roundtrip(tmp_path):
-    table = CostTable()
-    table.costs["fpga"][OP_MONT_MUL] = 90
-    table.overhead["fpga"] = 1.25
+    # A table written in README's `NAME.mode = value` format loads back
+    # over the defaults.
     path = tmp_path / "costs.cfg"
-    table.dump(path)
+    path.write_text("MONT_MUL.fpga = 90\noverhead.fpga = 1.25\n")
     loaded = CostTable.load(path)
     assert loaded.cost(OP_MONT_MUL, "fpga") == 90
     assert loaded.overhead["fpga"] == 1.25
+    loaded.costs["fpga"][OP_MONT_MUL] = CostTable().costs["fpga"][OP_MONT_MUL]
+    loaded.overhead["fpga"] = 0.0
+    assert loaded == CostTable()
 
 
 def test_overhead_affects_total():
