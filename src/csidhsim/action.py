@@ -1,6 +1,8 @@
 """The CSIDH class-group action and key exchange.
 
-Two evaluation paths are provided:
+Two evaluation paths are provided.  Both take ``(pk, sk, rng, record=True)``,
+act over the parameter set ``sk.params`` and return ``(PublicKey or None,
+ok, OpTrace)``; the trace is empty when ``record`` is false.
 
 * :func:`group_action_vartime` -- the straightforward batched algorithm:
   process positive exponents on the curve side, negative ones on the
@@ -145,6 +147,7 @@ class PrivateKey:
     params: CsidhParams
 
     def __post_init__(self):
+        object.__setattr__(self, "exponents", tuple(self.exponents))
         if len(self.exponents) != self.params.n:
             raise InvalidPrivateKey("exponent vector has wrong length")
         if not all(isinstance(e, int) for e in self.exponents):
@@ -165,7 +168,7 @@ class PrivateKey:
         return cls(exps, params)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PublicKey:
     """Affine Montgomery coefficient (standard domain)."""
 
@@ -223,14 +226,15 @@ def sample_point(fp: Fp, curve: ProjCurve, side: CurveSide,
 
 # --- variable-time action (the reference batched algorithm) ---------------
 
-def group_action_vartime(pk: PublicKey, sk: PrivateKey, params: CsidhParams,
-                         rng: Drbg, trace: OpTrace | None = None):
-    """Batched variable-time evaluation; returns (PublicKey or None, ok)."""
-    fp = Fp(params, trace)
+def group_action_vartime(pk: PublicKey, sk: PrivateKey, rng: Drbg,
+                         record: bool = True):
+    """Batched variable-time evaluation; contract as `group_action_ct`."""
+    params = sk.params
+    trace = OpTrace()
+    fp = Fp(params, trace if record else None)
     if not validate_basic(pk.A, params):
-        return None, False
-    primes = params.primes
-    n = params.n
+        return None, False, trace
+    primes, n = params.primes, params.n
     e = list(sk.exponents)
     curve = ProjCurve(fp.to_mont(pk.A), fp.one)
 
@@ -257,28 +261,27 @@ def group_action_vartime(pk: PublicKey, sk: PrivateKey, params: CsidhParams,
                     continue   # P lacked this torsion; prime stays pending
                 curve, images, fault = xisog(fp, curve, [P], K, primes[idx])
                 if fault:
-                    return None, False
+                    return None, False, trace
                 P = images[0]
                 const = curve_constants(fp, curve)
                 e[idx] += 1 if twist else -1
             # next while-iteration draws a fresh point
 
-    if not _validate_working_curve(fp, curve, params, rng):
-        return None, False
-    return PublicKey(affinize(fp, curve)), True
+    if not _validate_working_curve(fp, curve, rng):
+        return None, False, trace
+    return PublicKey(affinize(fp, curve)), True, trace
 
 
-def _validate_working_curve(fp: Fp, curve: ProjCurve, params: CsidhParams,
-                            rng: Drbg) -> bool:
+def _validate_working_curve(fp: Fp, curve: ProjCurve, rng: Drbg) -> bool:
     """Order sanity check on the projective working curve: [p+1]P = O for a
     random point (any side; both have order p+1 iff supersingular)."""
     fp.set_module(MOD_CSIDH)
     x = 0
     while x == 0:
-        x = rng.below(params.p)
+        x = rng.below(fp.p)
     P = ProjPoint(fp.to_mont(x), fp.one)
     const = curve_constants(fp, curve)
-    return is_infinity(xmul(fp, P, params.p + 1, const))
+    return is_infinity(xmul(fp, P, fp.p + 1, const))
 
 
 # --- constant-time action --------------------------------------------------
@@ -303,9 +306,9 @@ def ct_schedule(params: CsidhParams):
     return tuple(schedule)
 
 
-def group_action_ct(pk: PublicKey, sk: PrivateKey, params: CsidhParams,
-                    rng: Drbg, record: bool = True):
-    """Dummy-isogeny constant-time evaluation.
+def group_action_ct(pk: PublicKey, sk: PrivateKey, rng: Drbg,
+                    record: bool = True):
+    """Dummy-isogeny constant-time evaluation of [sk]pk over `sk.params`.
 
     Returns (PublicKey, success, OpTrace); the key is None on failure.  The
     trace is byte-identical across private keys of the same parameter set:
@@ -315,6 +318,7 @@ def group_action_ct(pk: PublicKey, sk: PrivateKey, params: CsidhParams,
     differs.  With `record` false the action runs on an untraced Fp, with
     the same arithmetic and DRBG draws, and the trace stays empty.
     """
+    params = sk.params
     trace = OpTrace()
     fp = Fp(params, trace if record else None)
     if not validate_basic(pk.A, params):
@@ -337,7 +341,7 @@ def group_action_ct(pk: PublicKey, sk: PrivateKey, params: CsidhParams,
 
     if any(remaining):
         raise RuntimeError("ct schedule left isogenies unapplied")
-    if not _validate_working_curve(fp, curve, params, rng):
+    if not _validate_working_curve(fp, curve, rng):
         return None, False, trace
     return PublicKey(affinize(fp, curve)), True, trace
 
@@ -431,8 +435,7 @@ def validate_pk(A: int, params: CsidhParams, rng: Drbg) -> bool:
     if not validate_basic(A, params):
         return False
     fp = Fp(params)
-    return _validate_working_curve(fp, ProjCurve(fp.to_mont(A), fp.one),
-                                   params, rng)
+    return _validate_working_curve(fp, ProjCurve(fp.to_mont(A), fp.one), rng)
 
 
 def run_action(pk: PublicKey, sk: PrivateKey, params: CsidhParams,
@@ -441,18 +444,16 @@ def run_action(pk: PublicKey, sk: PrivateKey, params: CsidhParams,
     """[sk]pk on the path `config` selects; raises FaultDetected on failure.
 
     Returns (PublicKey, OpTrace or None): the action's operation trace when
-    `record`, else None, on either path.  Recording changes no value and no
-    DRBG draw.  A key for another parameter set raises InvalidPrivateKey.
+    `record`, else None.  Recording changes no value and no DRBG draw.  The
+    actions read the set from the key; one not for `params` raises
+    InvalidPrivateKey.
     """
     if sk.params != params:
         raise InvalidPrivateKey(
             f"key is for {sk.params.name}, not {params.name}")
-    config = config or ActionConfig()
-    if config.constant_time:
-        out, ok, trace = group_action_ct(pk, sk, params, rng, record)
-    else:
-        trace = OpTrace() if record else None
-        out, ok = group_action_vartime(pk, sk, params, rng, trace)
+    constant_time = (config or ActionConfig()).constant_time
+    act = group_action_ct if constant_time else group_action_vartime
+    out, ok, trace = act(pk, sk, rng, record)
     if not ok:
         raise FaultDetected("group action failed its self-check")
     return out, trace if record else None
@@ -487,11 +488,9 @@ def estimate_keygen(params: CsidhParams,
                     cost_table: CostTable | None = None) -> CycleLedger:
     """Price the constant-time keygen trace of `params`.
 
-    The trace is the same for every key and seed, so this runs the zero key
-    under one fixed seed.  Always the constant-time path: only it records
-    the trace the cycle model prices.
+    The trace is the same for every key and seed, so this prices the
+    constant-time `keygen` of the zero key under one fixed seed.
     """
     sk = PrivateKey((0,) * params.n, params)
-    _, trace = run_action(PublicKey(0), sk, params, make_rng(b"estimate"),
-                          record=True)
+    _, trace = keygen(sk, params, make_rng(b"estimate"))
     return CycleLedger(trace, cost_table)

@@ -97,7 +97,7 @@ def _full_keygen_trial(i):
     rng = make_rng(b"acceptance-sk-%d" % i)
     sk = random_private_key(FULL, rng)
     pk, ok, trace = action.group_action_ct(
-        PublicKey(0), sk, FULL, make_rng(b"acceptance-shared-seed"))
+        PublicKey(0), sk, make_rng(b"acceptance-shared-seed"))
     assert ok
     return sk, pk, trace
 
@@ -217,10 +217,10 @@ def test_criterion_05_action_path_equivalence():
     for e in itertools.product((-1, 0, 1), repeat=3):
         sk = PrivateKey(e, TOY)
         ref = orc.brute_group_action(0, e, TOY.primes, TOY.p)
-        pkv, okv = action.group_action_vartime(
-            PublicKey(0), sk, TOY, make_rng(b"v" + bytes(8)))
+        pkv, okv, _ = action.group_action_vartime(
+            PublicKey(0), sk, make_rng(b"v" + bytes(8)))
         pkc, okc, _ = action.group_action_ct(
-            PublicKey(0), sk, TOY, make_rng(b"c" + bytes(8)))
+            PublicKey(0), sk, make_rng(b"c" + bytes(8)))
         assert okv and okc
         assert pkv.A == ref and pkc.A == ref
 
@@ -278,7 +278,7 @@ def test_criterion_07_trace_invariance(monkeypatch, tmp_path):
               tuple((-1) ** i * (i % 6) for i in range(FULL.n))):
         calls.clear()
         _, ok, _ = action.group_action_ct(
-            PublicKey(0), PrivateKey(e, FULL), FULL, make_rng(b"budget"))
+            PublicKey(0), PrivateKey(e, FULL), make_rng(b"budget"))
         assert ok
         assert all(calls.count(l) == FULL.m for l in FULL.primes)
 
@@ -319,8 +319,8 @@ def test_criterion_10_validation():
     rng = make_rng(b"honest")
     for i in range(100):
         sk = random_private_key(TOY, rng)
-        pk, ok = action.group_action_vartime(PublicKey(0), sk, TOY,
-                                             make_rng(b"h%d" % i))
+        pk, ok, _ = action.group_action_vartime(PublicKey(0), sk,
+                                                make_rng(b"h%d" % i))
         assert ok and validate_pk(pk.A, TOY, make_rng(b"w%d" % i))
     for i in range(3):   # full-size honest keys from the shared cache
         assert validate_pk(full_keygen(i)[1].A, FULL, make_rng(b"f%d" % i))
@@ -423,7 +423,7 @@ def test_pinned_trace_key_and_ledger(tmp_path):
     runs = {"csidh512": (pk, trace)}
     sk = random_private_key(TOY, make_rng(b"acceptance-sk-0"))
     pk, ok, trace = action.group_action_ct(
-        PublicKey(0), sk, TOY, make_rng(b"acceptance-shared-seed"))
+        PublicKey(0), sk, make_rng(b"acceptance-shared-seed"))
     assert ok
     runs["toy419"] = (pk, trace)
     for name, (pk, trace) in runs.items():

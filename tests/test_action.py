@@ -1,5 +1,6 @@
 """Group action, sampling, validation, and key serialization (toy-scale)."""
 
+import inspect
 import itertools
 import math
 import sys
@@ -28,16 +29,14 @@ MID90 = CsidhParams("mid90", (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41,
 
 def ct(e, seed=b"ct"):
     sk = PrivateKey(e, TOY)
-    pk, ok, trace = action.group_action_ct(PublicKey(0), sk, TOY,
-                                           make_rng(seed))
+    pk, ok, trace = action.group_action_ct(PublicKey(0), sk, make_rng(seed))
     assert ok
     return pk.A, trace
 
 
 def vt(e, seed=b"vt"):
     sk = PrivateKey(e, TOY)
-    pk, ok = action.group_action_vartime(PublicKey(0), sk, TOY,
-                                         make_rng(seed))
+    pk, ok, _ = action.group_action_vartime(PublicKey(0), sk, make_rng(seed))
     assert ok
     return pk.A
 
@@ -78,6 +77,12 @@ def test_private_key_roundtrip():
     assert PrivateKey.from_bytes(raw) == sk
     with pytest.raises(ValueError):
         PrivateKey.from_bytes(b"NOTAKEY1" + raw[8:])
+    # A key is a value: a list or a generator of the same exponents makes
+    # an equal, hashable key.
+    for same in (PrivateKey([-1, 0, 1], TOY),
+                 PrivateKey((e for e in (-1, 0, 1)), TOY)):
+        assert same == sk and hash(same) == hash(sk)
+        assert same.to_bytes() == raw
 
 
 def test_public_key_roundtrip():
@@ -86,6 +91,7 @@ def test_public_key_roundtrip():
     assert raw[:8] == b"CSIDHPK1" and len(raw) == 8 + 1 + TOY.byte_length
     got, params = PublicKey.from_bytes(raw)
     assert got.A == 390 and params is TOY
+    assert got == pk and hash(got) == hash(pk)
     bad = raw[:9] + (TOY.p).to_bytes(TOY.byte_length, "little")
     with pytest.raises(ValueError):
         PublicKey.from_bytes(bad)
@@ -219,7 +225,7 @@ def test_ct_repair_resamples_only_the_active_point(monkeypatch):
     monkeypatch.setattr(action, "_sample_pair", spy_pair)
     monkeypatch.setattr(action, "xisog", spy_isog)
     sk = random_private_key(TOY, make_rng(b"acceptance-sk-0"))
-    pk, ok, _ = action.group_action_ct(PublicKey(0), sk, TOY,
+    pk, ok, _ = action.group_action_ct(PublicKey(0), sk,
                                        make_rng(b"acceptance-shared-seed"))
     assert ok and pk.A == 6
 
@@ -263,7 +269,7 @@ def test_xtwist_runs_once_per_pair_point(monkeypatch):
     monkeypatch.setattr(action, "_sample_pair", spy_pair)
     monkeypatch.setattr(action, "_kernel_ok", spy_kernel_ok)
     sk = random_private_key(TOY, make_rng(b"acceptance-sk-0"))
-    pk, ok, _ = action.group_action_ct(PublicKey(0), sk, TOY,
+    pk, ok, _ = action.group_action_ct(PublicKey(0), sk,
                                        make_rng(b"acceptance-shared-seed"))
     assert ok and pk.A == 6
     assert calls["repair"] >= 1 and calls["pair"] >= 1
@@ -271,8 +277,8 @@ def test_xtwist_runs_once_per_pair_point(monkeypatch):
     assert calls["xtwist"] == 2 * calls["pair"]
 
     calls["xtwist"] = 0
-    pk, ok = action.group_action_vartime(PublicKey(0), sk, TOY,
-                                         make_rng(b"acceptance-shared-seed"))
+    pk, ok, _ = action.group_action_vartime(
+        PublicKey(0), sk, make_rng(b"acceptance-shared-seed"))
     assert ok and pk.A == 6
     assert calls["xtwist"] == 0
 
@@ -294,9 +300,9 @@ def test_traced_classification_disagreeing_with_screen_faults(monkeypatch):
 def test_identity_action_fixes_keys():
     for A0 in (0, 6, 158):
         sk = PrivateKey((0, 0, 0), TOY)
-        pkv, okv = action.group_action_vartime(PublicKey(A0), sk, TOY,
-                                               make_rng(b"i"))
-        pkc, okc, _ = action.group_action_ct(PublicKey(A0), sk, TOY,
+        pkv, okv, _ = action.group_action_vartime(PublicKey(A0), sk,
+                                                  make_rng(b"i"))
+        pkc, okc, _ = action.group_action_ct(PublicKey(A0), sk,
                                              make_rng(b"i"))
         assert okv and okc and pkv.A == pkc.A == A0
 
@@ -313,18 +319,18 @@ def test_action_composition_commutes():
     total = tuple(a + b for a, b in zip(e1, e2))
     mid = vt(e1)
     sk2 = PrivateKey(e2, TOY)
-    end, ok = action.group_action_vartime(PublicKey(mid), sk2, TOY,
-                                          make_rng(b"c"))
+    end, ok, _ = action.group_action_vartime(PublicKey(mid), sk2,
+                                             make_rng(b"c"))
     assert ok
     assert end.A == orc.brute_group_action(0, total, TOY.primes, TOY.p)
 
 
 def test_invalid_input_returns_failure():
     sk = PrivateKey((1, 0, 0), TOY)
-    key, ok = action.group_action_vartime(PublicKey(2), sk, TOY,
-                                          make_rng(b"x"))
+    key, ok, _ = action.group_action_vartime(PublicKey(2), sk,
+                                             make_rng(b"x"))
     assert (key, ok) == (None, False)
-    key, ok, _ = action.group_action_ct(PublicKey(TOY.p - 2), sk, TOY,
+    key, ok, _ = action.group_action_ct(PublicKey(TOY.p - 2), sk,
                                         make_rng(b"x"))
     assert (key, ok) == (None, False)
 
@@ -371,13 +377,13 @@ def test_mid90_two_batches(monkeypatch):
     for i in range(10):
         sk = random_private_key(MID90, make_rng(b"mid90-sk-%d" % i))
         calls.clear()
-        pk, ok, trace = action.group_action_ct(PublicKey(0), sk, MID90,
+        pk, ok, trace = action.group_action_ct(PublicKey(0), sk,
                                                make_rng(b"mid90-ct-%d" % i))
         assert ok
         assert all(calls.count(l) == MID90.m for l in MID90.primes)
         traces.add(bytes(trace.buf))
-        vt_pk, ok = action.group_action_vartime(
-            PublicKey(0), sk, MID90, make_rng(b"mid90-vt-%d" % i))
+        vt_pk, ok, _ = action.group_action_vartime(
+            PublicKey(0), sk, make_rng(b"mid90-vt-%d" % i))
         assert ok and vt_pk == pk
     assert [len(t) for t in traces] == [89_788]
 
@@ -411,20 +417,36 @@ def xdbladd_mont_muls(trace):
                          ids=["toy419", "mid90"])
 def test_ct_schedule_is_the_trace_schedule(params, want):
     sk = random_private_key(params, make_rng(b"schedule-sk"))
-    _, ok, trace = action.group_action_ct(PublicKey(0), sk, params,
+    _, ok, trace = action.group_action_ct(PublicKey(0), sk,
                                           make_rng(b"schedule"))
     assert ok
     assert xdbladd_mont_muls(trace) == schedule_xdbladd_mont_muls(params)
     assert schedule_xdbladd_mont_muls(params) == want
 
 
+@pytest.mark.parametrize("act", [action.group_action_ct,
+                                 action.group_action_vartime],
+                         ids=["ct", "vartime"])
+def test_group_actions_share_one_contract(act):
+    # Both take (pk, sk, rng, record=True), read the set from the key and
+    # return (key, ok, trace); recording changes no value and no DRBG draw.
+    assert inspect.signature(action.group_action_ct) == inspect.signature(
+        action.group_action_vartime)
+    sig = inspect.signature(act)
+    assert list(sig.parameters) == ["pk", "sk", "rng", "record"]
+    assert sig.parameters["record"].default is True
+    for i, e in enumerate(itertools.product((-1, 0, 1), repeat=3)):
+        sk, seed = PrivateKey(e, TOY), b"contract-%d" % i
+        pk, ok, trace = act(PublicKey(0), sk, make_rng(seed))
+        assert ok and len(trace) > 0
+        assert act(PublicKey(0), sk, make_rng(seed), record=False) == (
+            pk, ok, OpTrace())
+
+
 def test_ct_trace_differs_from_vartime():
-    from csidhsim.trace import OpTrace
     sk = PrivateKey((1, 0, -1), TOY)
-    t = OpTrace()
-    action.group_action_vartime(PublicKey(0), sk, TOY, make_rng(b"v"),
-                                trace=t)
-    _, _, tc = action.group_action_ct(PublicKey(0), sk, TOY, make_rng(b"v"))
+    _, _, t = action.group_action_vartime(PublicKey(0), sk, make_rng(b"v"))
+    _, _, tc = action.group_action_ct(PublicKey(0), sk, make_rng(b"v"))
     assert bytes(t.buf) != bytes(tc.buf)
 
 
@@ -500,7 +522,7 @@ def test_shared_secret_is_the_traced_action_untraced(monkeypatch):
         sk, seed = PrivateKey(e, TOY), b"ss-%d" % i
         rng = make_rng(seed)
         assert validate_pk(peer.A, TOY, rng)
-        pk, ok, trace = real_ct(peer, sk, TOY, rng)
+        pk, ok, trace = real_ct(peer, sk, rng)
         assert ok and len(trace) > 0
         monkeypatch.setattr(action, "group_action_ct", capture)
         secret = shared_secret(sk, peer, TOY, make_rng(seed))

@@ -9,7 +9,7 @@ import importlib.util
 from pathlib import Path
 
 from csidhsim import action, isogeny, mont_curve, params
-from csidhsim.action import make_rng, random_private_key
+from csidhsim.action import ActionConfig, make_rng, random_private_key
 from csidhsim.params import get_params
 
 TOY = get_params("toy419")
@@ -48,6 +48,30 @@ def test_tracer_hooks_count_the_pinned_keygen():
     assert (action.keygen, action.shared_secret, action.group_action_ct,
             action._kernel_ok, action.xmul, isogeny.xmul,
             mont_curve.xdbladd) == originals
+
+
+def test_tracer_hooks_count_the_vartime_exchange():
+    # The vartime-exchange workload's path: both actions are the vartime
+    # one, and it hands the trace.ops hook nothing to count.
+    originals = (action.keygen, action.shared_secret,
+                 action.group_action_ct, action.group_action_vartime)
+    cfg = ActionConfig(constant_time=False)
+    tracer = _load_layers().Tracer()
+    tracer.install()
+    try:
+        sk = random_private_key(TOY, make_rng(b"acceptance-sk-0"))
+        pk, trace = action.keygen(sk, TOY,
+                                  make_rng(b"acceptance-shared-seed"), cfg)
+        action.shared_secret(sk, pk, TOY, make_rng(b"dh"), cfg)
+    finally:
+        tracer.uninstall()
+    assert pk.A == 6 and trace is None
+    counts = tracer.counts
+    assert counts["group_action_vartime"] == 2
+    assert counts["group_action_ct"] == 0
+    assert counts["trace.ops"] == 0
+    assert (action.keygen, action.shared_secret, action.group_action_ct,
+            action.group_action_vartime) == originals
 
 
 def test_csidh512_params_builds_a_fresh_set():

@@ -22,8 +22,7 @@ TOY = get_params("toy419")
 
 def toy_trace(e=(1, 0, -1), seed=b"t"):
     sk = PrivateKey(e, TOY)
-    _, ok, trace = action.group_action_ct(PublicKey(0), sk, TOY,
-                                          make_rng(seed))
+    _, ok, trace = action.group_action_ct(PublicKey(0), sk, make_rng(seed))
     assert ok
     return trace
 
