@@ -438,19 +438,22 @@ def validate_pk(A: int, params: CsidhParams, rng: Drbg) -> bool:
     return _validate_working_curve(fp, ProjCurve(fp.to_mont(A), fp.one), rng)
 
 
+def _check_key_params(sk: PrivateKey, params: CsidhParams) -> None:
+    if sk.params != params:
+        raise InvalidPrivateKey(
+            f"key is for {sk.params.name}, not {params.name}")
+
+
 def run_action(pk: PublicKey, sk: PrivateKey, params: CsidhParams,
                rng: Drbg, config: ActionConfig | None = None,
                record: bool = False):
     """[sk]pk on the path `config` selects; raises FaultDetected on failure.
 
     Returns (PublicKey, OpTrace or None): the action's operation trace when
-    `record`, else None.  Recording changes no value and no DRBG draw.  The
-    actions read the set from the key; one not for `params` raises
-    InvalidPrivateKey.
+    `record`, else None.  Recording changes no value and no DRBG draw.  A
+    key for another set raises InvalidPrivateKey.
     """
-    if sk.params != params:
-        raise InvalidPrivateKey(
-            f"key is for {sk.params.name}, not {params.name}")
+    _check_key_params(sk, params)
     constant_time = (config or ActionConfig()).constant_time
     act = group_action_ct if constant_time else group_action_vartime
     out, ok, trace = act(pk, sk, rng, record)
@@ -476,8 +479,10 @@ def shared_secret(sk: PrivateKey, peer: PublicKey, params: CsidhParams,
                   ) -> FieldElement:
     """Affine coefficient of [sk]E_peer, after validating the peer key.
 
+    A key for another set raises InvalidPrivateKey before any validation.
     Records no trace: nothing prices the action on a peer's curve.
     """
+    _check_key_params(sk, params)
     if not validate_pk(peer.A, params, rng):
         raise InvalidPeerKey("peer public key failed validation")
     out, _ = run_action(peer, sk, params, rng, config)

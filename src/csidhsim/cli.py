@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Subcommands, each taking only the flags it reads:
+Subcommands, each taking only the flags it reads; each runs the
+constant-time action, except ``trace --vartime``:
 
 * ``keygen`` -- sample a private key, derive the public key, write both.
 * ``dh``     -- derive the shared secret from a private key and a peer key,
@@ -47,8 +48,6 @@ def _build_parser() -> argparse.ArgumentParser:
     seeded = argparse.ArgumentParser(add_help=False)
     seeded.add_argument("--seed", metavar="HEX", type=bytes.fromhex,
                         help="deterministic seed for all randomness")
-    seeded.add_argument("--vartime", action="store_true",
-                        help="use the variable-time action (not constant-time)")
     parser = argparse.ArgumentParser(
         prog="csidhsim",
         description="CSIDH key exchange over a cycle-accounted datapath model")
@@ -75,22 +74,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("trace", parents=[params, seeded],
                        help="export a key-generation operation trace")
+    p.add_argument("--vartime", action="store_true",
+                   help="trace the variable-time action (key-dependent)")
     p.add_argument("--out", required=True, metavar="PATH",
                    help="trace output file (opcode<TAB>module lines)")
 
     return parser
 
 
-def _config(args) -> action.ActionConfig:
-    return action.ActionConfig(constant_time=not args.vartime)
-
-
 def cmd_keygen(args) -> int:
     params = get_params(args.params)
     rng = action.make_rng(args.seed)
     sk = action.random_private_key(params, rng)
-    pk, _ = action.run_action(action.PublicKey(0), sk, params, rng,
-                              _config(args))
+    pk, _ = action.run_action(action.PublicKey(0), sk, params, rng)
     Path(args.out + ".sk").write_bytes(sk.to_bytes())
     Path(args.out + ".pk").write_bytes(pk.to_bytes(params))
     print(pk.A.to_bytes(params.byte_length, "little").hex())
@@ -106,7 +102,7 @@ def cmd_dh(args) -> int:
     if peer_params != sk.params:
         raise action.InvalidPeerKey(
             f"key is for {peer_params.name}, private key for {sk.params.name}")
-    secret = action.shared_secret(sk, peer, sk.params, rng, _config(args))
+    secret = action.shared_secret(sk, peer, sk.params, rng)
     raw = secret.to_bytes()
     if args.out:
         Path(args.out).write_bytes(raw)
@@ -141,8 +137,9 @@ def cmd_trace(args) -> int:
     params = get_params(args.params)
     rng = action.make_rng(args.seed)
     sk = action.random_private_key(params, rng)
+    config = action.ActionConfig(constant_time=not args.vartime)
     _, trace = action.run_action(action.PublicKey(0), sk, params, rng,
-                                 _config(args), record=True)
+                                 config, record=True)
     trace.dump(args.out)
     print(f"{len(trace)} operations -> {args.out}")
     return 0

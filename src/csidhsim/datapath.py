@@ -3,15 +3,16 @@
 Each operation returns the exact arithmetic result (bit-identical to the
 ``fp`` module) together with a deterministic :class:`CycleCost`.  Cycle
 costs are functions of (operation, ALU mode, width) only -- never of
-operand values.  The carry-select, wide-multiply and Montgomery-multiply
-latencies are imported from :mod:`csidhsim.trace`, whose default cost table
-is derived from the same constants, so the datapath model and the cycle
-ledger cannot disagree.
+operand values.  The carry-select, Booth, wide-multiply and
+Montgomery-multiply latencies are imported from :mod:`csidhsim.trace`,
+whose default cost table is derived from the same constants, so the
+datapath model and the cycle ledger cannot disagree.
 
 Modeling granularity is the pipeline phase: per-phase values are computed
-the way the hardware's register structure implies (dual-path sums per
-32-bit chunk, 17 Booth partial products, up/down accumulator batches),
-but no gate-level timing is modeled.
+the way the hardware's register structure implies (dual-path sums per 32-bit
+chunk, up/down accumulator batches), but no gate-level timing is modeled.
+The Booth core `booth_mul` is modelled, and checked against x*y, on its own;
+`mul_wide` forms its 32x32 chunk products exactly, without it.
 
 Where the cells run: `_add32cs` is the one carry-select cell and
 `_sub32cs` the one borrow-select cell.  `csel_add` / `csel_sub` chain one
@@ -32,8 +33,8 @@ from enum import Enum
 
 from .fp import int_to_words, words_to_int
 from .params import WORD_BITS, CsidhParams
-from .trace import (CSEL_CYCLES, DEFAULT_COSTS, MONT_MUL_CYCLES,
-                    MUL_WIDE_CYCLES, OP_MONT_REDUCE)
+from .trace import (BOOTH_CYCLES, CSEL_CYCLES, DEFAULT_COSTS,
+                    MONT_MUL_CYCLES, MUL_WIDE_CYCLES, OP_MONT_REDUCE)
 
 
 class AluMode(Enum):
@@ -53,13 +54,10 @@ class CycleCost:
             raise ValueError("cycle cost must be non-negative")
 
 
-# Booth-core latency; datapath-only, since the ledger has no Booth opcode.
-BOOTH_CYCLES = {AluMode.FPGA: 1, AluMode.ASIC: 2}
-
 # The fixed cost of each operation, built once.  MONT_REDUCE is priced as
 # the ledger prices it: the Montgomery multiply without its first mul_wide.
 _CSEL_COST = CycleCost(CSEL_CYCLES)
-_BOOTH_COST = {m: CycleCost(BOOTH_CYCLES[m]) for m in AluMode}
+_BOOTH_COST = {m: CycleCost(BOOTH_CYCLES[m.value]) for m in AluMode}
 _MUL_WIDE_COST = {m: CycleCost(MUL_WIDE_CYCLES[m.value]) for m in AluMode}
 _MONT_MUL_COST = {m: CycleCost(MONT_MUL_CYCLES[m.value]) for m in AluMode}
 _MONT_REDUCE_COST = {m: CycleCost(DEFAULT_COSTS[m.value][OP_MONT_REDUCE])
@@ -143,7 +141,7 @@ def booth_mul(x: int, y: int, width: int, mode: AluMode = AluMode.ASIC):
 
 
 def booth_mul32(x: int, y: int, mode: AluMode = AluMode.ASIC):
-    """32x32 -> 64-bit Booth multiply: 2 cycles ASIC, 1 cycle FPGA."""
+    """32x32 -> 64-bit Booth multiply; costs ``BOOTH_CYCLES`` for the mode."""
     return booth_mul(x, y, WORD_BITS, mode)
 
 

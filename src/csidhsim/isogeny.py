@@ -81,7 +81,6 @@ def xisog(fp: Fp, curve: ProjCurve, points, K: ProjPoint, l: int):
             eval_plus[j] = fp.mul(eval_plus[j], fp.add(t0, t1))
             eval_minus[j] = fp.mul(eval_minus[j], fp.sub(t0, t1))
 
-    fp.set_module(MOD_XISOG)
     images = []
     for P, ep, em in zip(points, eval_plus, eval_minus):
         images.append(ProjPoint(fp.mul(P.X, fp.mul(ep, ep)),

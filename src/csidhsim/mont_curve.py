@@ -16,7 +16,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .fp import Fp, jacobi
-from .trace import MOD_XAFFINIZE, MOD_XDBLADD, MOD_XMUL, MOD_XTWIST
+from .trace import MOD_XAFFINIZE, MOD_XDBLADD, MOD_XTWIST
 
 
 class InfinityAffinize(ZeroDivisionError):
@@ -121,7 +121,6 @@ def xmul(fp: Fp, P: ProjPoint, k: int, const: CurveConstants) -> ProjPoint:
     ladders it because sampling rejects x = 0 and cofactor clearing removes
     the even part.
     """
-    fp.set_module(MOD_XMUL)
     r0 = ProjPoint(fp.one, 0)          # point at infinity
     r1 = P
     for i in reversed(range(max(k.bit_length(), 1))):

@@ -128,6 +128,7 @@ class OpTrace:
 # returns these as its CycleCosts, and the ledger's default costs are derived
 # from them below, so each figure is written down exactly once.
 CSEL_CYCLES = 2              # two-stage pipelined carry-select adder pass
+BOOTH_CYCLES = {"fpga": 1, "asic": 2}   # 32x32 Booth core; no opcode
 MUL_WIDE_CYCLES = {"fpga": 22, "asic": 23}
 # The ASIC Montgomery multiply runs the two-cycle Booth cores: one extra
 # cycle per wide multiply on the REDC path, calibrated against the

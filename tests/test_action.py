@@ -544,9 +544,14 @@ def test_shared_secret_rejects_invalid_peer():
 
 
 @pytest.mark.parametrize("constant_time", [True, False])
-def test_private_key_for_other_params_rejected(constant_time):
+def test_private_key_for_other_params_rejected(constant_time, monkeypatch):
     # A key is checked against the set by value: csidh512_params() builds a
     # set equal to, but not the same object as, get_params("csidh512").
+    # shared_secret blames the private key before it validates the peer.
+    def no_validation(*args):
+        raise AssertionError("peer validated for a key of another set")
+
+    monkeypatch.setattr(action, "validate_pk", no_validation)
     full = csidh512_params()
     cfg = ActionConfig(constant_time=constant_time)
     toy_sk = PrivateKey((1, -1, 1), TOY)
@@ -554,6 +559,8 @@ def test_private_key_for_other_params_rejected(constant_time):
     for sk, params in ((toy_sk, full), (full_sk, TOY)):
         with pytest.raises(InvalidPrivateKey, match=f"not {params.name}"):
             run_action(PublicKey(0), sk, params, make_rng(b"p"), cfg)
+        with pytest.raises(InvalidPrivateKey, match=f"not {params.name}"):
+            shared_secret(sk, PublicKey(3), params, make_rng(b"p"), cfg)
     zero = PrivateKey((0,) * full.n, full)
     vt_cfg = ActionConfig(constant_time=False)
     pk, _ = run_action(PublicKey(0), zero, get_params("csidh512"),

@@ -137,6 +137,26 @@ def test_trace_command_key_independent(tmp_path, capsys):
     assert files[0] == files[1]   # ct trace depends only on the params
 
 
+def test_keygen_and_dh_run_only_the_constant_time_action(tmp_path, capsys,
+                                                        monkeypatch):
+    class VartimeReached(Exception):
+        pass
+
+    def vartime(*args):
+        raise VartimeReached
+
+    monkeypatch.setattr(csidhsim.action, "group_action_vartime", vartime)
+    alice, bob = str(tmp_path / "alice"), str(tmp_path / "bob")
+    for seed, prefix in (("01", alice), ("02", bob)):
+        assert run(capsys, "keygen", "--params", "toy419", "--seed", seed,
+                   "--out", prefix)[0] == 0
+    assert run(capsys, "dh", "--seed", "03", alice + ".sk",
+               bob + ".pk")[0] == 0
+    with pytest.raises(VartimeReached):   # trace --vartime still reaches it
+        main(["trace", "--params", "toy419", "--seed", "01", "--vartime",
+              "--out", str(tmp_path / "vt.trace")])
+
+
 def test_trace_command_vartime_key_dependent(tmp_path, capsys):
     files = []
     for seed in ("0a", "1b"):
@@ -203,8 +223,8 @@ def test_malformed_seed_is_usage_error(tmp_path, capsys):
 # The options each subcommand reads, and so takes; -h aside, there are no
 # global options.
 OPTIONS = {
-    "keygen": {"--params", "--seed", "--vartime", "--out"},
-    "dh": {"--seed", "--vartime", "--reveal", "--out"},
+    "keygen": {"--params", "--seed", "--out"},
+    "dh": {"--seed", "--reveal", "--out"},
     "bench": {"--params", "--cost-table", "--out"},
     "trace": {"--params", "--seed", "--vartime", "--out"},
 }
@@ -224,7 +244,7 @@ def test_each_subcommand_takes_exactly_the_flags_it_reads():
     for name, sub in subs.items():
         options = set(sub._option_string_actions) - {"-h", "--help"}
         assert options == OPTIONS[name], name
-    assert sum(map(len, OPTIONS.values())) == 15
+    assert sum(map(len, OPTIONS.values())) == 13
 
 
 @pytest.mark.parametrize("argv", [
@@ -232,7 +252,10 @@ def test_each_subcommand_takes_exactly_the_flags_it_reads():
     ["bench", "--mode", "asic"],
     ["bench", "--vartime"],
     ["keygen", "--mode", "asic", "--out", "k"],
+    ["keygen", "--vartime", "--params", "toy419", "--seed", "00",
+     "--out", "k"],
     ["dh", "--params", "toy419", "a.sk", "b.pk"],
+    ["dh", "--vartime", "a.sk", "b.pk"],
 ], ids=" ".join)
 def test_flag_in_wrong_place_is_usage_error(argv, tmp_path, monkeypatch,
                                             capsys):
@@ -250,12 +273,11 @@ def test_dh_takes_params_from_key_files(tmp_path, capsys):
     for seed, prefix in (("01", alice), ("02", bob)):
         assert run(capsys, "keygen", "--params", "toy419", "--seed", seed,
                    "--out", prefix)[0] == 0
-    for vartime in ((), ("--vartime",)):
-        code, out, _ = run(capsys, "dh", "--seed", "03", *vartime,
-                           alice + ".sk", bob + ".pk")
-        assert code == 0
-        assert out == ("sha256:60ad1fb6b44656467ab4ba43861bf2f4"
-                       "6c5eaa8597ba606b417764c630f351fd\n")
+    code, out, _ = run(capsys, "dh", "--seed", "03",
+                       alice + ".sk", bob + ".pk")
+    assert code == 0
+    assert out == ("sha256:60ad1fb6b44656467ab4ba43861bf2f4"
+                   "6c5eaa8597ba606b417764c630f351fd\n")
     # a key pair from different sets is refused, naming both, either way
     full_sk, full_pk = tmp_path / "full.sk", tmp_path / "full.pk"
     full_sk.write_bytes(PrivateKey((0,) * FULL.n, FULL).to_bytes())

@@ -8,13 +8,14 @@ import pytest
 from csidhsim import action
 from csidhsim.action import (PrivateKey, PublicKey, estimate_keygen,
                              make_rng)
-from csidhsim.datapath import (AluMode, csel_add, mont_mul_dp_int,
-                               mont_reduce_dp_int, mul_wide)
+from csidhsim.datapath import (AluMode, booth_mul32, csel_add,
+                               mont_mul_dp_int, mont_reduce_dp_int, mul_wide)
 from csidhsim.fp import int_to_words
 from csidhsim.params import get_params
-from csidhsim.trace import (MOD_CSIDH, MOD_XMUL, MUL_WIDE_CYCLES, OP_ADD,
-                            OP_MONT_MUL, OP_MONT_REDUCE, OP_SUB, CostTable,
-                            CycleLedger, OpTrace, calibrate_overhead)
+from csidhsim.trace import (BOOTH_CYCLES, MOD_CSIDH, MOD_XMUL, MUL_WIDE_CYCLES,
+                            OP_ADD, OP_MONT_MUL, OP_MONT_REDUCE, OP_SUB,
+                            CostTable, CycleLedger, OpTrace,
+                            calibrate_overhead)
 from test_acceptance import PINNED
 
 TOY = get_params("toy419")
@@ -110,6 +111,7 @@ def test_default_costs_match_datapath(mode):
     m = mode.value
     aw = bw = int_to_words(0, 16)
     assert MUL_WIDE_CYCLES[m] == mul_wide(aw, bw, mode)[1].cycles
+    assert BOOTH_CYCLES[m] == booth_mul32(0, 0, mode)[1].cycles
     assert table.cost(OP_MONT_MUL, m) == \
         mont_mul_dp_int(0, 0, TOY, mode)[1].cycles
     csel = csel_add(aw, bw)[2].cycles
