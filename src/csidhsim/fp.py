@@ -97,10 +97,13 @@ class Fp:
 
     The curve and action layers route all field arithmetic through one Fp
     instance; when a trace buffer is attached, each operation appends one
-    opcode byte tagged with the currently active control-unit module.
+    opcode byte tagged with the currently active control-unit module.  A
+    layer that computes values off the context (the ladder) records its ops
+    through `issue`, so Fp is the one writer of trace bytes.
     """
 
-    __slots__ = ("p", "mask", "shift", "pinv", "one", "R2", "trace", "_mod")
+    __slots__ = ("p", "mask", "shift", "pinv", "one", "R2", "Rinv", "trace",
+                 "_mod")
 
     def __init__(self, params: CsidhParams, trace=None):
         self.p = params.p
@@ -109,6 +112,7 @@ class Fp:
         self.pinv = params.pinv
         self.one = params.one_m
         self.R2 = params.R2
+        self.Rinv = params.Rinv
         self.trace = trace.buf if trace is not None else None
         self._mod = MOD_CSIDH << 3
 
@@ -124,6 +128,14 @@ class Fp:
         n, self._mod = mark
         if self.trace is not None:
             del self.trace[n:]
+
+    def issue(self, ops: bytes, times: int) -> None:
+        """Record the opcodes `ops`, in order, `times` over, tagged with the
+        current module; for a caller that computes their values itself."""
+        t = self.trace
+        if t is not None:
+            mod = self._mod
+            t.extend(bytes(mod | op for op in ops) * times)
 
     # --- core ops (operands and results are plain ints < p) ---
 

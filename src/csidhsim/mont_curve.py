@@ -1,9 +1,15 @@
 """x-only Montgomery-curve arithmetic over F_p.
 
 Points are (X : Z) pairs and curves (Ax : Az) pairs of Montgomery-domain
-ints; Z = 0 encodes the point at infinity.  All functions take an
+ints; Z = 0 encodes the point at infinity.  The public functions take an
 :class:`~csidhsim.fp.Fp` context so operation traces attribute work to the
 right control-unit module.
+
+The one exception is the ladder step `xdbladd`: `xmul` converts its inputs
+to standard-domain residues once, runs every step there as plain bignum
+arithmetic on the prime `p`, and converts the result back.  It issues the
+steps' ALU ops on its `Fp` in one call, from the per-step template
+`XDBLADD_OPS`, so the trace is what an op-by-op Montgomery ladder records.
 
 The combined double-and-add consumes the curve through precomputed
 (A+2)/4-style constants (A24 = Ax + 2*Az, C24 = 4*Az), recomputed whenever
@@ -16,7 +22,8 @@ from enum import Enum
 from typing import NamedTuple
 
 from .fp import Fp, jacobi
-from .trace import MOD_XAFFINIZE, MOD_XDBLADD, MOD_XTWIST
+from .trace import (MOD_XAFFINIZE, MOD_XDBLADD, MOD_XTWIST, OP_ADD,
+                    OP_MONT_MUL, OP_SUB)
 
 
 class InfinityAffinize(ZeroDivisionError):
@@ -93,21 +100,38 @@ def xadd(fp: Fp, P: ProjPoint, Q: ProjPoint, diff: ProjPoint) -> ProjPoint:
     return _xadd_tail(fp, fp.add(P.X, P.Z), fp.sub(P.X, P.Z), Q, diff)
 
 
-def xdbladd(fp: Fp, P: ProjPoint, Q: ProjPoint, diff: ProjPoint,
+# One ladder step's ALU ops in issue order: the (X+-Z) squares and their
+# difference, then the differential addition (`_xadd_tail`), then the
+# doubling (`_xdbl_tail`).
+XDBLADD_OPS = bytes((OP_ADD, OP_SUB, OP_MONT_MUL, OP_MONT_MUL, OP_SUB,
+                     OP_ADD, OP_SUB, OP_MONT_MUL, OP_MONT_MUL, OP_ADD, OP_SUB,
+                     *(OP_MONT_MUL,) * 7, OP_ADD, OP_MONT_MUL))
+
+
+def xdbladd(p: int, P: ProjPoint, Q: ProjPoint, diff: ProjPoint,
             const: CurveConstants) -> tuple[ProjPoint, ProjPoint]:
     """Simultaneous (x([2]P), x(P+Q)) sharing the (X+-Z) intermediates.
 
-    diff must be x(P-Q); the caller chooses its normalization.
+    One ladder step on standard-domain residues mod p (points and
+    constants alike), computed as plain bignum arithmetic and untraced:
+    `xmul` issues the step's `XDBLADD_OPS`.  diff must be x(P-Q).  Each
+    product is reduced once; sums and differences stay unreduced where that
+    reduction covers them.  Results are canonical.
     """
-    fp.set_module(MOD_XDBLADD)
-    a = fp.add(P.X, P.Z)
-    b = fp.sub(P.X, P.Z)
-    aa = fp.mul(a, a)
-    bb = fp.mul(b, b)
-    e = fp.sub(aa, bb)
-    # The addition tail runs first: the trace keeps the ladder step's order.
-    PQ = _xadd_tail(fp, a, b, Q, diff)
-    return _xdbl_tail(fp, aa, bb, e, const), PQ
+    X, Z = P
+    a = X + Z
+    b = X - Z
+    aa = a * a % p
+    bb = b * b % p
+    e = aa - bb
+    da = (Q.X - Q.Z) * a % p
+    cb = (Q.X + Q.Z) * b % p
+    t0 = da + cb
+    t1 = da - cb
+    t = const.C24 * bb % p
+    return (ProjPoint(t * aa % p, e * ((t + const.A24 * e) % p) % p),
+            ProjPoint(diff.Z * (t0 * t0 % p) % p,
+                      diff.X * (t1 * t1 % p) % p))
 
 
 def xmul(fp: Fp, P: ProjPoint, k: int, const: CurveConstants) -> ProjPoint:
@@ -120,15 +144,27 @@ def xmul(fp: Fp, P: ProjPoint, k: int, const: CurveConstants) -> ProjPoint:
     two-torsion point (the usual x-only exclusion); the action layer never
     ladders it because sampling rejects x = 0 and cofactor clearing removes
     the even part.
+
+    Inputs and result are Montgomery-domain.  The steps run on
+    standard-domain residues, converted in (times R^-1) and out (times R)
+    once, off the ALU model; their ops are issued as xDBLADD's in one
+    `Fp.issue` call, so the trace equals an op-by-op ladder's.
     """
-    r0 = ProjPoint(fp.one, 0)          # point at infinity
+    p, rinv = fp.p, fp.Rinv
+    P = ProjPoint(P.X * rinv % p, P.Z * rinv % p)
+    const = CurveConstants(const.A24 * rinv % p, const.C24 * rinv % p)
+    bits = bin(k)[2:]                  # "0" for k = 0: one step
+    fp.set_module(MOD_XDBLADD)
+    fp.issue(XDBLADD_OPS, len(bits))
+    r0 = ProjPoint(1, 0)               # point at infinity
     r1 = P
-    for i in reversed(range(max(k.bit_length(), 1))):
-        if (k >> i) & 1:
-            r1, r0 = xdbladd(fp, r1, r0, P, const)
+    for bit in bits:
+        if bit == "1":
+            r1, r0 = xdbladd(p, r1, r0, P, const)
         else:
-            r0, r1 = xdbladd(fp, r0, r1, P, const)
-    return r0
+            r0, r1 = xdbladd(p, r0, r1, P, const)
+    one = fp.one
+    return ProjPoint(r0.X * one % p, r0.Z * one % p)
 
 
 def xtwist(fp: Fp, x: int, A: int) -> CurveSide:

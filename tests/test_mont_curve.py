@@ -6,11 +6,14 @@ import pytest
 
 from csidhsim import oracle as orc
 from csidhsim.fp import Fp
-from csidhsim.mont_curve import (CurveSide, InfinityAffinize, ProjCurve,
-                                 ProjPoint, affinize, curve_constants,
-                                 is_infinity, screen_side, xadd, xdbl,
-                                 xdbladd, xmul, xtwist)
+from csidhsim.mont_curve import (XDBLADD_OPS, CurveConstants, CurveSide,
+                                 InfinityAffinize, ProjCurve, ProjPoint,
+                                 _xadd_tail, _xdbl_tail, affinize,
+                                 curve_constants, is_infinity, screen_side,
+                                 xadd, xdbl, xdbladd, xmul, xtwist)
 from csidhsim.params import get_params
+from csidhsim.trace import MOD_XDBLADD, MOD_XISOG, OpTrace
+from test_action import MID90
 
 TOY = get_params("toy419")
 P419 = TOY.p
@@ -87,7 +90,13 @@ def test_xdbladd_consistent_with_parts(fp, base):
     D = orc.add_points(P, orc.AffinePoint(Q.x, (P419 - Q.y) % P419), 0, P419)
     if D is orc.INFINITY:
         pytest.skip("degenerate difference for this point pair")
-    dbl, s = xdbladd(fp, mpt(fp, P.x), mpt(fp, Q.x), mpt(fp, D.x), const)
+    # xdbladd runs on standard-domain residues: the points are (x : 1), the
+    # constants go in times R^-1 and the results come back out times R.
+    std = CurveConstants(const.A24 * fp.Rinv % P419,
+                         const.C24 * fp.Rinv % P419)
+    dbl, s = (ProjPoint(R.X * fp.one % P419, R.Z * fp.one % P419)
+              for R in xdbladd(P419, ProjPoint(P.x, 1), ProjPoint(Q.x, 1),
+                               ProjPoint(D.x, 1), std))
     assert aff_x(fp, dbl) == aff_x(fp, xdbl(fp, mpt(fp, P.x), const))
     assert aff_x(fp, s) == aff_x(
         fp, xadd(fp, mpt(fp, P.x), mpt(fp, Q.x), mpt(fp, D.x)))
@@ -130,6 +139,67 @@ def test_ladder_schedule_depends_only_on_bound(base):
         xmul(ctx, mpt(ctx, 4), k, const)
         traces.append(bytes(t.buf))
     assert traces[0] == traces[1] == traces[2]
+
+
+def ref_xdbladd(fp, P, Q, diff, const):
+    """The op-by-op Montgomery-domain ladder step, built from the same two
+    tails `xdbl` and `xadd` use; the addition tail runs first."""
+    fp.set_module(MOD_XDBLADD)
+    a = fp.add(P.X, P.Z)
+    b = fp.sub(P.X, P.Z)
+    aa = fp.mul(a, a)
+    bb = fp.mul(b, b)
+    e = fp.sub(aa, bb)
+    PQ = _xadd_tail(fp, a, b, Q, diff)
+    return _xdbl_tail(fp, aa, bb, e, const), PQ
+
+
+def ref_xmul(fp, P, k, const):
+    r0, r1 = ProjPoint(fp.one, 0), P
+    for i in reversed(range(max(k.bit_length(), 1))):
+        if (k >> i) & 1:
+            r1, r0 = ref_xdbladd(fp, r1, r0, P, const)
+        else:
+            r0, r1 = ref_xdbladd(fp, r0, r1, P, const)
+    return r0
+
+
+def test_xdbladd_ops_is_the_reference_step():
+    t = OpTrace()
+    ref_xdbladd(Fp(TOY, t), ProjPoint(4, 1), ProjPoint(9, 2), ProjPoint(5, 3),
+                CurveConstants(3, 6))
+    assert t.buf == bytes(MOD_XDBLADD << 3 | op for op in XDBLADD_OPS)
+
+
+@pytest.mark.parametrize("params", [TOY, MID90, get_params("csidh512")],
+                         ids=lambda params: params.name)
+@pytest.mark.parametrize("traced", [True, False], ids=["traced", "untraced"])
+def test_xmul_equals_reference_ladder(params, traced):
+    # Values, trace bytes and the module tag left behind all equal those of
+    # a ladder of op-by-op Montgomery steps, for edge and seeded scalars and
+    # for an input point at infinity (Z = 0).
+    rng = random.Random(f"xmul-{params.name}")
+    p, bits = params.p, params.p.bit_length()
+    scalars = [0, 1, p + 1, *(rng.randrange(1 << j) for j in (8, bits))]
+    for j in (1, 2, 7, bits):
+        scalars += [1 << j, (1 << j) - 1]
+    plain = Fp(params)
+    const = curve_constants(plain, ProjCurve(rng.randrange(p),
+                                             rng.randrange(1, p)))
+    points = [ProjPoint(rng.randrange(1, p), rng.randrange(1, p)),
+              ProjPoint(rng.randrange(1, p), 0)]
+    for P in points:
+        for k in scalars:
+            got_t, want_t = (OpTrace(), OpTrace()) if traced else (None, None)
+            got_fp, want_fp = Fp(params, got_t), Fp(params, want_t)
+            for ctx in (got_fp, want_fp):
+                ctx.set_module(MOD_XISOG)
+                ctx.add(1, 2)
+            got = xmul(got_fp, P, k, const)
+            assert got == ref_xmul(want_fp, P, k, const), (P, k)
+            assert got_fp.mark() == want_fp.mark()
+            if traced:
+                assert got_t.buf == want_t.buf, (P, k)
 
 
 def test_xtwist_exhaustive_toy(fp):

@@ -56,6 +56,7 @@ def test_table_sets_have_prime_p_and_consistent_constants(name):
     assert params.p.bit_length() <= params.width < params.p.bit_length() + 32
     assert params.p * params.pinv % params.R == params.R - 1
     assert params.R2 == params.R ** 2 % params.p
+    assert params.R * params.Rinv % params.p == 1
     assert PARAM_NAMES[PARAM_IDS[name]] == name
 
 

@@ -124,3 +124,30 @@ def test_ct_loops_compute_no_cofactor():
              if isinstance(call, ast.Call)
              and ast.unparse(call.func) in ("math.prod", "prod")]
     assert found == []
+
+
+def _is_trace_buffer(node):
+    return isinstance(node, ast.Attribute) and node.attr in ("trace", "buf")
+
+
+def test_only_fp_writes_trace_bytes():
+    # `Fp` tags every op it records with the current module and is what
+    # `mark`/`rollback` undo, so an op template (`Fp.issue`) or a slice of
+    # the buffer written anywhere else would bypass both.  `trace.py`
+    # defines the buffer (`OpTrace.record`, `load`, `dump`).  Any method
+    # call on a buffer, subscript of it, in-place update of it or alias to
+    # it counts.
+    found = [f"{path.name}:{node.lineno} {ast.unparse(node)}"
+             for path in sorted(SRC.glob("*.py"))
+             if path.name not in ("fp.py", "trace.py")
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if (isinstance(node, ast.Call)
+                 and isinstance(node.func, ast.Attribute)
+                 and _is_trace_buffer(node.func.value))
+             or (isinstance(node, ast.Subscript)
+                 and _is_trace_buffer(node.value))
+             or (isinstance(node, ast.AugAssign)
+                 and _is_trace_buffer(node.target))
+             or (isinstance(node, (ast.Assign, ast.AnnAssign, ast.NamedExpr))
+                 and _is_trace_buffer(node.value))]
+    assert found == []
