@@ -32,7 +32,8 @@ from csidhsim.isogeny import xisog
 from csidhsim.mont_curve import ProjCurve, ProjPoint
 from csidhsim.params import get_params
 from csidhsim.trace import CostTable, CycleLedger, calibrate_overhead
-from test_action import schedule_xdbladd_mont_muls, xdbladd_mont_muls
+from test_action import (MID90, schedule_xdbladd_mont_muls,
+                         xdbladd_mont_muls)
 
 TOY = get_params("toy419")
 FULL = get_params("csidh512")
@@ -415,17 +416,35 @@ PINNED = {
                      "xISOG": 12_736, "xTWIST": 3_487},
         },
     },
+    # 89,788 ops over two ct batches, where toy419 runs one.
+    "mid90": {
+        "digest": "e7777b15f9bf5f0e56995373a89c1503"
+                  "b1e35e81c11bbc8a7addd8917e620514",
+        "A": 0x1466ba3a3ca0eb200e95709,
+        "dump": "b31d227ef949fc929df0f7d967c96e55"
+                "353ce6216020075b8c3650e307f5e24f",
+        "total": {"fpga": 4_913_174, "asic": 5_022_909},
+        "modules": {
+            "fpga": {"CSIDH": 174, "xAffinize": 110_816,
+                     "xDBLADD": 3_600_744, "xISOG": 1_011_858,
+                     "xTWIST": 189_582},
+            "asic": {"CSIDH": 178, "xAffinize": 113_363,
+                     "xDBLADD": 3_680_880, "xISOG": 1_034_550,
+                     "xTWIST": 193_938},
+        },
+    },
 }
 
 
 def test_pinned_trace_key_and_ledger(tmp_path):
     _, pk, trace = full_keygen(0)
     runs = {"csidh512": (pk, trace)}
-    sk = random_private_key(TOY, make_rng(b"acceptance-sk-0"))
-    pk, ok, trace = action.group_action_ct(
-        PublicKey(0), sk, make_rng(b"acceptance-shared-seed"))
-    assert ok
-    runs["toy419"] = (pk, trace)
+    for params in (TOY, MID90):
+        sk = random_private_key(params, make_rng(b"acceptance-sk-0"))
+        pk, ok, trace = action.group_action_ct(
+            PublicKey(0), sk, make_rng(b"acceptance-shared-seed"))
+        assert ok
+        runs[params.name] = (pk, trace)
     for name, (pk, trace) in runs.items():
         want = PINNED[name]
         assert trace.digest() == want["digest"], name
