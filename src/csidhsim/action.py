@@ -16,6 +16,8 @@ ok, OpTrace)``; the trace is empty when ``record`` is false.
   the identical operation sequence, so the recorded OpTrace depends only on
   the parameter set, never on the key.  Its loops read only the public
   :func:`ct_schedule`: batches, clearing scalars, slots and cofactors.
+  Each round holds one point per side, indexed by :data:`SIDES`; the key
+  picks only which of the two a slot's kernel comes from.
 
 Randomness-dependent retry loops are modeled as fixed-latency units, so
 only the accepted attempt stays in the trace.  Point sampling screens each
@@ -72,6 +74,9 @@ _MAX_REPAIRS = 128
 
 # Most primes one action batch works on, in both action paths.
 BATCH_LIMIT = 16
+
+# The ct round's point pair in side order: points[s] lies on SIDES[s].
+SIDES = (CurveSide.CURVE, CurveSide.TWIST)
 
 
 class RngFailure(RuntimeError):
@@ -324,18 +329,18 @@ def group_action_ct(pk: PublicKey, sk: PrivateKey, rng: Drbg,
     if not validate_basic(pk.A, params):
         return None, False, trace
 
-    # Sign-match e_ct[i] = +-m; the sign bit is drawn for every index so rng
-    # usage never depends on where the zeros sit.
-    signs = []
+    # Side 0 (curve) for e > 0, 1 (twist) for e < 0, a coin for e = 0; the
+    # bit is drawn for every index so rng usage never depends on the zeros.
+    sides = []
     for ei in sk.exponents:
-        coin = 1 if rng.bit() else -1
-        signs.append(1 if ei > 0 else -1 if ei < 0 else coin)
+        coin = 1 - rng.bit()
+        sides.append(int(ei < 0) if ei else coin)
     remaining = [abs(ei) for ei in sk.exponents]
 
     curve = ProjCurve(fp.to_mont(pk.A), fp.one)
     for k_clear, slots in ct_schedule(params):
         for _ in range(params.m):
-            curve = _ct_round(fp, curve, k_clear, slots, signs, remaining, rng)
+            curve = _ct_round(fp, curve, k_clear, slots, sides, remaining, rng)
             if curve is None:
                 return None, False, trace
 
@@ -347,22 +352,19 @@ def group_action_ct(pk: PublicKey, sk: PrivateKey, rng: Drbg,
 
 
 def _sample_pair(fp: Fp, curve: ProjCurve, clear: int, rng: Drbg):
-    """One curve-side and one twist-side point, cofactor-cleared by [clear].
-
-    Each point is classified once more on the traced context; None when
-    that disagrees with the side `sample_point` screened it for.
+    """One point per side in `SIDES` order, cleared by [clear], and the
+    ladder constants: (points, const).  None when a point's traced
+    classification disagrees with the side `sample_point` screened it for.
     """
     A_mont = affinize_mont(fp, curve)
-    P_plus = sample_point(fp, curve, CurveSide.CURVE, rng)
-    if xtwist(fp, P_plus.X, A_mont) is not CurveSide.CURVE:
-        return None
-    P_minus = sample_point(fp, curve, CurveSide.TWIST, rng)
-    if xtwist(fp, P_minus.X, A_mont) is not CurveSide.TWIST:
-        return None
+    points = []
+    for side in SIDES:
+        P = sample_point(fp, curve, side, rng)
+        if xtwist(fp, P.X, A_mont) is not side:
+            return None
+        points.append(P)
     const = curve_constants(fp, curve)
-    P_plus = xmul(fp, P_plus, clear, const)
-    P_minus = xmul(fp, P_minus, clear, const)
-    return P_plus, P_minus, const
+    return [xmul(fp, P, clear, const) for P in points], const
 
 
 def _kernel_ok(K: ProjPoint) -> bool:
@@ -375,19 +377,18 @@ def _kernel_ok(K: ProjPoint) -> bool:
     return not is_infinity(K)
 
 
-def _ct_round(fp, curve, k_clear, slots, signs, remaining, rng):
-    """One batch round: sample a point pair cleared by [k_clear], then run
-    the batch's `ct_schedule` slots in order.  Returns the updated curve, or
-    None on a detected fault or a kernel that runs out of repairs."""
+def _ct_round(fp, curve, k_clear, slots, sides, remaining, rng):
+    """One batch round: sample a side-indexed point pair cleared by
+    [k_clear], then run the batch's `ct_schedule` slots in order, each on
+    ``points[sides[index]]``.  Returns the updated curve, or None on a
+    detected fault or a kernel that runs out of repairs."""
     pair = _sample_pair(fp, curve, k_clear, rng)
     if pair is None:
         return None
-    P_plus, P_minus, const = pair
+    points, const = pair
 
     for idx, l, cof, clear in slots:
-        s = signs[idx]
-        active, other = (P_plus, P_minus) if s > 0 else (P_minus, P_plus)
-
+        s = sides[idx]
         # Repair loop: while K is the point at infinity (the active point
         # lacks the l-torsion), replace the active point with a fresh point
         # on its side, cleared of the primes outside the batch and those
@@ -396,34 +397,32 @@ def _ct_round(fp, curve, k_clear, slots, signs, remaining, rng):
         repairs = 0
         mark = fp.mark()
         while True:
-            K = xmul(fp, active, cof, const)
+            K = xmul(fp, points[s], cof, const)
             if _kernel_ok(K):
                 break
             repairs += 1
             if repairs > _MAX_REPAIRS:
                 return None
-            side = CurveSide.CURVE if s > 0 else CurveSide.TWIST
-            fresh = sample_point(fp, curve, side, rng)
-            active = xmul(fp, fresh, clear, const)
+            fresh = sample_point(fp, curve, SIDES[s], rng)
+            points[s] = xmul(fp, fresh, clear, const)
             fp.rollback(mark)
 
-        new_curve, images, fault = xisog(fp, curve, [active, other], K, l)
+        new_curve, images, fault = xisog(fp, curve, points, K, l)
         if fault:
             return None
 
         # Identical traced work either way; the flag only selects which
         # results survive.  A real slot moves to the codomain and images and
-        # keeps its active image; a dummy slot keeps [l]active instead.
+        # keeps its active image; every other point is laddered by [l].
         real = remaining[idx] > 0
         if real:
-            curve, (active, other) = new_curve, images
+            curve, points = new_curve, images
             remaining[idx] -= 1
         const = curve_constants(fp, curve)
-        l_active = xmul(fp, active, l, const)
-        other = xmul(fp, other, l, const)
-        if not real:
-            active = l_active
-        P_plus, P_minus = (active, other) if s > 0 else (other, active)
+        active = points[s]
+        points = [xmul(fp, P, l, const) for P in points]
+        if real:
+            points[s] = active
     return curve
 
 

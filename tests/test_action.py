@@ -205,7 +205,8 @@ def test_ct_repair_resamples_only_the_active_point(monkeypatch):
         ok = kernel_ok(K)
         if not ok:
             # _ct_round's inactive point as the check failed
-            events.append(("repair", sys._getframe(1).f_locals["other"]))
+            round_ = sys._getframe(1).f_locals
+            events.append(("repair", round_["points"][1 - round_["s"]]))
         return ok
 
     def spy_sample(*args):
@@ -217,7 +218,8 @@ def test_ct_repair_resamples_only_the_active_point(monkeypatch):
         return pair(*args)
 
     def spy_isog(fp, curve, points, K, l):
-        events.append(("xisog", points[1]))
+        s = sys._getframe(1).f_locals["s"]   # _ct_round's side index
+        events.append(("xisog", points[1 - s]))
         return isog(fp, curve, points, K, l)
 
     monkeypatch.setattr(action, "_kernel_ok", spy_kernel_ok)

@@ -126,6 +126,18 @@ def test_ct_loops_compute_no_cofactor():
     assert found == []
 
 
+def test_ct_round_selects_no_point_by_expression():
+    # The round keeps its two points in one side-indexed pair, so the key
+    # picks a point by index alone: no conditional expression swaps them.
+    tree = ast.parse((SRC / "action.py").read_text())
+    funcs = {node.name: node for node in tree.body
+             if isinstance(node, ast.FunctionDef)}
+    found = [f"action.py:{node.lineno} {ast.unparse(node)}"
+             for name in ("_ct_round", "_sample_pair")
+             for node in ast.walk(funcs[name]) if isinstance(node, ast.IfExp)]
+    assert found == []
+
+
 def _is_trace_buffer(node):
     return isinstance(node, ast.Attribute) and node.attr in ("trace", "buf")
 
