@@ -72,6 +72,11 @@ _MAX_REJECTS = 10_000
 # supersingular and the action fails.
 _MAX_REPAIRS = 128
 
+# Points `validate_pk` tries before it rejects for want of a proof.  A point
+# of a supersingular curve proves each l with probability 1 - 1/l, so honest
+# curves need few (every toy419 one at most 5); the cap bounds the work.
+_VALIDATE_POINTS = 32
+
 # Most primes one action batch works on, in both action paths.
 BATCH_LIMIT = 16
 
@@ -428,13 +433,52 @@ def _ct_round(fp, curve, k_clear, slots, sides, remaining, rng):
 
 # --- key exchange ----------------------------------------------------------
 
-def validate_pk(A: int, params: CsidhParams, rng: Drbg) -> bool:
-    """Supersingularity sanity check: encoding, A not in {2, p-2}, then
-    [p+1]P = O for one random point.  Probabilistic, not a proof."""
+def _prime_multiples(fp: Fp, P: ProjPoint, primes, const):
+    """Yield (l, [prod(primes) / l]P) for each l in `primes` where that
+    point is not O, by a product tree: each half of the primes is reached by
+    laddering over the other half's product.  Larger primes come first, and
+    the next ladder runs only when the caller asks for more."""
+    if is_infinity(P):
+        return
+    if len(primes) == 1:
+        yield primes[0], P
+        return
+    mid = len(primes) // 2
+    lo, hi = primes[:mid], primes[mid:]
+    yield from _prime_multiples(fp, xmul(fp, P, math.prod(lo), const), hi,
+                                const)
+    yield from _prime_multiples(fp, xmul(fp, P, math.prod(hi), const), lo,
+                                const)
+
+
+def validate_pk(A: int, params: CsidhParams) -> bool:
+    """Proof that E_A is supersingular: the check of the CSIDH paper
+    (Castryck, Lange, Martindale, Panny, Renes; ASIACRYPT 2018).
+
+    After `validate_basic`, for x = 1, 2, ... (at most `_VALIDATE_POINTS`)
+    take P = [4](x : 1), and Q = [(p+1) / (4l)]P for each prime l.  A Q != O
+    with [l]Q != O rejects.  Otherwise l divides both p + 1 and the order
+    p + 1 -+ t of the curve or its twist, so l | t; once the product of such
+    primes exceeds 4 sqrt(p) >= 2|t|, t = 0 and the curve is accepted.  The
+    points are public and fixed, so the verdict draws no randomness; it
+    runs on an untraced Fp.
+    """
     if not validate_basic(A, params):
         return False
     fp = Fp(params)
-    return _validate_working_curve(fp, ProjCurve(fp.to_mont(A), fp.one), rng)
+    const = curve_constants(fp, ProjCurve(fp.to_mont(A), fp.one))
+    proven = 1
+    for x in range(1, _VALIDATE_POINTS + 1):
+        P = xmul(fp, ProjPoint(fp.to_mont(x), fp.one), 4, const)
+        for l, Q in _prime_multiples(fp, P, params.primes, const):
+            # The ladder cannot take (0 : 1), of order 2; it has none on a
+            # supersingular curve once [4] cleared the even part.
+            if Q.X == 0 or not is_infinity(xmul(fp, Q, l, const)):
+                return False
+            proven = math.lcm(proven, l)
+            if proven * proven > 16 * params.p:
+                return True
+    return False
 
 
 def _check_key_params(sk: PrivateKey, params: CsidhParams) -> None:
@@ -482,7 +526,7 @@ def shared_secret(sk: PrivateKey, peer: PublicKey, params: CsidhParams,
     Records no trace: nothing prices the action on a peer's curve.
     """
     _check_key_params(sk, params)
-    if not validate_pk(peer.A, params, rng):
+    if not validate_pk(peer.A, params):
         raise InvalidPeerKey("peer public key failed validation")
     out, _ = run_action(peer, sk, params, rng, config)
     return FieldElement(out.A, params)

@@ -315,26 +315,25 @@ def test_criterion_09_public_key_size():
 @criterion(10, "validate_pk accepts the base curve and honest keys; rejects "
                "singular and ordinary coefficients")
 def test_criterion_10_validation():
-    assert validate_pk(0, TOY, make_rng(b"v"))
-    assert validate_pk(0, FULL, make_rng(b"v"))
+    assert validate_pk(0, TOY)
+    assert validate_pk(0, FULL)
     rng = make_rng(b"honest")
     for i in range(100):
         sk = random_private_key(TOY, rng)
         pk, ok, _ = action.group_action_vartime(PublicKey(0), sk,
                                                 make_rng(b"h%d" % i))
-        assert ok and validate_pk(pk.A, TOY, make_rng(b"w%d" % i))
+        assert ok and validate_pk(pk.A, TOY)
     for i in range(3):   # full-size honest keys from the shared cache
-        assert validate_pk(full_keygen(i)[1].A, FULL, make_rng(b"f%d" % i))
+        assert validate_pk(full_keygen(i)[1].A, FULL)
     for params in (TOY, FULL):
-        assert not validate_pk(2, params, make_rng(b"v"))
-        assert not validate_pk(params.p - 2, params, make_rng(b"v"))
+        assert not validate_pk(2, params)
+        assert not validate_pk(params.p - 2, params)
     ordinary = [A for A in range(3, 60)
                 if A not in (2, TOY.p - 2)
                 and orc.enumerate_curve(A, TOY.p)[1] != TOY.p + 1]
     assert ordinary
     for A in ordinary:
-        rng = make_rng(b"o")   # three points drawn in turn from one rng
-        assert not all(validate_pk(A, TOY, rng) for _ in range(3))
+        assert not validate_pk(A, TOY)
 
 
 @criterion(11, "fault flag: 1000/1000 corrupted kernels detected, "

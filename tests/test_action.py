@@ -462,25 +462,29 @@ def test_validate_basic():
     assert not validate_basic(-1, TOY)
 
 
-def validate_thrice(A, rng):
-    """validate_pk on three points drawn in turn from one rng."""
-    return all(validate_pk(A, TOY, rng) for _ in range(3))
-
-
 def test_validate_pk_accepts_supersingular():
-    assert validate_pk(0, TOY, make_rng(b"v"))
+    assert validate_pk(0, TOY)
     for e in ((1, 0, 0), (0, -1, 1)):
-        assert validate_thrice(vt(e), make_rng(b"v"))
+        assert validate_pk(vt(e), TOY)
 
 
 def test_validate_pk_rejects_singular_and_ordinary():
-    assert not validate_pk(2, TOY, make_rng(b"v"))
-    assert not validate_pk(TOY.p - 2, TOY, make_rng(b"v"))
+    assert not validate_pk(2, TOY)
+    assert not validate_pk(TOY.p - 2, TOY)
     ordinary = [A for A in range(3, 50)
                 if A not in (2, TOY.p - 2)
                 and orc.curve_order(A, TOY.p) != TOY.p + 1]
-    rejected = sum(not validate_thrice(A, make_rng(b"v")) for A in ordinary)
-    assert rejected == len(ordinary)
+    assert not any(validate_pk(A, TOY) for A in ordinary)
+
+
+def test_validate_pk_decides_every_toy_curve():
+    # One call per coefficient, against the oracle's point count: all 27
+    # supersingular curves are accepted and every other A is rejected.
+    got = [validate_pk(A, TOY) for A in range(TOY.p)]
+    want = [A not in (2, TOY.p - 2) and orc.curve_order(A, TOY.p) == TOY.p + 1
+            for A in range(TOY.p)]
+    assert got == want
+    assert sum(want) == 27
 
 
 # --- key exchange ------------------------------------------------------------
@@ -509,8 +513,8 @@ def test_shared_secret_agreement_toy():
 
 def test_shared_secret_is_the_traced_action_untraced(monkeypatch):
     # shared_secret runs the ct action untraced; with the same DRBG draws
-    # (validate_pk's point, then the action's) it lands on the curve a
-    # traced group_action_ct reaches, for every toy key.
+    # (validate_pk draws none) it lands on the curve a traced
+    # group_action_ct reaches, for every toy key.
     peer = PublicKey(vt((1, 0, -1)))
     untraced = []
     real_ct = action.group_action_ct
@@ -522,9 +526,7 @@ def test_shared_secret_is_the_traced_action_untraced(monkeypatch):
 
     for i, e in enumerate(itertools.product((-1, 0, 1), repeat=3)):
         sk, seed = PrivateKey(e, TOY), b"ss-%d" % i
-        rng = make_rng(seed)
-        assert validate_pk(peer.A, TOY, rng)
-        pk, ok, trace = real_ct(peer, sk, rng)
+        pk, ok, trace = real_ct(peer, sk, make_rng(seed))
         assert ok and len(trace) > 0
         monkeypatch.setattr(action, "group_action_ct", capture)
         secret = shared_secret(sk, peer, TOY, make_rng(seed))
