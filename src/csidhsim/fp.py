@@ -44,12 +44,6 @@ class FieldElement:
     def to_bytes(self) -> bytes:
         return self.value.to_bytes(self.params.byte_length, "little")
 
-    @classmethod
-    def from_bytes(cls, raw: bytes, params: CsidhParams) -> "FieldElement":
-        if len(raw) != params.byte_length:
-            raise ValueError(f"expected {params.byte_length} bytes")
-        return cls(int.from_bytes(raw, "little"), params)
-
 
 # struct code of one datapath word: standard-size "I" is WORD_BITS = 32 bits
 _WORD_CODE = "I"

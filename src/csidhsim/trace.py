@@ -86,9 +86,6 @@ class OpTrace:
             return NotImplemented
         return self.buf == other.buf
 
-    def record(self, opcode: int, module_tag: int) -> None:
-        self.buf.append((module_tag << 3) | opcode)
-
     def digest(self) -> str:
         return hashlib.sha256(self.buf).hexdigest()
 
@@ -168,9 +165,6 @@ class CostTable:
     costs: dict = field(default_factory=lambda: {
         mode: dict(ops) for mode, ops in DEFAULT_COSTS.items()})
     overhead: dict = field(default_factory=lambda: dict(DEFAULT_OVERHEAD))
-
-    def cost(self, opcode: int, mode: str) -> int:
-        return self.costs[mode][opcode]
 
     @classmethod
     def load(cls, path) -> "CostTable":

@@ -147,7 +147,7 @@ def test_mont_reduce_dp_matches_fp_and_oracle(params, mode):
     a = rnd.randrange(p)
     edges = [0, 1, a * R, p * R - 1, p - 1, R - 1, R]
     cases = edges + [rnd.randrange(p * R) for _ in range(200)]
-    cost = CycleCost(CostTable().cost(OP_MONT_REDUCE, mode.value))
+    cost = CycleCost(CostTable().costs[mode.value][OP_MONT_REDUCE])
     for T in cases:
         got, got_cost = mont_reduce_dp_int(T, params, mode)
         assert got == fp.redc(T) == naive_redc(T, p, R)

@@ -70,7 +70,7 @@ def test_serialization_little_endian(full):
     raw = a.to_bytes()
     assert len(raw) == 64
     assert raw[0] == 1 and set(raw[1:]) == {0}
-    assert FieldElement.from_bytes(raw, full) == a
+    assert FieldElement(int.from_bytes(raw, "little"), full) == a
 
 
 # --- add / sub --------------------------------------------------------------
@@ -236,7 +236,7 @@ def test_rollback_restores_trace_and_module(toy):
 
 def test_rollback_untraced_touches_no_buffer(toy):
     other = OpTrace()
-    other.record(OP_ADD, MOD_CSIDH)
+    other.buf.append(MOD_CSIDH << 3 | OP_ADD)
     fp = Fp(toy)
     fp.set_module(MOD_XAFFINIZE)
     mark = fp.mark()

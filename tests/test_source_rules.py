@@ -146,7 +146,7 @@ def test_only_fp_writes_trace_bytes():
     # `Fp` tags every op it records with the current module and is what
     # `mark`/`rollback` undo, so an op template (`Fp.issue`) or a slice of
     # the buffer written anywhere else would bypass both.  `trace.py`
-    # defines the buffer (`OpTrace.record`, `load`, `dump`).  Any method
+    # defines the buffer (`OpTrace.load`, `dump`).  Any method
     # call on a buffer, subscript of it, in-place update of it or alias to
     # it counts.
     found = [f"{path.name}:{node.lineno} {ast.unparse(node)}"

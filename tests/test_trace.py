@@ -30,9 +30,9 @@ def toy_trace(e=(1, 0, -1), seed=b"t"):
 
 def test_record_and_order(tmp_path):
     t = OpTrace()
-    t.record(OP_ADD, MOD_CSIDH)
+    t.buf.append(MOD_CSIDH << 3 | OP_ADD)
     assert len(t) == 1
-    t.record(OP_MONT_MUL, MOD_XMUL)
+    t.buf.append(MOD_XMUL << 3 | OP_MONT_MUL)
     path = tmp_path / "trace.txt"
     t.dump(path)
     assert path.read_bytes() == b"ADD\tCSIDH\nMONT_MUL\txMUL\n"
@@ -42,7 +42,7 @@ def test_trace_equal():
     t = toy_trace()
     assert t == t
     other = OpTrace()
-    other.record(OP_ADD, MOD_CSIDH)
+    other.buf.append(MOD_CSIDH << 3 | OP_ADD)
     assert t != other
 
 
@@ -76,7 +76,7 @@ def test_dump_spans_chunks(tmp_path):
 ])
 def test_unknown_trace_byte_rejected(tmp_path, opcode, module, byte):
     t = toy_trace()
-    t.record(opcode, module)
+    t.buf.append(module << 3 | opcode)
     with pytest.raises(ValueError, match=f"unknown trace byte {byte}"):
         CycleLedger(t)
     path = tmp_path / "trace.txt"
@@ -100,7 +100,7 @@ def test_load_rejects_bad_line(tmp_path, bad):
 
 def test_default_cost_values():
     table = CostTable()
-    assert table.cost(OP_MONT_MUL, "fpga") == 87
+    assert table.costs["fpga"][OP_MONT_MUL] == 87
     assert MUL_WIDE_CYCLES["fpga"] == 22
     assert MUL_WIDE_CYCLES["asic"] == 23
 
@@ -112,21 +112,21 @@ def test_default_costs_match_datapath(mode):
     aw = bw = int_to_words(0, 16)
     assert MUL_WIDE_CYCLES[m] == mul_wide(aw, bw, mode)[1].cycles
     assert BOOTH_CYCLES[m] == booth_mul32(0, 0, mode)[1].cycles
-    assert table.cost(OP_MONT_MUL, m) == \
+    assert table.costs[m][OP_MONT_MUL] == \
         mont_mul_dp_int(0, 0, TOY, mode)[1].cycles
     csel = csel_add(aw, bw)[2].cycles
-    assert table.cost(OP_ADD, m) == table.cost(OP_SUB, m) == 2 * csel
-    assert table.cost(OP_MONT_REDUCE, m) == \
-        table.cost(OP_MONT_MUL, m) - MUL_WIDE_CYCLES[m] == \
+    assert table.costs[m][OP_ADD] == table.costs[m][OP_SUB] == 2 * csel
+    assert table.costs[m][OP_MONT_REDUCE] == \
+        table.costs[m][OP_MONT_MUL] - MUL_WIDE_CYCLES[m] == \
         mont_reduce_dp_int(0, TOY, mode)[1].cycles
 
 
 def test_single_op_pricing():
     t = OpTrace()
-    t.record(OP_MONT_MUL, MOD_XMUL)
+    t.buf.append(MOD_XMUL << 3 | OP_MONT_MUL)
     assert CycleLedger(t).total_cycles("fpga") == 87
     t2 = OpTrace()
-    t2.record(OP_MONT_REDUCE, MOD_CSIDH)
+    t2.buf.append(MOD_CSIDH << 3 | OP_MONT_REDUCE)
     led = CycleLedger(t2)
     assert led.total_cycles("fpga") == 65
     assert led.total_cycles("asic") == 66
@@ -159,7 +159,7 @@ def test_cost_table_roundtrip(tmp_path):
     path = tmp_path / "costs.cfg"
     path.write_text("MONT_MUL.fpga = 90\noverhead.fpga = 1.25\n")
     loaded = CostTable.load(path)
-    assert loaded.cost(OP_MONT_MUL, "fpga") == 90
+    assert loaded.costs["fpga"][OP_MONT_MUL] == 90
     assert loaded.overhead["fpga"] == 1.25
     loaded.costs["fpga"][OP_MONT_MUL] = CostTable().costs["fpga"][OP_MONT_MUL]
     loaded.overhead["fpga"] = 0.0
