@@ -112,12 +112,16 @@ def test_oracle_keeps_no_state_across_calls():
     assert found == []
 
 
+def _action_functions():
+    tree = ast.parse((SRC / "action.py").read_text())
+    return {node.name: node for node in tree.body
+            if isinstance(node, ast.FunctionDef)}
+
+
 def test_ct_loops_compute_no_cofactor():
     # The ct loops take every cofactor and clearing scalar from
     # `ct_schedule`, so the schedule stays their one source.
-    tree = ast.parse((SRC / "action.py").read_text())
-    funcs = {node.name: node for node in tree.body
-             if isinstance(node, ast.FunctionDef)}
+    funcs = _action_functions()
     found = [f"action.py:{call.lineno} {ast.unparse(call)}"
              for name in ("group_action_ct", "_ct_round")
              for call in ast.walk(funcs[name])
@@ -129,9 +133,7 @@ def test_ct_loops_compute_no_cofactor():
 def test_ct_round_selects_no_point_by_expression():
     # The round keeps its two points in one side-indexed pair, so the key
     # picks a point by index alone: no conditional expression swaps them.
-    tree = ast.parse((SRC / "action.py").read_text())
-    funcs = {node.name: node for node in tree.body
-             if isinstance(node, ast.FunctionDef)}
+    funcs = _action_functions()
     found = [f"action.py:{node.lineno} {ast.unparse(node)}"
              for name in ("_ct_round", "_sample_pair")
              for node in ast.walk(funcs[name]) if isinstance(node, ast.IfExp)]
