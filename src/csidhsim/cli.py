@@ -12,7 +12,9 @@ constant-time action, except ``trace --vartime``:
 * ``trace``  -- export the operation trace of one seeded key generation.
 
 All randomness flows through a single DRBG: with ``--seed`` (the empty
-seed included) every run is bit-reproducible (files and stdout included).
+seed included) ``keygen`` and ``trace`` are bit-reproducible, files and
+stdout included.  ``dh`` takes no seed, because its output does not
+depend on its random draws.
 Results go to stdout, diagnostics to stderr.
 
 The subcommands raise; :func:`main` alone turns an error into a one-line
@@ -58,7 +60,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, metavar="PREFIX",
                    help="write PREFIX.sk and PREFIX.pk")
 
-    p = sub.add_parser("dh", parents=[seeded], help="derive a shared secret")
+    p = sub.add_parser("dh", help="derive a shared secret")
     p.add_argument("sk_path", help="own private-key file")
     p.add_argument("pk_path", help="peer public-key file")
     p.add_argument("--reveal", action="store_true",
@@ -94,7 +96,6 @@ def cmd_keygen(args) -> int:
 
 
 def cmd_dh(args) -> int:
-    rng = action.make_rng(args.seed)
     sk_raw = Path(args.sk_path).read_bytes()
     pk_raw = Path(args.pk_path).read_bytes()
     sk = action.PrivateKey.from_bytes(sk_raw)
@@ -102,7 +103,7 @@ def cmd_dh(args) -> int:
     if peer_params != sk.params:
         raise action.InvalidPeerKey(
             f"key is for {peer_params.name}, private key for {sk.params.name}")
-    secret = action.shared_secret(sk, peer, sk.params, rng)
+    secret = action.shared_secret(sk, peer, sk.params, action.make_rng())
     raw = secret.to_bytes()
     if args.out:
         Path(args.out).write_bytes(raw)

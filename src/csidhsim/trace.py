@@ -47,14 +47,13 @@ MODULE_NAMES = {
     MOD_CSIDH: "CSIDH",
 }
 
-# Dump line of every trace byte, None for a byte that names no known
-# (opcode, module) pair; the 24 known bytes; and each line's byte for load.
+# The dump format, defined once: the line of every trace byte, None for a
+# byte that names no known (opcode, module) pair; and the 24 known bytes.
 _LINES = tuple(
     f"{OPCODE_NAMES[b & 7]}\t{MODULE_NAMES[b >> 3]}\n".encode()
     if b & 7 in OPCODE_NAMES and b >> 3 in MODULE_NAMES else None
     for b in range(256))
 _KNOWN = bytes(b for b, line in enumerate(_LINES) if line is not None)
-_BYTE_OF_LINE = {_LINES[b].decode().rstrip("\n"): b for b in _KNOWN}
 
 # Ops per write when dumping: the text streams in pieces of ~50 KB.
 _DUMP_CHUNK = 4096
@@ -103,22 +102,6 @@ class OpTrace:
         with open(path, "wb") as f:
             for i in range(0, len(buf), _DUMP_CHUNK):
                 f.write(b"".join(map(line, buf[i:i + _DUMP_CHUNK])))
-
-    @classmethod
-    def load(cls, path) -> "OpTrace":
-        """Read a dump back; raises ValueError naming ``file:line`` for a
-        line that is not a known ``opcode<TAB>module`` pair."""
-        t = cls()
-        buf = t.buf
-        with open(path, encoding="utf-8", errors="replace") as f:
-            for lineno, line in enumerate(f, 1):
-                line = line.rstrip("\n")
-                b = _BYTE_OF_LINE.get(line)
-                if b is None:
-                    raise ValueError(f"{path}:{lineno}: bad trace line "
-                                     f"{line!r}")
-                buf.append(b)
-        return t
 
 
 # Structural ALU latencies in cycles, per ALU mode.  The datapath model

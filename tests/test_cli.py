@@ -43,16 +43,13 @@ def test_dh_agreement_and_reveal(tmp_path, capsys):
                "--out", alice)[0] == 0
     assert run(capsys, "keygen", "--params", "toy419", "--seed", "02",
                "--out", bob)[0] == 0
-    code, s1, _ = run(capsys, "dh", "--seed", "03",
-                      alice + ".sk", bob + ".pk", "--reveal")
+    code, s1, _ = run(capsys, "dh", alice + ".sk", bob + ".pk", "--reveal")
     assert code == 0
-    code, s2, _ = run(capsys, "dh", "--seed", "04",
-                      bob + ".sk", alice + ".pk", "--reveal")
+    code, s2, _ = run(capsys, "dh", bob + ".sk", alice + ".pk", "--reveal")
     assert code == 0
     assert s1 == s2
     # default output is a hash, not the secret
-    code, hashed, _ = run(capsys, "dh", "--seed", "05",
-                          alice + ".sk", bob + ".pk")
+    code, hashed, _ = run(capsys, "dh", alice + ".sk", bob + ".pk")
     assert code == 0 and hashed.startswith("sha256:")
     assert s1.strip() not in hashed
 
@@ -62,9 +59,8 @@ def test_dh_secret_file(tmp_path, capsys):
     run(capsys, "keygen", "--params", "toy419", "--seed", "01", "--out", alice)
     run(capsys, "keygen", "--params", "toy419", "--seed", "02", "--out", bob)
     out = tmp_path / "secret.bin"
-    code, shown, _ = run(capsys, "dh", "--seed", "03",
-                         alice + ".sk", bob + ".pk", "--reveal",
-                         "--out", str(out))
+    code, shown, _ = run(capsys, "dh", alice + ".sk", bob + ".pk",
+                         "--reveal", "--out", str(out))
     assert code == 0
     assert out.read_bytes().hex() == shown.strip()
 
@@ -103,7 +99,7 @@ def test_exit_invalid_peer_on_singular_curve(tmp_path, capsys):
         "--out", alice)
     evil = tmp_path / "evil.pk"
     evil.write_bytes(PublicKey(2).to_bytes(toy))
-    code, _, _ = run(capsys, "dh", "--seed", "02", alice + ".sk", str(evil))
+    code, _, _ = run(capsys, "dh", alice + ".sk", str(evil))
     assert code == 4
 
 
@@ -150,8 +146,7 @@ def test_keygen_and_dh_run_only_the_constant_time_action(tmp_path, capsys,
     for seed, prefix in (("01", alice), ("02", bob)):
         assert run(capsys, "keygen", "--params", "toy419", "--seed", seed,
                    "--out", prefix)[0] == 0
-    assert run(capsys, "dh", "--seed", "03", alice + ".sk",
-               bob + ".pk")[0] == 0
+    assert run(capsys, "dh", alice + ".sk", bob + ".pk")[0] == 0
     with pytest.raises(VartimeReached):   # trace --vartime still reaches it
         main(["trace", "--params", "toy419", "--seed", "01", "--vartime",
               "--out", str(tmp_path / "vt.trace")])
@@ -224,7 +219,7 @@ def test_malformed_seed_is_usage_error(tmp_path, capsys):
 # global options.
 OPTIONS = {
     "keygen": {"--params", "--seed", "--out"},
-    "dh": {"--seed", "--reveal", "--out"},
+    "dh": {"--reveal", "--out"},
     "bench": {"--params", "--cost-table", "--out"},
     "trace": {"--params", "--seed", "--vartime", "--out"},
 }
@@ -244,7 +239,7 @@ def test_each_subcommand_takes_exactly_the_flags_it_reads():
     for name, sub in subs.items():
         options = set(sub._option_string_actions) - {"-h", "--help"}
         assert options == OPTIONS[name], name
-    assert sum(map(len, OPTIONS.values())) == 13
+    assert sum(map(len, OPTIONS.values())) == 12
 
 
 @pytest.mark.parametrize("argv", [
@@ -256,6 +251,7 @@ def test_each_subcommand_takes_exactly_the_flags_it_reads():
      "--out", "k"],
     ["dh", "--params", "toy419", "a.sk", "b.pk"],
     ["dh", "--vartime", "a.sk", "b.pk"],
+    ["dh", "--seed", "00", "a.sk", "b.pk"],
 ], ids=" ".join)
 def test_flag_in_wrong_place_is_usage_error(argv, tmp_path, monkeypatch,
                                             capsys):
@@ -273,8 +269,7 @@ def test_dh_takes_params_from_key_files(tmp_path, capsys):
     for seed, prefix in (("01", alice), ("02", bob)):
         assert run(capsys, "keygen", "--params", "toy419", "--seed", seed,
                    "--out", prefix)[0] == 0
-    code, out, _ = run(capsys, "dh", "--seed", "03",
-                       alice + ".sk", bob + ".pk")
+    code, out, _ = run(capsys, "dh", alice + ".sk", bob + ".pk")
     assert code == 0
     assert out == ("sha256:60ad1fb6b44656467ab4ba43861bf2f4"
                    "6c5eaa8597ba606b417764c630f351fd\n")

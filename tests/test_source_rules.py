@@ -148,9 +148,9 @@ def test_only_fp_writes_trace_bytes():
     # `Fp` tags every op it records with the current module and is what
     # `mark`/`rollback` undo, so an op template (`Fp.issue`) or a slice of
     # the buffer written anywhere else would bypass both.  `trace.py`
-    # defines the buffer (`OpTrace.load`, `dump`).  Any method
-    # call on a buffer, subscript of it, in-place update of it or alias to
-    # it counts.
+    # defines the buffer and only reads it (`OpTrace.dump`, `CycleLedger`).
+    # Any method call on a buffer, subscript of it, in-place update of it
+    # or alias to it counts.
     found = [f"{path.name}:{node.lineno} {ast.unparse(node)}"
              for path in sorted(SRC.glob("*.py"))
              if path.name not in ("fp.py", "trace.py")

@@ -1,7 +1,6 @@
 """Operation traces, cost tables, and cycle ledgers."""
 
 import itertools
-import re
 
 import pytest
 
@@ -12,10 +11,10 @@ from csidhsim.datapath import (AluMode, booth_mul32, csel_add,
                                mont_mul_dp_int, mont_reduce_dp_int, mul_wide)
 from csidhsim.fp import int_to_words
 from csidhsim.params import get_params
-from csidhsim.trace import (BOOTH_CYCLES, MOD_CSIDH, MOD_XMUL, MUL_WIDE_CYCLES,
-                            OP_ADD, OP_MONT_MUL, OP_MONT_REDUCE, OP_SUB,
-                            CostTable, CycleLedger, OpTrace,
-                            calibrate_overhead)
+from csidhsim.trace import (BOOTH_CYCLES, MOD_CSIDH, MOD_XMUL, MODULE_NAMES,
+                            MUL_WIDE_CYCLES, OP_ADD, OP_MONT_MUL,
+                            OP_MONT_REDUCE, OP_SUB, OPCODE_NAMES, CostTable,
+                            CycleLedger, OpTrace, calibrate_overhead)
 from test_acceptance import PINNED
 
 TOY = get_params("toy419")
@@ -47,12 +46,12 @@ def test_trace_equal():
 
 
 def test_trace_dump_load_roundtrip(tmp_path):
+    # One opcode<TAB>module line per op, named from the public tables.
     t = toy_trace()
     path = tmp_path / "trace.txt"
     t.dump(path)
-    loaded = OpTrace.load(path)
-    assert t == loaded
-    assert path.read_text().splitlines()[0].count("\t") == 1
+    assert path.read_text().splitlines() == [
+        f"{OPCODE_NAMES[b & 7]}\t{MODULE_NAMES[b >> 3]}" for b in t.buf]
 
 
 def test_dump_spans_chunks(tmp_path):
@@ -66,7 +65,6 @@ def test_dump_spans_chunks(tmp_path):
     assert len(lines) == len(t)
     assert lines[4096] == "ADD\tCSIDH"
     assert lines[:4096] == lines[4097:] == ["SUB\txMUL"] * 4096
-    assert OpTrace.load(path) == t
 
 
 @pytest.mark.parametrize("opcode, module, byte", [
@@ -83,19 +81,6 @@ def test_unknown_trace_byte_rejected(tmp_path, opcode, module, byte):
     with pytest.raises(ValueError, match=f"unknown trace byte {byte}"):
         t.dump(path)
     assert not path.exists()
-
-
-@pytest.mark.parametrize("bad", ["ADD\tFOO", "FOO\tCSIDH", "ADD CSIDH", "",
-                                 "ADD\tCSIDH\tCSIDH", b"ADD\tCSIDH\xff"])
-def test_load_rejects_bad_line(tmp_path, bad):
-    # An undecodable byte is shown as U+FFFD in the reported line.
-    raw = bad if isinstance(bad, bytes) else bad.encode()
-    path = tmp_path / "trace.txt"
-    path.write_bytes(b"ADD\tCSIDH\n" + raw + b"\nSUB\txMUL\n")
-    shown = raw.decode(errors="replace")
-    with pytest.raises(ValueError, match=re.escape(
-            f"trace.txt:2: bad trace line {shown!r}")):
-        OpTrace.load(path)
 
 
 def test_default_cost_values():
@@ -141,16 +126,6 @@ def test_ledger_totals_consistent():
     led = CycleLedger(t)
     assert sum(led.opcode_counts().values()) == len(t) == led.total_ops
     assert sum(led.module_cycles("fpga").values()) == led.total_cycles("fpga")
-
-
-def test_replay_reprices_identically(tmp_path):
-    t = toy_trace()
-    path = tmp_path / "trace.txt"
-    t.dump(path)
-    led1 = CycleLedger(t)
-    led2 = CycleLedger(OpTrace.load(path))
-    assert led1.total_cycles("fpga") == led2.total_cycles("fpga")
-    assert led1.opcode_counts() == led2.opcode_counts()
 
 
 def test_cost_table_roundtrip(tmp_path):
