@@ -248,17 +248,12 @@ def group_action_vartime(pk: PublicKey, sk: PrivateKey, rng: Drbg,
     e = list(sk.exponents)
     curve = ProjCurve(fp.to_mont(pk.A), fp.one)
 
-    for twist in (False, True):
-        side = CurveSide.TWIST if twist else CurveSide.CURVE
+    for side, sign in zip(SIDES, (1, -1)):
         while True:
-            batch = [i for i in range(n)
-                     if (e[i] > 0 and not twist) or (e[i] < 0 and twist)]
-            batch = batch[:BATCH_LIMIT]
+            batch = [i for i in range(n) if e[i] * sign > 0][:BATCH_LIMIT]
             if not batch:
                 break
-            in_batch = set(batch)
-            k = 4 * math.prod(primes[j] for j in range(n)
-                              if j not in in_batch)
+            k = (params.p + 1) // math.prod(primes[i] for i in batch)
             P = sample_point(fp, curve, side, rng)
             const = curve_constants(fp, curve)
             P = xmul(fp, P, k, const)
@@ -274,7 +269,7 @@ def group_action_vartime(pk: PublicKey, sk: PrivateKey, rng: Drbg,
                     return None, False, trace
                 P = images[0]
                 const = curve_constants(fp, curve)
-                e[idx] += 1 if twist else -1
+                e[idx] -= sign
             # next while-iteration draws a fresh point
 
     if not _validate_working_curve(fp, curve, rng):
