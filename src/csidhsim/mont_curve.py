@@ -140,10 +140,16 @@ def xmul(fp: Fp, P: ProjPoint, k: int, const: CurveConstants) -> ProjPoint:
     Every step is one `xdbladd`, whichever bit it consumes, so the operation
     sequence depends only on the bit length of k.  Every scalar the action
     ladders is public (a product of the parameter set's primes, or p + 1),
-    so this keeps the trace key-independent.  P must not be the X = 0
-    two-torsion point (the usual x-only exclusion); the action layer never
-    ladders it because sampling rejects x = 0 and cofactor clearing removes
-    the even part.
+    so this keeps the trace key-independent.
+
+    For k >= 1 the ladder returns (0 : 0) for P = O and for the X = 0
+    two-torsion point (0 : 1), because the difference point P has Z = 0,
+    resp. X = 0.  `is_infinity` reads any Z = 0 as O, and must: honest ct
+    rounds ladder points that are already O, and an `is_infinity` that
+    refused (0 : 0) failed the ct action on up to all 27 toy419 keys,
+    depending on the seed.  On a supersingular curve the action layer never
+    ladders (0 : 1): sampling rejects x = 0 and cofactor clearing removes
+    the even part.  `validate_pk` checks `Q.X == 0` itself.
 
     Inputs and result are Montgomery-domain.  The steps run on
     standard-domain residues, converted in (times R^-1) and out (times R)

@@ -1,7 +1,11 @@
 """CLI behavior: reproducibility, agreement, exit codes, formats."""
 
 import argparse
+import builtins
+import functools
+import importlib
 import os
+import pkgutil
 import re
 import shlex
 import subprocess
@@ -361,8 +365,11 @@ def test_unknown_params_rejected(capsys):
         main(["keygen", "--params", "csidh1024", "--out", "x"])
 
 
+README = Path(__file__).parent.parent / "README.md"
+
+
 def readme_cli_section():
-    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    readme = README.read_text()
     return readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
 
 
@@ -374,6 +381,36 @@ def test_readme_names_only_real_flags():
     for sub in subparsers(_build_parser()).values():
         options |= set(sub._option_string_actions)
     assert named and named <= options, named - options
+
+
+def test_readme_names_only_real_api():
+    # In README's inline code and fenced Python blocks, every dotted name
+    # that starts at the package, one of its modules or a public class or
+    # function a module defines must resolve; so must every call of a bare
+    # name that is not a builtin.
+    modules = {m.name: importlib.import_module(f"csidhsim.{m.name}")
+               for m in pkgutil.iter_modules(csidhsim.__path__)}
+    roots = {"csidhsim": csidhsim, **modules}
+    for module in modules.values():
+        roots.update((name, obj) for name, obj in vars(module).items()
+                     if not name.startswith("_")
+                     and getattr(obj, "__module__", None) == module.__name__)
+    readme = README.read_text()
+    fence = re.compile(r"^```(\w*)\n(.*?)^```", re.S | re.M)
+    code = " ".join([body for lang, body in fence.findall(readme)
+                     if lang == "python"]
+                    + re.findall(r"`([^`\n]+)`", fence.sub("", readme)))
+    dotted = [name.split(".") for name in set(re.findall(
+        r"(?<![\w./])[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+", code))
+        if name.split(".", 1)[0] in roots]
+    called = set(re.findall(r"(?<![\w.])([A-Za-z_]\w*)\(", code))
+    members = set(roots).union(*map(dir, roots.values()))
+    missing = [".".join(parts) for parts in dotted
+               if functools.reduce(lambda obj, attr: getattr(obj, attr, None),
+                                   parts[1:], roots[parts[0]]) is None]
+    missing += [name + "(" for name in called
+                if not hasattr(builtins, name) and name not in members]
+    assert dotted and called and not missing, missing
 
 
 def test_readme_commands_parse():

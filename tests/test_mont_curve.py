@@ -125,6 +125,9 @@ def test_ladder_trivial_scalars(fp, base):
     P = mpt(fp, 4)   # arbitrary valid x over F_419
     assert is_infinity(xmul(fp, P, 0, const))
     assert aff_x(fp, xmul(fp, P, 1, const)) == 4
+    O = ProjPoint(fp.one, 0)
+    for k in (0, 1, 2, 3, 7):   # O ladders to O, seen as (0 : 0) for k >= 1
+        assert is_infinity(xmul(fp, O, k, const))
 
 
 def test_ladder_schedule_depends_only_on_bound(base):
