@@ -7,10 +7,12 @@ and is used by the curve, isogeny and action layers, with optional
 operation tracing.  :class:`FieldElement` is only a checked, serializable
 holder for a canonical value, such as a shared secret.
 
-All operations return canonical values (< p).  No operation branches
-on secret values: the conditional subtraction is a masked select and
-inversion / residue tests run a fixed square-and-always-multiply schedule
-keyed only to public exponents.
+All operations return canonical values (< p).  The schedule is what the
+trace records, and it depends on public values only: the conditional
+subtraction is a masked select, and inversion and the residue test record
+a fixed square-and-always-multiply schedule keyed only to public
+exponents.  Their values come from Python's `pow` on the standard-domain
+residue.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ import struct
 from dataclasses import dataclass
 
 from .params import WORD_BITS, CsidhParams
-from .trace import (MOD_CSIDH, OP_ADD, OP_MONT_MUL, OP_MONT_REDUCE, OP_SUB)
+from .trace import (MOD_CSIDH, OP_ADD, OP_MONT_MUL, OP_MONT_REDUCE, OP_SUB,
+                    tag_ops)
 
 
 class ZeroInverse(ZeroDivisionError):
@@ -86,14 +89,19 @@ def jacobi(a: int, n: int) -> int:
     return t if n == 1 else 0
 
 
+# pow_fixed's ops per exponent bit: the squaring, then the multiply.
+_SQUARE_MULTIPLY = bytes((OP_MONT_MUL, OP_MONT_MUL))
+
+
 class Fp:
     """Int-valued field context with optional ALU-op tracing.
 
     The curve and action layers route all field arithmetic through one Fp
     instance; when a trace buffer is attached, each operation appends one
     opcode byte tagged with the currently active control-unit module.  A
-    layer that computes values off the context (the ladder) records its ops
-    through `issue`, so Fp is the one writer of trace bytes.
+    layer that computes values off the context (the ladder, the isogeny)
+    records its ops through `issue` or `issue_tagged`, so Fp is the one
+    writer of trace bytes.
     """
 
     __slots__ = ("p", "mask", "shift", "pinv", "one", "R2", "Rinv", "trace",
@@ -128,8 +136,16 @@ class Fp:
         current module; for a caller that computes their values itself."""
         t = self.trace
         if t is not None:
-            mod = self._mod
-            t.extend(bytes(mod | op for op in ops) * times)
+            t.extend(tag_ops(self._mod >> 3, ops) * times)
+
+    def issue_tagged(self, ops: bytes, module_tag: int) -> None:
+        """Record trace bytes `ops` that carry their own module tags (a
+        template mixing modules, see `trace.tag_ops`), then make
+        `module_tag` current, as the op-by-op code would leave it."""
+        t = self.trace
+        if t is not None:
+            t.extend(ops)
+        self._mod = module_tag << 3
 
     # --- core ops (operands and results are plain ints < p) ---
 
@@ -180,16 +196,14 @@ class Fp:
     def pow_fixed(self, x: int, e: int) -> int:
         """Montgomery-domain x^e with a fixed schedule for the public e.
 
-        One squaring and one (always-executed) multiply per bit of e, most
-        significant first, so the operation sequence depends only on e.
+        The trace records one squaring and one (always-executed) multiply
+        per bit of e, max(bit length of e, 1) pairs issued in one call, so
+        the operation sequence depends only on e.  The value is Python's
+        `pow` on the standard-domain residue x*R^-1, converted back once.
         """
-        mul = self.mul
-        r = self.one
-        for b in bin(e)[2:]:
-            r = mul(r, r)
-            t = mul(r, x)
-            r = t if b == "1" else r
-        return r
+        self.issue(_SQUARE_MULTIPLY, max(e.bit_length(), 1))
+        p = self.p
+        return pow(x * self.Rinv % p, e, p) * self.one % p
 
     def inv(self, a: int) -> int:
         """Montgomery-domain inverse: maps x*R to x^-1*R, via a^(p-2)."""

@@ -1,9 +1,10 @@
 """Odd-degree isogeny computation (the xISOG control-unit model).
 
 Kernel multiples are produced by a differential addition chain holding a
-two-entry sliding window; each multiple is consumed immediately into four
-running products: the per-point evaluation accumulators and the curve
-products pi_plus = prod(X_i + Z_i), pi_minus = prod(X_i - Z_i).
+two-entry sliding window ([2]K by xDBL, then [i+1]K by xADD from [i]K, K
+and [i-1]K); each multiple is consumed immediately into four running
+products: the per-point evaluation accumulators and the curve products
+pi_plus = prod(X_i + Z_i), pi_minus = prod(X_i - Z_i).
 
 The codomain coefficient comes from the Edwards-style update
 (A24plus', A24minus') = ((A+2)^l * pi_plus^8, (A-2)^l * pi_minus^8)
@@ -11,37 +12,54 @@ mapped back to (Ax' : Az') = (2*(A24plus' + A24minus') : A24plus' - A24minus').
 This is the reconciled form of the published update (whose printed version
 misplaces a square); it is locked against the brute-force Velu oracle over
 the toy field by the test suite.
+
+The trace records the schedule of the op-by-op Montgomery model, issued in
+one `Fp.issue_tagged` call from constant pieces: the chain's xDBL and xADD
+steps tagged xDBLADD, everything else xISOG.  The values come from
+standard-domain residues: `xisog` converts its inputs in once (times R^-1),
+runs the chain (`mont_curve.xdbladd`, `xadd_tail`) and the running products
+as plain `a*b % p`, takes the two l-th and eighth powers with `pow`, and
+converts the codomain and images out once (times R).
 """
 
 from __future__ import annotations
 
-from typing import Iterator
-
 from .fp import Fp
 from .mont_curve import (CurveConstants, ProjCurve, ProjPoint, curve_constants,
-                         is_infinity, xadd, xdbl, xmul)
-from .trace import MOD_XISOG
+                         is_infinity, xadd_tail, xdbladd, xmul)
+from .trace import (MOD_XDBLADD, MOD_XISOG, OP_ADD, OP_MONT_MUL, OP_SUB,
+                    tag_ops)
+
+_A, _S, _M = OP_ADD, OP_SUB, OP_MONT_MUL
+# The op-by-op model's schedule in pieces.  xISOG's, untagged: each point's
+# (X + Z, X - Z); each multiple's (X + Z, X - Z) and its two curve
+# products; each multiple's two products and accumulator updates per point;
+# each point's image; the codomain's (A+2, A-2), and its (Ax', Az').
+_PRE = bytes((_A, _S))
+_MULTIPLE = bytes((_A, _S, _M, _M))
+_MULTIPLE_POINT = bytes((_M, _M, _A, _M, _S, _M))
+_IMAGE = bytes((_M,) * 4)
+_CODOMAIN_HEAD = bytes((_A, _A, _S))
+_CODOMAIN_TAIL = bytes((_A, _A, _A, _S))
+# The chain's steps, tagged xDBLADD.
+_XDBL = tag_ops(MOD_XDBLADD, bytes((_A, _S, _M, _M, _S, _M, _M, _M, _A, _M)))
+_XADD = tag_ops(MOD_XDBLADD, bytes((_A, _S, _A, _S, _M, _M, _A, _S,
+                                    _M, _M, _M, _M)))
 
 
-def kernel_multiples(fp: Fp, K: ProjPoint, d: int,
-                     const: CurveConstants) -> Iterator[ProjPoint]:
-    """Yield x([i]K) for i = 1..d, keeping only the last two multiples."""
-    if d < 1:
-        return
-    yield K
-    if d == 1:
-        return
-    prev2, prev = K, xdbl(fp, K, const)
-    yield prev
-    for _ in range(d - 2):
-        prev2, prev = prev, xadd(fp, prev, K, prev2)
-        yield prev
-
-
-def _eighth_power(fp: Fp, x: int) -> int:
-    x = fp.mul(x, x)
-    x = fp.mul(x, x)
-    return fp.mul(x, x)
+def _schedule(n: int, l: int) -> bytes:
+    """Trace bytes of `xisog` on n points between `curve_constants` and
+    [l]K.  The codomain takes, for each of A+2 and A-2, 2*bitlen(l)
+    MONT_MULs for its l-th power, 3 for the eighth power of its pi and 1
+    for their product."""
+    d = (l - 1) // 2
+    body = tag_ops(MOD_XISOG, _MULTIPLE + _MULTIPLE_POINT * n)
+    chain = body + (_XDBL + body + (_XADD + body) * (d - 2) if d > 1
+                    else b"")
+    return (tag_ops(MOD_XISOG, _PRE * n) + chain
+            + tag_ops(MOD_XISOG, _IMAGE * n + _CODOMAIN_HEAD
+                      + bytes((_M,)) * (4 * l.bit_length() + 8)
+                      + _CODOMAIN_TAIL))
 
 
 def xisog(fp: Fp, curve: ProjCurve, points, K: ProjPoint, l: int):
@@ -53,47 +71,45 @@ def xisog(fp: Fp, curve: ProjCurve, points, K: ProjPoint, l: int):
     silently); so does a codomain with Az = 0.  This is the ct action's only
     kernel-order check.
 
+    Inputs and results are Montgomery-domain; see the module docstring for
+    the residues the values are computed on and the trace `fp` records.
+
     Returns (curve', images, fault).
     """
-    d = (l - 1) // 2
     const = curve_constants(fp, curve)
-
-    fp.set_module(MOD_XISOG)
-    one = fp.one
-    pre = []
-    for P in points:
-        pre.append((fp.add(P.X, P.Z), fp.sub(P.X, P.Z)))
+    fp.issue_tagged(_schedule(len(points), l), MOD_XISOG)
+    p, rinv, one = fp.p, fp.Rinv, fp.one
+    A24, C24 = const.A24 * rinv % p, const.C24 * rinv % p
+    pre = [((P.X + P.Z) * rinv % p, (P.X - P.Z) * rinv % p) for P in points]
     # Running products over the d = (l-1)/2 kernel multiples: the curve
-    # products, and one evaluation accumulator pair per point.
-    pi_plus = pi_minus = one
-    eval_plus = [one] * len(pre)
-    eval_minus = [one] * len(pre)
+    # products, and one evaluation accumulator pair per point.  Iteration i
+    # takes M = [i+1]K, the chain's next step.
+    pi_plus = pi_minus = 1
+    eval_plus = [1] * len(pre)
+    eval_minus = [1] * len(pre)
 
-    for M in kernel_multiples(fp, K, d, const):
-        fp.set_module(MOD_XISOG)
-        s = fp.add(M.X, M.Z)
-        t = fp.sub(M.X, M.Z)
-        pi_plus = fp.mul(pi_plus, s)
-        pi_minus = fp.mul(pi_minus, t)
+    K_std = M = ProjPoint(K.X * rinv % p, K.Z * rinv % p)
+    for i in range((l - 1) // 2):
+        if i == 1:      # [2]K, the doubling half of a ladder step
+            M, prev = xdbladd(p, M, M, M, CurveConstants(A24, C24))[0], M
+        elif i:         # [i+1]K from [i]K = (s, t), K and [i-1]K
+            M, prev = xadd_tail(p, s, t, K_std, prev), M
+        s = M.X + M.Z
+        t = M.X - M.Z
+        pi_plus = pi_plus * s % p
+        pi_minus = pi_minus * t % p
         for j, (pp, pm) in enumerate(pre):
-            t0 = fp.mul(pm, s)
-            t1 = fp.mul(pp, t)
-            eval_plus[j] = fp.mul(eval_plus[j], fp.add(t0, t1))
-            eval_minus[j] = fp.mul(eval_minus[j], fp.sub(t0, t1))
+            t0 = pm * s % p
+            t1 = pp * t % p
+            eval_plus[j] = eval_plus[j] * (t0 + t1) % p
+            eval_minus[j] = eval_minus[j] * (t0 - t1) % p
 
-    images = []
-    for P, ep, em in zip(points, eval_plus, eval_minus):
-        images.append(ProjPoint(fp.mul(P.X, fp.mul(ep, ep)),
-                                fp.mul(P.Z, fp.mul(em, em))))
-
-    az2 = fp.add(curve.Az, curve.Az)
-    a24p = fp.add(curve.Ax, az2)                  # (A+2) projectively
-    a24m = fp.sub(curve.Ax, az2)                  # (A-2) projectively
-    tp = fp.mul(fp.pow_fixed(a24p, l), _eighth_power(fp, pi_plus))
-    tm = fp.mul(fp.pow_fixed(a24m, l), _eighth_power(fp, pi_minus))
-    ax = fp.add(fp.add(tp, tm), fp.add(tp, tm))   # 2*(tp + tm)
-    az = fp.sub(tp, tm)
-    new_curve = ProjCurve(ax, az)
+    images = [ProjPoint(P.X * (ep * ep % p) % p, P.Z * (em * em % p) % p)
+              for P, ep, em in zip(points, eval_plus, eval_minus)]
+    tp = pow(A24, l, p) * pow(pi_plus, 8, p) % p            # (A+2)^l pi+^8
+    tm = pow(A24 - C24, l, p) * pow(pi_minus, 8, p) % p     # (A-2)^l pi-^8
+    az = (tp - tm) * one % p
+    new_curve = ProjCurve(2 * (tp + tm) * one % p, az)
 
     # A codomain with Az = 0 is no curve: a fault, like a kernel of the
     # wrong order.

@@ -5,11 +5,14 @@ ints; Z = 0 encodes the point at infinity.  The public functions take an
 :class:`~csidhsim.fp.Fp` context so operation traces attribute work to the
 right control-unit module.
 
-The one exception is the ladder step `xdbladd`: `xmul` converts its inputs
-to standard-domain residues once, runs every step there as plain bignum
-arithmetic on the prime `p`, and converts the result back.  It issues the
-steps' ALU ops on its `Fp` in one call, from the per-step template
-`XDBLADD_OPS`, so the trace is what an op-by-op Montgomery ladder records.
+The exceptions are the ladder step `xdbladd` and its addition half
+`xadd_tail`, the one implementation of the xDBL/xADD formulas, which run on
+standard-domain residues: `xmul` converts its inputs to residues once, runs
+every step there as plain bignum arithmetic on the prime `p`, and converts
+the result back.  It issues the steps' ALU ops on its `Fp` in one call,
+from the per-step template `XDBLADD_OPS`, so the trace is what an op-by-op
+Montgomery ladder records.  `isogeny.xisog` runs its kernel chain on
+residues in the same way.
 
 The combined double-and-add consumes the curve through precomputed
 (A+2)/4-style constants (A24 = Ax + 2*Az, C24 = 4*Az), recomputed whenever
@@ -61,51 +64,24 @@ def is_infinity(P: ProjPoint) -> bool:
     return P.Z == 0
 
 
-def _xdbl_tail(fp: Fp, aa: int, bb: int, e: int,
-               const: CurveConstants) -> ProjPoint:
-    """x([2]P) from aa = (X+Z)^2, bb = (X-Z)^2 and e = aa - bb."""
-    t = fp.mul(const.C24, bb)
-    x2 = fp.mul(t, aa)
-    z2 = fp.mul(e, fp.add(t, fp.mul(const.A24, e)))
-    return ProjPoint(x2, z2)
-
-
-def _xadd_tail(fp: Fp, a: int, b: int, Q: ProjPoint,
-               diff: ProjPoint) -> ProjPoint:
-    """x(P+Q) from a = X+Z and b = X-Z of P, given diff = x(P-Q)."""
-    c = fp.add(Q.X, Q.Z)
-    d = fp.sub(Q.X, Q.Z)
-    da = fp.mul(d, a)
-    cb = fp.mul(c, b)
-    t0 = fp.add(da, cb)
-    t1 = fp.sub(da, cb)
-    x3 = fp.mul(diff.Z, fp.mul(t0, t0))
-    z3 = fp.mul(diff.X, fp.mul(t1, t1))
-    return ProjPoint(x3, z3)
-
-
-def xdbl(fp: Fp, P: ProjPoint, const: CurveConstants) -> ProjPoint:
-    """x([2]P)."""
-    fp.set_module(MOD_XDBLADD)
-    a = fp.add(P.X, P.Z)
-    b = fp.sub(P.X, P.Z)
-    aa = fp.mul(a, a)
-    bb = fp.mul(b, b)
-    return _xdbl_tail(fp, aa, bb, fp.sub(aa, bb), const)
-
-
-def xadd(fp: Fp, P: ProjPoint, Q: ProjPoint, diff: ProjPoint) -> ProjPoint:
-    """x(P+Q) given diff = x(P-Q)."""
-    fp.set_module(MOD_XDBLADD)
-    return _xadd_tail(fp, fp.add(P.X, P.Z), fp.sub(P.X, P.Z), Q, diff)
-
-
-# One ladder step's ALU ops in issue order: the (X+-Z) squares and their
-# difference, then the differential addition (`_xadd_tail`), then the
-# doubling (`_xdbl_tail`).
+# One ladder step's ALU ops in the op-by-op Montgomery model's issue order:
+# the (X+-Z) squares and their difference, then the differential addition,
+# then the rest of the doubling.
 XDBLADD_OPS = bytes((OP_ADD, OP_SUB, OP_MONT_MUL, OP_MONT_MUL, OP_SUB,
                      OP_ADD, OP_SUB, OP_MONT_MUL, OP_MONT_MUL, OP_ADD, OP_SUB,
                      *(OP_MONT_MUL,) * 7, OP_ADD, OP_MONT_MUL))
+
+
+def xadd_tail(p: int, a: int, b: int, Q: ProjPoint,
+              diff: ProjPoint) -> ProjPoint:
+    """x(P+Q) on standard-domain residues mod p, from a = X+Z and b = X-Z
+    of P, given diff = x(P-Q): the addition half of `xdbladd`, and each
+    xADD step of `isogeny.xisog`'s kernel chain.  Untraced."""
+    da = (Q.X - Q.Z) * a % p
+    cb = (Q.X + Q.Z) * b % p
+    t0 = da + cb
+    t1 = da - cb
+    return ProjPoint(diff.Z * (t0 * t0 % p) % p, diff.X * (t1 * t1 % p) % p)
 
 
 def xdbladd(p: int, P: ProjPoint, Q: ProjPoint, diff: ProjPoint,
@@ -124,14 +100,9 @@ def xdbladd(p: int, P: ProjPoint, Q: ProjPoint, diff: ProjPoint,
     aa = a * a % p
     bb = b * b % p
     e = aa - bb
-    da = (Q.X - Q.Z) * a % p
-    cb = (Q.X + Q.Z) * b % p
-    t0 = da + cb
-    t1 = da - cb
     t = const.C24 * bb % p
     return (ProjPoint(t * aa % p, e * ((t + const.A24 * e) % p) % p),
-            ProjPoint(diff.Z * (t0 * t0 % p) % p,
-                      diff.X * (t1 * t1 % p) % p))
+            xadd_tail(p, a, b, Q, diff))
 
 
 def xmul(fp: Fp, P: ProjPoint, k: int, const: CurveConstants) -> ProjPoint:

@@ -55,6 +55,17 @@ _LINES = tuple(
     for b in range(256))
 _KNOWN = bytes(b for b, line in enumerate(_LINES) if line is not None)
 
+# One `bytes.translate` table per module: opcode -> (module << 3) | opcode.
+_TAG_TABLES = {m: bytes(m << 3 | b if b < 8 else b for b in range(256))
+               for m in MODULE_NAMES}
+
+
+def tag_ops(module: int, ops: bytes) -> bytes:
+    """The trace bytes of the bare opcodes `ops` issued by `module`, tagged
+    in one C-level translate rather than byte by byte."""
+    return ops.translate(_TAG_TABLES[module])
+
+
 # Ops per write when dumping: the text streams in pieces of ~50 KB.
 _DUMP_CHUNK = 4096
 

@@ -33,7 +33,8 @@ from csidhsim.mont_curve import ProjCurve, ProjPoint
 from csidhsim.params import get_params
 from csidhsim.trace import CostTable, CycleLedger, calibrate_overhead
 from test_action import (MID90, schedule_xdbladd_mont_muls,
-                         xdbladd_mont_muls)
+                         schedule_xisog_mont_muls, xdbladd_mont_muls,
+                         xisog_mont_muls)
 
 TOY = get_params("toy419")
 FULL = get_params("csidh512")
@@ -464,3 +465,11 @@ def test_ct_schedule_is_the_trace_schedule_full():
     trace = full_keygen(0)[2]
     assert xdbladd_mont_muls(trace) == schedule_xdbladd_mont_muls(FULL)
     assert schedule_xdbladd_mont_muls(FULL) == 747_942
+
+
+def test_xisog_schedule_is_the_trace_schedule_full():
+    # The cached csidh512 keygen's xISOG MONT_MULs match the closed form
+    # over `ct_schedule`.
+    trace = full_keygen(0)[2]
+    assert xisog_mont_muls(trace) == schedule_xisog_mont_muls(FULL)
+    assert schedule_xisog_mont_muls(FULL) == 338_130

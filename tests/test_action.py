@@ -17,7 +17,7 @@ from csidhsim.fp import Fp
 from csidhsim.mont_curve import (CurveSide, InfinityAffinize, ProjCurve,
                                  xtwist)
 from csidhsim.params import CsidhParams, csidh512_params, get_params
-from csidhsim.trace import MOD_XDBLADD, OP_MONT_MUL, OpTrace
+from csidhsim.trace import MOD_XDBLADD, MOD_XISOG, OP_MONT_MUL, OpTrace
 
 TOY = get_params("toy419")
 # p = 4*3*5*...*71 - 1 is a 90-bit prime.  Its 19 primes exceed
@@ -415,6 +415,25 @@ def xdbladd_mont_muls(trace):
     return trace.buf.count((MOD_XDBLADD << 3) | OP_MONT_MUL)
 
 
+def schedule_xisog_mont_muls(params):
+    """xISOG-tagged MONT_MULs of a recorded ct action, counted from
+    `ct_schedule`: sum over the slots of m * (10 * (l - 1)/2 + 16 +
+    4 * bitlen(l)).
+
+    Each slot runs one `xisog` on the round's two points.  Each of its
+    (l - 1)/2 kernel multiples takes 2 curve products and 4 per point; the
+    two images take 4 each; the codomain takes 2 * bitlen(l) for each l-th
+    power, 3 for each eighth power and 1 for each of their 2 products.
+    """
+    return params.m * sum(10 * ((l - 1) // 2) + 16 + 4 * l.bit_length()
+                          for _, slots in action.ct_schedule(params)
+                          for _, l, _, _ in slots)
+
+
+def xisog_mont_muls(trace):
+    return trace.buf.count((MOD_XISOG << 3) | OP_MONT_MUL)
+
+
 @pytest.mark.parametrize("params, want", [(TOY, 570), (MID90, 40_068)],
                          ids=["toy419", "mid90"])
 def test_ct_schedule_is_the_trace_schedule(params, want):
@@ -424,6 +443,19 @@ def test_ct_schedule_is_the_trace_schedule(params, want):
     assert ok
     assert xdbladd_mont_muls(trace) == schedule_xdbladd_mont_muls(params)
     assert schedule_xdbladd_mont_muls(params) == want
+
+
+@pytest.mark.parametrize("params, want", [(TOY, 140), (MID90, 11_346)],
+                         ids=["toy419", "mid90"])
+def test_xisog_schedule_is_the_trace_schedule(params, want):
+    # `xisog` issues its ops from templates; this count comes from a closed
+    # form over `ct_schedule` that no template code produced.
+    sk = random_private_key(params, make_rng(b"schedule-sk"))
+    _, ok, trace = action.group_action_ct(PublicKey(0), sk,
+                                          make_rng(b"schedule"))
+    assert ok
+    assert xisog_mont_muls(trace) == schedule_xisog_mont_muls(params)
+    assert schedule_xisog_mont_muls(params) == want
 
 
 @pytest.mark.parametrize("act", [action.group_action_ct,

@@ -1,5 +1,7 @@
 """Field arithmetic against the arbitrary-precision oracle."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,7 +10,8 @@ from csidhsim.fp import (FieldElement, Fp, ZeroInverse, int_to_words,
 from csidhsim.oracle import naive_redc
 from csidhsim.params import get_params
 from csidhsim.trace import (MOD_CSIDH, MOD_XAFFINIZE, MOD_XTWIST, OP_ADD,
-                            OP_SUB, OpTrace)
+                            OP_MONT_MUL, OP_SUB, OpTrace)
+from mont_reference import ref_pow
 
 TOY = get_params("toy419")
 FULL = get_params("csidh512")
@@ -207,6 +210,36 @@ def test_inv_schedule_value_independent(toy, pair):
     ta = _trace_of(toy, lambda c: c.inv(c.to_mont(a)))
     tb = _trace_of(toy, lambda c: c.inv(c.to_mont(b)))
     assert ta == tb
+
+
+@pytest.mark.parametrize("params", PARAMS, ids=lambda p: p.name)
+def test_pow_inv_is_square_equal_reference(params):
+    # Values, trace bytes and the module tag left behind equal those of a
+    # square-and-always-multiply of one `Fp.mul` per op: 2*max(bitlen e, 1)
+    # MONT_MULs per call, tagged with the current module.
+    rng = random.Random(f"pow-{params.name}")
+    p, one = params.p, params.one_m
+    xs = [0, 1, one, p - 1, *(rng.randrange(p) for _ in range(6))]
+    exps = [0, 1, 2, params.primes[-1], (p - 1) >> 1, p - 2]
+    got_t, want_t = OpTrace(), OpTrace()
+    got, want = Fp(params, got_t), Fp(params, want_t)
+    for ctx in (got, want):
+        ctx.set_module(MOD_XTWIST)
+    for x in xs:
+        for e in exps:
+            n = len(got_t)
+            assert got.pow_fixed(x, e) == ref_pow(want, x, e), (x, e)
+            assert got_t.buf[n:] == bytes(
+                [MOD_XTWIST << 3 | OP_MONT_MUL]) * (2 * max(e.bit_length(), 1))
+        assert got.is_square(x) == (ref_pow(want, x, (p - 1) >> 1) == one
+                                    or x == 0), x
+        if x:
+            assert got.inv(x) == ref_pow(want, x, p - 2), x
+        else:
+            with pytest.raises(ZeroInverse):
+                got.inv(x)
+    assert got_t.buf == want_t.buf
+    assert got.mark() == want.mark()
 
 
 def test_is_square_schedule_value_independent(toy):

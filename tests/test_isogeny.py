@@ -1,4 +1,5 @@
-"""xISOG against the brute-force Velu oracle over F_419."""
+"""xISOG against the brute-force Velu oracle over F_419, and against the
+op-by-op Montgomery model on every built-in size."""
 
 import random
 
@@ -6,10 +7,13 @@ import pytest
 
 from csidhsim import oracle as orc
 from csidhsim.fp import Fp
-from csidhsim.isogeny import kernel_multiples, xisog
+from csidhsim.isogeny import xisog
 from csidhsim.mont_curve import (ProjCurve, ProjPoint, curve_constants,
-                                 is_infinity)
+                                 is_infinity, xmul)
 from csidhsim.params import get_params
+from csidhsim.trace import MOD_XTWIST, OpTrace
+from mont_reference import kernel_multiples, ref_xisog
+from test_action import MID90
 
 TOY = get_params("toy419")
 P419 = TOY.p
@@ -143,3 +147,61 @@ def test_fault_soundness(fp):
         bad += fault
     assert good == 1000 and bad == 1000
 
+
+
+def _xisog_cases(params):
+    """(curve, points, K, l, kind) on the base curve, scaled by a seeded c.
+
+    For each l in 3, 5, 7 and the largest prime, and 0, 1 and 2 points:
+    a kernel of order l, K = O and a kernel of wrong order; with points, a
+    kernel of order l whose last point is [2]K, in <K>."""
+    rng = random.Random(f"xisog-{params.name}")
+    fp, p = Fp(params), params.p
+    c = rng.randrange(1, p)
+    curve = ProjCurve(0, c)
+    const = curve_constants(fp, curve)
+
+    def point():
+        return ProjPoint(rng.randrange(1, p) * c % p, c)
+
+    for l in (3, 5, 7, params.primes[-1]):
+        K = ProjPoint(0, 0)
+        while is_infinity(K):
+            K = xmul(fp, point(), (p + 1) // l, const)
+        for n in (0, 1, 2):
+            points = [point() for _ in range(n)]
+            yield curve, points, K, l, "order l"
+            yield curve, points, ProjPoint(c, 0), l, "O"
+            yield curve, points, point(), l, "wrong order"
+            if n:
+                in_ker = points[:-1] + [xmul(fp, K, 2, const)]
+                yield curve, in_ker, K, l, "image O"
+
+
+@pytest.mark.parametrize("params", [TOY, MID90, get_params("csidh512")],
+                         ids=lambda params: params.name)
+@pytest.mark.parametrize("traced", [True, False], ids=["traced", "untraced"])
+def test_xisog_equals_reference(params, traced):
+    # Values, trace bytes and the module tag left behind all equal those of
+    # the op-by-op Montgomery xISOG, for kernels of order l, O and of the
+    # wrong order, and for a point in <K>.
+    kinds = set()
+    for curve, points, K, l, kind in _xisog_cases(params):
+        got_t, want_t = (OpTrace(), OpTrace()) if traced else (None, None)
+        got_fp, want_fp = Fp(params, got_t), Fp(params, want_t)
+        for ctx in (got_fp, want_fp):
+            ctx.set_module(MOD_XTWIST)
+            ctx.add(1, 2)
+        got = xisog(got_fp, curve, points, K, l)
+        assert got == ref_xisog(want_fp, curve, points, K, l), (l, kind)
+        assert got_fp.mark() == want_fp.mark(), (l, kind)
+        if traced:
+            assert got_t.buf == want_t.buf, (l, kind)
+        _, images, fault = got
+        if kind != "O":
+            assert fault == (kind == "wrong order"), (l, kind)
+        if kind == "image O":
+            assert [is_infinity(Q) for Q in images] == [False] * (
+                len(images) - 1) + [True]
+        kinds.add(kind)
+    assert kinds == {"order l", "O", "wrong order", "image O"}

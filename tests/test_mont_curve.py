@@ -8,11 +8,11 @@ from csidhsim import oracle as orc
 from csidhsim.fp import Fp
 from csidhsim.mont_curve import (XDBLADD_OPS, CurveConstants, CurveSide,
                                  InfinityAffinize, ProjCurve, ProjPoint,
-                                 _xadd_tail, _xdbl_tail, affinize,
-                                 curve_constants, is_infinity, screen_side,
-                                 xadd, xdbl, xdbladd, xmul, xtwist)
+                                 affinize, curve_constants, is_infinity,
+                                 screen_side, xdbladd, xmul, xtwist)
 from csidhsim.params import get_params
 from csidhsim.trace import MOD_XDBLADD, MOD_XISOG, OpTrace
+from mont_reference import ref_xdbladd, ref_xmul, xadd, xdbl
 from test_action import MID90
 
 TOY = get_params("toy419")
@@ -142,29 +142,6 @@ def test_ladder_schedule_depends_only_on_bound(base):
         xmul(ctx, mpt(ctx, 4), k, const)
         traces.append(bytes(t.buf))
     assert traces[0] == traces[1] == traces[2]
-
-
-def ref_xdbladd(fp, P, Q, diff, const):
-    """The op-by-op Montgomery-domain ladder step, built from the same two
-    tails `xdbl` and `xadd` use; the addition tail runs first."""
-    fp.set_module(MOD_XDBLADD)
-    a = fp.add(P.X, P.Z)
-    b = fp.sub(P.X, P.Z)
-    aa = fp.mul(a, a)
-    bb = fp.mul(b, b)
-    e = fp.sub(aa, bb)
-    PQ = _xadd_tail(fp, a, b, Q, diff)
-    return _xdbl_tail(fp, aa, bb, e, const), PQ
-
-
-def ref_xmul(fp, P, k, const):
-    r0, r1 = ProjPoint(fp.one, 0), P
-    for i in reversed(range(max(k.bit_length(), 1))):
-        if (k >> i) & 1:
-            r1, r0 = ref_xdbladd(fp, r1, r0, P, const)
-        else:
-            r0, r1 = ref_xdbladd(fp, r0, r1, P, const)
-    return r0
 
 
 def test_xdbladd_ops_is_the_reference_step():
