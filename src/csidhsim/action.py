@@ -230,7 +230,7 @@ def sample_point(fp: Fp, curve: ProjCurve, side: CurveSide,
     for _ in range(_MAX_REJECTS):
         x = rng.below(p)
         if x and screen_side(p, curve, x) is side:
-            return ProjPoint(fp.to_mont(x), fp.one)
+            return ProjPoint(fp.to_mont(x), 1)
     raise RngFailure("point sampling exceeded retry ceiling")
 
 
@@ -246,7 +246,7 @@ def group_action_vartime(pk: PublicKey, sk: PrivateKey, rng: Drbg,
         return None, False, trace
     primes, n = params.primes, params.n
     e = list(sk.exponents)
-    curve = ProjCurve(fp.to_mont(pk.A), fp.one)
+    curve = ProjCurve(fp.to_mont(pk.A), 1)
 
     for side, sign in zip(SIDES, (1, -1)):
         while True:
@@ -284,7 +284,7 @@ def _validate_working_curve(fp: Fp, curve: ProjCurve, rng: Drbg) -> bool:
     x = 0
     while x == 0:
         x = rng.below(fp.p)
-    P = ProjPoint(fp.to_mont(x), fp.one)
+    P = ProjPoint(fp.to_mont(x), 1)
     const = curve_constants(fp, curve)
     return is_infinity(xmul(fp, P, fp.p + 1, const))
 
@@ -337,7 +337,7 @@ def group_action_ct(pk: PublicKey, sk: PrivateKey, rng: Drbg,
         sides.append(int(ei < 0) if ei else coin)
     remaining = [abs(ei) for ei in sk.exponents]
 
-    curve = ProjCurve(fp.to_mont(pk.A), fp.one)
+    curve = ProjCurve(fp.to_mont(pk.A), 1)
     for k_clear, slots in ct_schedule(params):
         for _ in range(params.m):
             curve = _ct_round(fp, curve, k_clear, slots, sides, remaining, rng)
@@ -356,11 +356,11 @@ def _sample_pair(fp: Fp, curve: ProjCurve, clear: int, rng: Drbg):
     ladder constants: (points, const).  None when a point's traced
     classification disagrees with the side `sample_point` screened it for.
     """
-    A_mont = affinize_mont(fp, curve)
+    A = affinize_mont(fp, curve)
     points = []
     for side in SIDES:
         P = sample_point(fp, curve, side, rng)
-        if xtwist(fp, P.X, A_mont) is not side:
+        if xtwist(fp, P.X, A) is not side:
             return None
         points.append(P)
     const = curve_constants(fp, curve)
@@ -461,10 +461,10 @@ def validate_pk(A: int, params: CsidhParams) -> bool:
     if not validate_basic(A, params):
         return False
     fp = Fp(params)
-    const = curve_constants(fp, ProjCurve(fp.to_mont(A), fp.one))
+    const = curve_constants(fp, ProjCurve(A, 1))
     proven = 1
     for x in range(1, _VALIDATE_POINTS + 1):
-        P = xmul(fp, ProjPoint(fp.to_mont(x), fp.one), 4, const)
+        P = xmul(fp, ProjPoint(x, 1), 4, const)
         for l, Q in _prime_multiples(fp, P, params.primes, const):
             # The ladder cannot take (0 : 1), of order 2; it has none on a
             # supersingular curve once [4] cleared the even part.

@@ -1,18 +1,21 @@
-"""Field arithmetic over F_p in standard and Montgomery domains.
+"""Field arithmetic over F_p.
 
-This module is the semantic ground truth for the word-level datapath model:
-every datapath operation must produce bit-identical values to the methods
-of :class:`Fp`, the one field-arithmetic surface.  It works on plain ints
-and is used by the curve, isogeny and action layers, with optional
-operation tracing.  :class:`FieldElement` is only a checked, serializable
-holder for a canonical value, such as a shared secret.
+Every value the curve, isogeny and action layers hold is a residue: the
+standard-domain value x mod p, as a plain int.  :class:`Fp` is the one
+field-arithmetic surface and the one writer of trace bytes.  The trace
+prices the modelled ALU, which works in the Montgomery domain, so `to_mont`
+and `from_mont` record that ALU's conversions without changing the value.
+
+`mul` and `redc` are the Montgomery product and reduction themselves: the
+reference values of the MONT_MUL and MONT_REDUCE ops, which the word-level
+datapath model must reproduce bit for bit.  :class:`FieldElement` is only a
+checked, serializable holder for a canonical value, such as a shared secret.
 
 All operations return canonical values (< p).  The schedule is what the
 trace records, and it depends on public values only: the conditional
 subtraction is a masked select, and inversion and the residue test record
 a fixed square-and-always-multiply schedule keyed only to public
-exponents.  Their values come from Python's `pow` on the standard-domain
-residue.
+exponents.  Their values come from Python's `pow`.
 """
 
 from __future__ import annotations
@@ -31,11 +34,8 @@ class ZeroInverse(ZeroDivisionError):
 
 @dataclass(frozen=True)
 class FieldElement:
-    """A canonical mod-p value (0 <= value < p), serialized little-endian.
-
-    Whether the value is in the standard or Montgomery domain is determined
-    by context; the representation is the same.
-    """
+    """A canonical residue mod p (0 <= value < p), serialized
+    little-endian."""
 
     value: int
     params: CsidhParams
@@ -96,25 +96,21 @@ _SQUARE_MULTIPLY = bytes((OP_MONT_MUL, OP_MONT_MUL))
 class Fp:
     """Int-valued field context with optional ALU-op tracing.
 
-    The curve and action layers route all field arithmetic through one Fp
+    The curve and action layers record every ALU op through one Fp
     instance; when a trace buffer is attached, each operation appends one
-    opcode byte tagged with the currently active control-unit module.  A
-    layer that computes values off the context (the ladder, the isogeny)
-    records its ops through `issue` or `issue_tagged`, so Fp is the one
-    writer of trace bytes.
+    opcode byte tagged with the currently active control-unit module.  The
+    curve formulas compute their products as plain `a*b % p` and record
+    their ops through `issue` or `issue_tagged`, so Fp is the one writer of
+    trace bytes.
     """
 
-    __slots__ = ("p", "mask", "shift", "pinv", "one", "R2", "Rinv", "trace",
-                 "_mod")
+    __slots__ = ("p", "mask", "shift", "pinv", "trace", "_mod")
 
     def __init__(self, params: CsidhParams, trace=None):
         self.p = params.p
         self.mask = params.R - 1
         self.shift = params.width
         self.pinv = params.pinv
-        self.one = params.one_m
-        self.R2 = params.R2
-        self.Rinv = params.Rinv
         self.trace = trace.buf if trace is not None else None
         self._mod = MOD_CSIDH << 3
 
@@ -165,7 +161,7 @@ class Fp:
         return s + self.p if s < 0 else s
 
     def mul(self, a: int, b: int) -> int:
-        """Montgomery product a*b*R^-1 mod p."""
+        """Montgomery product a*b*R^-1 mod p, MONT_MUL's reference value."""
         t = self.trace
         if t is not None:
             t.append(self._mod | OP_MONT_MUL)
@@ -176,7 +172,8 @@ class Fp:
         return r - p if r >= p else r
 
     def redc(self, T: int) -> int:
-        """Montgomery reduction T*R^-1 mod p for T < p*R."""
+        """Montgomery reduction T*R^-1 mod p for T < p*R, MONT_REDUCE's
+        reference value."""
         if not 0 <= T < self.p << self.shift:
             raise ValueError("mont_reduce input out of range [0, p*R)")
         t = self.trace
@@ -188,35 +185,38 @@ class Fp:
         return r - p if r >= p else r
 
     def to_mont(self, a: int) -> int:
-        return self.mul(a, self.R2)
+        """The ALU's conversion into the Montgomery domain: records one
+        MONT_MUL and returns the residue `a` unchanged."""
+        t = self.trace
+        if t is not None:
+            t.append(self._mod | OP_MONT_MUL)
+        return a
 
     def from_mont(self, a: int) -> int:
-        return self.redc(a)
+        """The ALU's conversion out of the Montgomery domain: records one
+        MONT_REDUCE and returns the residue `a` unchanged."""
+        t = self.trace
+        if t is not None:
+            t.append(self._mod | OP_MONT_REDUCE)
+        return a
 
     def pow_fixed(self, x: int, e: int) -> int:
-        """Montgomery-domain x^e with a fixed schedule for the public e.
+        """x^e with a fixed schedule for the public e.
 
         The trace records one squaring and one (always-executed) multiply
         per bit of e, max(bit length of e, 1) pairs issued in one call, so
         the operation sequence depends only on e.  The value is Python's
-        `pow` on the standard-domain residue x*R^-1, converted back once.
+        `pow`.
         """
         self.issue(_SQUARE_MULTIPLY, max(e.bit_length(), 1))
-        p = self.p
-        return pow(x * self.Rinv % p, e, p) * self.one % p
+        return pow(x, e, self.p)
 
     def inv(self, a: int) -> int:
-        """Montgomery-domain inverse: maps x*R to x^-1*R, via a^(p-2)."""
+        """Inverse via a^(p-2)."""
         if a == 0:
             raise ZeroInverse("inverse of zero")
         return self.pow_fixed(a, self.p - 2)
 
     def is_square(self, a: int) -> bool:
-        """Euler criterion with fixed schedule; 0 counts as a square.
-
-        Works identically for standard- and Montgomery-domain inputs since
-        R = 2^W is itself a square (W even).
-        """
-        r = self.pow_fixed(a, (self.p - 1) >> 1)
-        return r == self.one or a == 0
-
+        """Euler criterion with fixed schedule; 0 counts as a square."""
+        return self.pow_fixed(a, (self.p - 1) >> 1) == 1 or a == 0

@@ -15,18 +15,17 @@ the toy field by the test suite.
 
 The trace records the schedule of the op-by-op Montgomery model, issued in
 one `Fp.issue_tagged` call from constant pieces: the chain's xDBL and xADD
-steps tagged xDBLADD, everything else xISOG.  The values come from
-standard-domain residues: `xisog` converts its inputs in once (times R^-1),
-runs the chain (`mont_curve.xdbladd`, `xadd_tail`) and the running products
-as plain `a*b % p`, takes the two l-th and eighth powers with `pow`, and
-converts the codomain and images out once (times R).
+steps tagged xDBLADD, everything else xISOG.  The values are residues mod
+p: `xisog` runs the chain (`mont_curve.xdbladd`, `xadd_tail`) and the
+running products as plain `a*b % p`, and takes the two l-th and eighth
+powers with `pow`.
 """
 
 from __future__ import annotations
 
 from .fp import Fp
-from .mont_curve import (CurveConstants, ProjCurve, ProjPoint, curve_constants,
-                         is_infinity, xadd_tail, xdbladd, xmul)
+from .mont_curve import (ProjCurve, ProjPoint, curve_constants, is_infinity,
+                         xadd_tail, xdbladd, xmul)
 from .trace import (MOD_XDBLADD, MOD_XISOG, OP_ADD, OP_MONT_MUL, OP_SUB,
                     tag_ops)
 
@@ -71,16 +70,12 @@ def xisog(fp: Fp, curve: ProjCurve, points, K: ProjPoint, l: int):
     silently); so does a codomain with Az = 0.  This is the ct action's only
     kernel-order check.
 
-    Inputs and results are Montgomery-domain; see the module docstring for
-    the residues the values are computed on and the trace `fp` records.
-
     Returns (curve', images, fault).
     """
     const = curve_constants(fp, curve)
     fp.issue_tagged(_schedule(len(points), l), MOD_XISOG)
-    p, rinv, one = fp.p, fp.Rinv, fp.one
-    A24, C24 = const.A24 * rinv % p, const.C24 * rinv % p
-    pre = [((P.X + P.Z) * rinv % p, (P.X - P.Z) * rinv % p) for P in points]
+    p = fp.p
+    pre = [(P.X + P.Z, P.X - P.Z) for P in points]
     # Running products over the d = (l-1)/2 kernel multiples: the curve
     # products, and one evaluation accumulator pair per point.  Iteration i
     # takes M = [i+1]K, the chain's next step.
@@ -88,12 +83,12 @@ def xisog(fp: Fp, curve: ProjCurve, points, K: ProjPoint, l: int):
     eval_plus = [1] * len(pre)
     eval_minus = [1] * len(pre)
 
-    K_std = M = ProjPoint(K.X * rinv % p, K.Z * rinv % p)
+    M = K
     for i in range((l - 1) // 2):
         if i == 1:      # [2]K, the doubling half of a ladder step
-            M, prev = xdbladd(p, M, M, M, CurveConstants(A24, C24))[0], M
+            M, prev = xdbladd(p, M, M, M, const)[0], M
         elif i:         # [i+1]K from [i]K = (s, t), K and [i-1]K
-            M, prev = xadd_tail(p, s, t, K_std, prev), M
+            M, prev = xadd_tail(p, s, t, K, prev), M
         s = M.X + M.Z
         t = M.X - M.Z
         pi_plus = pi_plus * s % p
@@ -106,10 +101,11 @@ def xisog(fp: Fp, curve: ProjCurve, points, K: ProjPoint, l: int):
 
     images = [ProjPoint(P.X * (ep * ep % p) % p, P.Z * (em * em % p) % p)
               for P, ep, em in zip(points, eval_plus, eval_minus)]
+    A24, C24 = const
     tp = pow(A24, l, p) * pow(pi_plus, 8, p) % p            # (A+2)^l pi+^8
     tm = pow(A24 - C24, l, p) * pow(pi_minus, 8, p) % p     # (A-2)^l pi-^8
-    az = (tp - tm) * one % p
-    new_curve = ProjCurve(2 * (tp + tm) * one % p, az)
+    az = (tp - tm) % p
+    new_curve = ProjCurve(2 * (tp + tm) % p, az)
 
     # A codomain with Az = 0 is no curve: a fault, like a kernel of the
     # wrong order.

@@ -1,18 +1,14 @@
 """x-only Montgomery-curve arithmetic over F_p.
 
-Points are (X : Z) pairs and curves (Ax : Az) pairs of Montgomery-domain
-ints; Z = 0 encodes the point at infinity.  The public functions take an
-:class:`~csidhsim.fp.Fp` context so operation traces attribute work to the
-right control-unit module.
-
-The exceptions are the ladder step `xdbladd` and its addition half
-`xadd_tail`, the one implementation of the xDBL/xADD formulas, which run on
-standard-domain residues: `xmul` converts its inputs to residues once, runs
-every step there as plain bignum arithmetic on the prime `p`, and converts
-the result back.  It issues the steps' ALU ops on its `Fp` in one call,
-from the per-step template `XDBLADD_OPS`, so the trace is what an op-by-op
-Montgomery ladder records.  `isogeny.xisog` runs its kernel chain on
-residues in the same way.
+Points are (X : Z) pairs and curves (Ax : Az) pairs of residues mod p;
+Z = 0 encodes the point at infinity.  The formulas compute on them as plain
+bignum arithmetic on the prime `p`.  The public functions take an
+:class:`~csidhsim.fp.Fp` context and issue their ALU ops on it from
+templates, tagged with the right control-unit module, so the trace is what
+an op-by-op Montgomery model records.  The ladder step `xdbladd` and its
+addition half `xadd_tail` are the one implementation of the xDBL/xADD
+formulas: `xmul` issues each step's `XDBLADD_OPS`, and `isogeny.xisog`
+runs its kernel chain on them.
 
 The combined double-and-add consumes the curve through precomputed
 (A+2)/4-style constants (A24 = Ax + 2*Az, C24 = 4*Az), recomputed whenever
@@ -27,6 +23,12 @@ from typing import NamedTuple
 from .fp import Fp, jacobi
 from .trace import (MOD_XAFFINIZE, MOD_XDBLADD, MOD_XTWIST, OP_ADD,
                     OP_MONT_MUL, OP_SUB)
+
+# xTWIST's ops before its residue test: x^2, A*x, the two additions of
+# x^2 + A*x + 1, and the product with x.
+_XTWIST_OPS = bytes((OP_MONT_MUL, OP_MONT_MUL, OP_ADD, OP_ADD, OP_MONT_MUL))
+# xAffinize's product Ax * Az^-1, after the inversion.
+_XAFFINIZE_TAIL = bytes((OP_MONT_MUL,))
 
 
 class InfinityAffinize(ZeroDivisionError):
@@ -74,9 +76,9 @@ XDBLADD_OPS = bytes((OP_ADD, OP_SUB, OP_MONT_MUL, OP_MONT_MUL, OP_SUB,
 
 def xadd_tail(p: int, a: int, b: int, Q: ProjPoint,
               diff: ProjPoint) -> ProjPoint:
-    """x(P+Q) on standard-domain residues mod p, from a = X+Z and b = X-Z
-    of P, given diff = x(P-Q): the addition half of `xdbladd`, and each
-    xADD step of `isogeny.xisog`'s kernel chain.  Untraced."""
+    """x(P+Q) on residues mod p, from a = X+Z and b = X-Z of P, given
+    diff = x(P-Q): the addition half of `xdbladd`, and each xADD step of
+    `isogeny.xisog`'s kernel chain.  Untraced."""
     da = (Q.X - Q.Z) * a % p
     cb = (Q.X + Q.Z) * b % p
     t0 = da + cb
@@ -88,11 +90,10 @@ def xdbladd(p: int, P: ProjPoint, Q: ProjPoint, diff: ProjPoint,
             const: CurveConstants) -> tuple[ProjPoint, ProjPoint]:
     """Simultaneous (x([2]P), x(P+Q)) sharing the (X+-Z) intermediates.
 
-    One ladder step on standard-domain residues mod p (points and
-    constants alike), computed as plain bignum arithmetic and untraced:
-    `xmul` issues the step's `XDBLADD_OPS`.  diff must be x(P-Q).  Each
-    product is reduced once; sums and differences stay unreduced where that
-    reduction covers them.  Results are canonical.
+    One ladder step on residues mod p, computed as plain bignum arithmetic
+    and untraced: `xmul` issues the step's `XDBLADD_OPS`.  diff must be
+    x(P-Q).  Each product is reduced once; sums and differences stay
+    unreduced where that reduction covers them.  Results are canonical.
     """
     X, Z = P
     a = X + Z
@@ -122,14 +123,10 @@ def xmul(fp: Fp, P: ProjPoint, k: int, const: CurveConstants) -> ProjPoint:
     ladders (0 : 1): sampling rejects x = 0 and cofactor clearing removes
     the even part.  `validate_pk` checks `Q.X == 0` itself.
 
-    Inputs and result are Montgomery-domain.  The steps run on
-    standard-domain residues, converted in (times R^-1) and out (times R)
-    once, off the ALU model; their ops are issued as xDBLADD's in one
-    `Fp.issue` call, so the trace equals an op-by-op ladder's.
+    The steps' ops are issued as xDBLADD's in one `Fp.issue` call, so the
+    trace equals an op-by-op ladder's.
     """
-    p, rinv = fp.p, fp.Rinv
-    P = ProjPoint(P.X * rinv % p, P.Z * rinv % p)
-    const = CurveConstants(const.A24 * rinv % p, const.C24 * rinv % p)
+    p = fp.p
     bits = bin(k)[2:]                  # "0" for k = 0: one step
     fp.set_module(MOD_XDBLADD)
     fp.issue(XDBLADD_OPS, len(bits))
@@ -140,29 +137,27 @@ def xmul(fp: Fp, P: ProjPoint, k: int, const: CurveConstants) -> ProjPoint:
             r1, r0 = xdbladd(p, r1, r0, P, const)
         else:
             r0, r1 = xdbladd(p, r0, r1, P, const)
-    one = fp.one
-    return ProjPoint(r0.X * one % p, r0.Z * one % p)
+    return r0
 
 
 def xtwist(fp: Fp, x: int, A: int) -> CurveSide:
-    """Classify an x-coordinate (Montgomery domain) as curve or twist.
+    """Classify an x-coordinate as curve or twist of y^2 = x^3 + A*x^2 + x.
 
     CURVE iff x^3 + A*x^2 + x is a square mod p; a zero right-hand side
     (2-torsion x) counts as CURVE.
     """
     fp.set_module(MOD_XTWIST)
-    x2 = fp.mul(x, x)
-    ax = fp.mul(A, x)
-    rhs = fp.mul(x, fp.add(fp.add(x2, ax), fp.one))
+    fp.issue(_XTWIST_OPS, 1)
+    rhs = x * ((x + A) * x + 1) % fp.p
     return CurveSide.CURVE if fp.is_square(rhs) else CurveSide.TWIST
 
 
 def screen_side(p: int, curve: ProjCurve, x: int) -> CurveSide:
-    """`xtwist`'s side of a standard-domain x on the curve (Ax : Az), Az != 0.
+    """`xtwist`'s side of x on the curve (Ax : Az), Az != 0.
 
-    Az*x*(Az*x^2 + Ax*x + Az) is Az^2 * (x^3 + A*x^2 + x) times the square
-    R^2, so its Jacobi symbol gives the side without an inversion.  Untraced:
-    it issues no op on any `Fp`.
+    Az*x*(Az*x^2 + Ax*x + Az) is Az^2 * (x^3 + A*x^2 + x), so its Jacobi
+    symbol gives the side without an inversion.  Untraced: it issues no op
+    on any `Fp`.
     """
     Ax, Az = curve
     azx = Az * x % p
@@ -171,13 +166,17 @@ def screen_side(p: int, curve: ProjCurve, x: int) -> CurveSide:
 
 
 def affinize_mont(fp: Fp, curve: ProjCurve) -> int:
-    """Affine Montgomery-domain coefficient Ax/Az (single inversion)."""
+    """Affine coefficient Ax/Az: one inversion, then one product, as the
+    ALU computes it in the Montgomery domain."""
     if curve.Az == 0:
         raise InfinityAffinize("projective curve with Az = 0")
     fp.set_module(MOD_XAFFINIZE)
-    return fp.mul(curve.Ax, fp.inv(curve.Az))
+    inv = fp.inv(curve.Az)
+    fp.issue(_XAFFINIZE_TAIL, 1)
+    return curve.Ax * inv % fp.p
 
 
 def affinize(fp: Fp, curve: ProjCurve) -> int:
-    """Affine standard-domain coefficient Ax/Az."""
+    """Affine coefficient Ax/Az, with the ALU's conversion out of the
+    Montgomery domain (one MONT_REDUCE)."""
     return fp.from_mont(affinize_mont(fp, curve))

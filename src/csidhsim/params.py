@@ -3,9 +3,9 @@
 A parameter set is its small odd primes l1 < ... < ln and the private-key
 exponent bound m.  Everything else is derived from them: the prime
 p = 4*l1*...*ln - 1, the number of datapath words p needs, and the
-Montgomery-domain constants (R = 2^W, R^2 mod p, -p^-1 mod R) used by the
-word-level arithmetic, and R^-1 mod p, which maps a Montgomery-domain value
-to its standard-domain residue.
+Montgomery constants R = 2^W and -p^-1 mod R of the modelled ALU's
+multiplier.  Field values themselves are plain residues mod p; only
+`Fp.mul`, `Fp.redc` and the word-level datapath read R and -p^-1.
 
 The built-in sets are the rows of ``PARAM_TABLE``:
 
@@ -40,10 +40,7 @@ class CsidhParams:
     n_words: int = field(init=False)      # ceil(bitlen(p) / WORD_BITS)
     width: int = field(init=False)        # W = WORD_BITS * n_words
     R: int = field(init=False)            # 2^W
-    R2: int = field(init=False)           # R^2 mod p
-    Rinv: int = field(init=False)         # R^-1 mod p
     pinv: int = field(init=False)         # -p^-1 mod R
-    one_m: int = field(init=False)        # R mod p (Montgomery 1)
 
     def __post_init__(self):
         if self.m < 1:
@@ -63,11 +60,7 @@ class CsidhParams:
         object.__setattr__(self, "n_words", n_words)
         object.__setattr__(self, "width", width)
         object.__setattr__(self, "R", R)
-        object.__setattr__(self, "R2", R * R % p)
-        # p * pinv = -1 mod R, so (p * pinv + 1) / R is R^-1 mod p
-        object.__setattr__(self, "Rinv", (p * pinv + 1) >> width)
         object.__setattr__(self, "pinv", pinv)
-        object.__setattr__(self, "one_m", R % p)
 
     @property
     def n(self) -> int:

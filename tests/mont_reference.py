@@ -1,20 +1,32 @@
 """The op-by-op Montgomery-domain curve and isogeny model.
 
-Every value here comes from one `Fp` call per ALU op, so every op is
-recorded as it is computed.  `mont_curve.xmul`, `isogeny.xisog` and
-`Fp.pow_fixed` compute their values on standard-domain residues and issue
-their ops from templates; the tests check them against these functions in
-values, trace bytes and the module tag left behind.
+Every value here is a Montgomery representative x*R mod p and comes from
+one `Fp` call per ALU op, so every op is recorded as it is computed.
+Production code holds residues x mod p, computes on them as plain bignums
+and issues its ops from templates; the tests check `Fp.pow_fixed`,
+`mont_curve.xmul`, `xtwist`, `affinize_mont` and `isogeny.xisog` against
+these functions in values (through `mont`), trace bytes and the module tag
+left behind.
 """
 
-from csidhsim.mont_curve import ProjCurve, ProjPoint, curve_constants
-from csidhsim.trace import MOD_XDBLADD, MOD_XISOG
+from csidhsim.mont_curve import (CurveSide, InfinityAffinize, ProjCurve,
+                                 ProjPoint, curve_constants)
+from csidhsim.trace import MOD_XAFFINIZE, MOD_XDBLADD, MOD_XISOG, MOD_XTWIST
+
+
+def mont(fp, v):
+    """The Montgomery representative x*R mod p of a residue x, or a tuple
+    of the same type with each of its residues mapped."""
+    R, p = 1 << fp.shift, fp.p
+    if isinstance(v, int):
+        return v * R % p
+    return type(v)(*(x * R % p for x in v))
 
 
 def ref_pow(fp, x, e):
     """Montgomery-domain x^e by square-and-always-multiply: one squaring
     and one multiply per bit of e, most significant first."""
-    r = fp.one
+    r = mont(fp, 1)
     for b in bin(e)[2:]:
         r = fp.mul(r, r)
         t = fp.mul(r, x)
@@ -74,7 +86,7 @@ def ref_xdbladd(fp, P, Q, diff, const):
 
 def ref_xmul(fp, P, k, const):
     """x([k]P) by a ladder of max(bit length of k, 1) `ref_xdbladd` steps."""
-    r0, r1 = ProjPoint(fp.one, 0), P
+    r0, r1 = ProjPoint(mont(fp, 1), 0), P
     for i in reversed(range(max(k.bit_length(), 1))):
         if (k >> i) & 1:
             r1, r0 = ref_xdbladd(fp, r1, r0, P, const)
@@ -109,7 +121,7 @@ def ref_xisog(fp, curve, points, K, l):
     const = curve_constants(fp, curve)
 
     fp.set_module(MOD_XISOG)
-    one = fp.one
+    one = mont(fp, 1)
     pre = []
     for P in points:
         pre.append((fp.add(P.X, P.Z), fp.sub(P.X, P.Z)))
@@ -144,3 +156,23 @@ def ref_xisog(fp, curve, points, K, l):
 
     lk = ref_xmul(fp, K, l, const)
     return ProjCurve(ax, az), images, az == 0 or lk.Z != 0
+
+
+def ref_xtwist(fp, x, A):
+    """`mont_curve.xtwist` op by op: x^3 + A*x^2 + x, then Euler's
+    criterion by `ref_pow`."""
+    fp.set_module(MOD_XTWIST)
+    one = mont(fp, 1)
+    x2 = fp.mul(x, x)
+    ax = fp.mul(A, x)
+    rhs = fp.mul(x, fp.add(fp.add(x2, ax), one))
+    square = ref_pow(fp, rhs, (fp.p - 1) >> 1) == one or rhs == 0
+    return CurveSide.CURVE if square else CurveSide.TWIST
+
+
+def ref_affinize(fp, curve):
+    """`mont_curve.affinize_mont` op by op: Ax * Az^(p-2)."""
+    if curve.Az == 0:
+        raise InfinityAffinize("projective curve with Az = 0")
+    fp.set_module(MOD_XAFFINIZE)
+    return fp.mul(curve.Ax, ref_pow(fp, curve.Az, fp.p - 2))

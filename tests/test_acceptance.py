@@ -202,9 +202,9 @@ def test_criterion_04_velu_equivalence():
                 ev = next(P for P in points
                           if P.x != 0 and orc.scalar_mul(l, P, A, p)
                           is not orc.INFINITY)
-                curve = ProjCurve(fp.to_mont(A), fp.one)
-                Kp = ProjPoint(fp.to_mont(K.x), fp.one)
-                Pp = ProjPoint(fp.to_mont(ev.x), fp.one)
+                curve = ProjCurve(fp.to_mont(A), 1)
+                Kp = ProjPoint(fp.to_mont(K.x), 1)
+                Pp = ProjPoint(fp.to_mont(ev.x), 1)
                 curve2, (img,), fault = xisog(fp, curve, [Pp], Kp, l)
                 assert not fault
                 a_z = pow(fp.from_mont(curve2.Az), -1, p)
@@ -346,16 +346,16 @@ def test_criterion_11_fault_detection():
     by_order = {}
     for P in points:
         by_order.setdefault(orc.point_order(P, 0, TOY.p), []).append(P)
-    curve = ProjCurve(fp.to_mont(0), fp.one)
+    curve = ProjCurve(fp.to_mont(0), 1)
     detected = clean = 0
     for _ in range(1000):
         l = rnd.choice(TOY.primes)
         K = rnd.choice(by_order[l])
-        Kp = ProjPoint(fp.to_mont(K.x), fp.one)
+        Kp = ProjPoint(fp.to_mont(K.x), 1)
         clean += not xisog(fp, curve, [], Kp, l)[2]
         wrong = rnd.choice([P for o, pts in by_order.items() if o != l
                             for P in pts if P.x != 0])
-        Wp = ProjPoint(fp.to_mont(wrong.x), fp.one)
+        Wp = ProjPoint(fp.to_mont(wrong.x), 1)
         detected += xisog(fp, curve, [], Wp, l)[2]
     assert clean == 1000
     assert detected == 1000

@@ -15,7 +15,7 @@ from csidhsim.action import (ActionConfig, Drbg, FaultDetected, InvalidPeerKey,
                              validate_basic, validate_pk)
 from csidhsim.fp import Fp
 from csidhsim.mont_curve import (CurveSide, InfinityAffinize, ProjCurve,
-                                 xtwist)
+                                 ProjPoint, xtwist)
 from csidhsim.params import CsidhParams, csidh512_params, get_params
 from csidhsim.trace import MOD_XDBLADD, MOD_XISOG, OP_MONT_MUL, OpTrace
 
@@ -107,8 +107,8 @@ def test_random_private_key_uniform_bounds():
 # --- point sampling ----------------------------------------------------------
 
 def e0(fp):
-    """E_0 as a projective curve, and its affine Montgomery-domain A."""
-    return ProjCurve(fp.to_mont(0), fp.one), fp.to_mont(0)
+    """E_0 as a projective curve, and its affine A."""
+    return ProjCurve(0, 1), 0
 
 
 def test_sample_point_side_postcondition():
@@ -134,9 +134,8 @@ def test_sample_point_deterministic():
 def test_sample_point_hit_rate_near_half():
     # over F_419, A=0: exhaustive count of curve-side x (RHS square or 0)
     fp = Fp(TOY)
-    A = fp.to_mont(0)
     curve_xs = sum(1 for x in range(1, TOY.p)
-                   if xtwist(fp, fp.to_mont(x), A) is CurveSide.CURVE)
+                   if xtwist(fp, x, 0) is CurveSide.CURVE)
     p_hit = curve_xs / (TOY.p - 1)
     n = 1000
     rng = make_rng(b"rate")
@@ -145,7 +144,7 @@ def test_sample_point_hit_rate_near_half():
         x = 0
         while x == 0:
             x = rng.below(TOY.p)
-        hits += xtwist(fp, fp.to_mont(x), A) is CurveSide.CURVE
+        hits += xtwist(fp, x, 0) is CurveSide.CURVE
     sigma = (n * p_hit * (1 - p_hit)) ** 0.5
     assert abs(hits - n * p_hit) <= 3 * sigma
 
@@ -164,7 +163,7 @@ def test_sample_point_rng_failure():
 def test_sample_point_rejects_az_zero():
     fp = Fp(TOY)
     with pytest.raises(InfinityAffinize):
-        sample_point(fp, ProjCurve(fp.one, 0), CurveSide.CURVE,
+        sample_point(fp, ProjCurve(1, 0), CurveSide.CURVE,
                      make_rng(b"az"))
 
 
@@ -177,7 +176,7 @@ def test_sample_point_records_one_classification():
     rejected = 0
     while True:
         x = rng.below(TOY.p)
-        if x and xtwist(plain, plain.to_mont(x), A) is CurveSide.TWIST:
+        if x and xtwist(plain, x, A) is CurveSide.TWIST:
             break
         rejected += 1
     assert rejected == 4
@@ -185,7 +184,7 @@ def test_sample_point_records_one_classification():
     got = OpTrace()
     P = sample_point(Fp(TOY, got), curve, CurveSide.TWIST,
                      make_rng(bytes([0])))
-    assert P.X == plain.to_mont(x)
+    assert P == ProjPoint(x, 1)
     want = OpTrace()
     Fp(TOY, want).to_mont(x)
     assert got == want

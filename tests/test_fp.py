@@ -10,8 +10,8 @@ from csidhsim.fp import (FieldElement, Fp, ZeroInverse, int_to_words,
 from csidhsim.oracle import naive_redc
 from csidhsim.params import get_params
 from csidhsim.trace import (MOD_CSIDH, MOD_XAFFINIZE, MOD_XTWIST, OP_ADD,
-                            OP_MONT_MUL, OP_SUB, OpTrace)
-from mont_reference import ref_pow
+                            OP_MONT_MUL, OP_MONT_REDUCE, OP_SUB, OpTrace)
+from mont_reference import mont, ref_pow
 
 TOY = get_params("toy419")
 FULL = get_params("csidh512")
@@ -21,11 +21,6 @@ FP_FULL = Fp(FULL)
 
 toy_elt = st.integers(0, TOY.p - 1)
 full_elt = st.integers(0, FULL.p - 1)
-
-
-def inv_std(fp, a):
-    """Standard-domain inverse through the Montgomery-domain Fp.inv."""
-    return fp.from_mont(fp.inv(fp.to_mont(a)))
 
 
 # --- representation ---------------------------------------------------------
@@ -105,12 +100,21 @@ def test_add_sub_oracle_toy(a, b):
 
 @pytest.mark.parametrize("params", PARAMS, ids=lambda p: p.name)
 def test_mont_identities(params):
-    fp = Fp(params)
-    assert fp.mul(params.one_m, params.one_m) == params.one_m
-    x = 1234 % params.p
-    assert fp.mul(x, params.R2) == x * params.R % params.p
-    assert fp.to_mont(0) == 0
-    assert fp.to_mont(1) == params.one_m
+    # Values are residues, so the ALU's conversions return their input
+    # and record one op each under the current module; `mul` is the
+    # Montgomery product itself.
+    p, R = params.p, params.R
+    t = OpTrace()
+    fp = Fp(params, t)
+    fp.set_module(MOD_XTWIST)
+    x = 1234 % p
+    assert fp.to_mont(x) == x and fp.to_mont(0) == 0
+    assert fp.from_mont(x) == x and fp.from_mont(0) == 0
+    assert t.buf == bytes(MOD_XTWIST << 3 | op for op in (
+        OP_MONT_MUL, OP_MONT_MUL, OP_MONT_REDUCE, OP_MONT_REDUCE))
+    one = R % p
+    assert fp.mul(one, one) == one
+    assert fp.mul(x, R * R % p) == x * R % p
 
 
 @given(a=full_elt, b=full_elt)
@@ -156,21 +160,21 @@ def test_mont_mul_ring_laws(a, b, c):
 # --- inversion and residue test ----------------------------------------------
 
 def test_inv_known_value():
-    assert inv_std(FP_TOY, 2) == 210   # 2 * 210 = 420 = 1 mod 419
+    assert FP_TOY.inv(2) == 210   # 2 * 210 = 420 = 1 mod 419
 
 
 @pytest.mark.parametrize("params", PARAMS, ids=lambda p: p.name)
 def test_inv_zero_raises(params):
     with pytest.raises(ZeroInverse):
-        inv_std(Fp(params), 0)
+        Fp(params).inv(0)
 
 
 @given(a=st.integers(1, FULL.p - 1))
 @settings(max_examples=25)
 def test_inv_definitional(a):
-    inv = inv_std(FP_FULL, a)
+    inv = FP_FULL.inv(a)
     assert a * inv % FULL.p == 1
-    assert inv_std(FP_FULL, inv) == a
+    assert FP_FULL.inv(inv) == a
 
 
 def test_is_square_exhaustive_toy(toy):
@@ -216,25 +220,29 @@ def test_inv_schedule_value_independent(toy, pair):
 def test_pow_inv_is_square_equal_reference(params):
     # Values, trace bytes and the module tag left behind equal those of a
     # square-and-always-multiply of one `Fp.mul` per op: 2*max(bitlen e, 1)
-    # MONT_MULs per call, tagged with the current module.
+    # MONT_MULs per call, tagged with the current module.  The reference
+    # takes and returns Montgomery representatives.
     rng = random.Random(f"pow-{params.name}")
-    p, one = params.p, params.one_m
-    xs = [0, 1, one, p - 1, *(rng.randrange(p) for _ in range(6))]
+    p = params.p
+    xs = [0, 1, params.R % p, p - 1, *(rng.randrange(p) for _ in range(6))]
     exps = [0, 1, 2, params.primes[-1], (p - 1) >> 1, p - 2]
     got_t, want_t = OpTrace(), OpTrace()
     got, want = Fp(params, got_t), Fp(params, want_t)
     for ctx in (got, want):
         ctx.set_module(MOD_XTWIST)
+    one = mont(want, 1)
     for x in xs:
+        xm = mont(want, x)
         for e in exps:
             n = len(got_t)
-            assert got.pow_fixed(x, e) == ref_pow(want, x, e), (x, e)
+            assert mont(want, got.pow_fixed(x, e)) == ref_pow(want, xm, e), (
+                x, e)
             assert got_t.buf[n:] == bytes(
                 [MOD_XTWIST << 3 | OP_MONT_MUL]) * (2 * max(e.bit_length(), 1))
-        assert got.is_square(x) == (ref_pow(want, x, (p - 1) >> 1) == one
+        assert got.is_square(x) == (ref_pow(want, xm, (p - 1) >> 1) == one
                                     or x == 0), x
         if x:
-            assert got.inv(x) == ref_pow(want, x, p - 2), x
+            assert mont(want, got.inv(x)) == ref_pow(want, xm, p - 2), x
         else:
             with pytest.raises(ZeroInverse):
                 got.inv(x)

@@ -12,7 +12,7 @@ from csidhsim.mont_curve import (ProjCurve, ProjPoint, curve_constants,
                                  is_infinity, xmul)
 from csidhsim.params import get_params
 from csidhsim.trace import MOD_XTWIST, OpTrace
-from mont_reference import kernel_multiples, ref_xisog
+from mont_reference import kernel_multiples, mont, ref_xisog
 from test_action import MID90
 
 TOY = get_params("toy419")
@@ -24,26 +24,23 @@ def fp():
     return Fp(TOY)
 
 
-def mpt(fp, x):
-    return ProjPoint(fp.to_mont(x), fp.one)
-
-
 def aff(fp, num, den):
-    return fp.from_mont(num) * pow(fp.from_mont(den), -1, P419) % P419
+    """num/den: the same for residues and for Montgomery representatives."""
+    return num * pow(den, -1, P419) % P419
 
 
 def run_xisog(fp, A, eval_xs, ker_x, l):
-    curve = ProjCurve(fp.to_mont(A), fp.one)
-    points = [mpt(fp, x) for x in eval_xs]
-    return xisog(fp, curve, points, mpt(fp, ker_x), l)
+    points = [ProjPoint(x, 1) for x in eval_xs]
+    return xisog(fp, ProjCurve(A, 1), points, ProjPoint(ker_x, 1), l)
 
 
 def test_kernel_multiples_match_oracle(fp):
+    # The op-by-op reference chain, on Montgomery representatives.
     for l in (3, 5, 7):
         K, _ = orc.find_order_l_point(0, l, P419, side=1)
-        curve = ProjCurve(fp.to_mont(0), fp.one)
-        const = curve_constants(fp, curve)
-        got = list(kernel_multiples(fp, mpt(fp, K.x), (l - 1) // 2, const))
+        const = mont(fp, curve_constants(fp, ProjCurve(0, 1)))
+        got = list(kernel_multiples(fp, mont(fp, ProjPoint(K.x, 1)),
+                                    (l - 1) // 2, const))
         assert len(got) == (l - 1) // 2
         for i, M in enumerate(got, start=1):
             want = orc.scalar_mul(i, K, 0, P419)
@@ -105,10 +102,9 @@ def test_projective_scale_invariance(fp):
     ev = next(P for P in pts if P.x not in (0, K.x))
     base_curve, base_img, _ = run_xisog(fp, 0, [ev.x], K.x, l)
     for c in (3, 100):
-        cm = fp.to_mont(c)
-        curve = ProjCurve(fp.mul(fp.to_mont(0), cm), fp.mul(fp.one, cm))
-        Ks = ProjPoint(fp.mul(fp.to_mont(K.x), cm), cm)
-        Ps = ProjPoint(fp.mul(fp.to_mont(ev.x), cm), cm)
+        curve = ProjCurve(0, c)
+        Ks = ProjPoint(K.x * c % P419, c)
+        Ps = ProjPoint(ev.x * c % P419, c)
         curve2, images, fault = xisog(fp, curve, [Ps], Ks, l)
         assert not fault
         assert aff(fp, curve2.Ax, curve2.Az) == aff(
@@ -184,7 +180,8 @@ def _xisog_cases(params):
 def test_xisog_equals_reference(params, traced):
     # Values, trace bytes and the module tag left behind all equal those of
     # the op-by-op Montgomery xISOG, for kernels of order l, O and of the
-    # wrong order, and for a point in <K>.
+    # wrong order, and for a point in <K>.  The reference takes and returns
+    # Montgomery representatives.
     kinds = set()
     for curve, points, K, l, kind in _xisog_cases(params):
         got_t, want_t = (OpTrace(), OpTrace()) if traced else (None, None)
@@ -193,7 +190,11 @@ def test_xisog_equals_reference(params, traced):
             ctx.set_module(MOD_XTWIST)
             ctx.add(1, 2)
         got = xisog(got_fp, curve, points, K, l)
-        assert got == ref_xisog(want_fp, curve, points, K, l), (l, kind)
+        want = ref_xisog(want_fp, mont(got_fp, curve),
+                         [mont(got_fp, P) for P in points],
+                         mont(got_fp, K), l)
+        assert (mont(got_fp, got[0]), [mont(got_fp, Q) for Q in got[1]],
+                got[2]) == want, (l, kind)
         assert got_fp.mark() == want_fp.mark(), (l, kind)
         if traced:
             assert got_t.buf == want_t.buf, (l, kind)

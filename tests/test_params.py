@@ -2,6 +2,7 @@
 
 import pytest
 
+from csidhsim.fp import Fp
 from csidhsim.params import (PARAM_IDS, PARAM_NAMES, PARAM_TABLE, CsidhParams,
                              ParamError, get_params)
 
@@ -54,9 +55,13 @@ def test_table_sets_have_prime_p_and_consistent_constants(name):
     assert is_probable_prime(params.p)
     assert all(is_probable_prime(l) for l in params.primes)
     assert params.p.bit_length() <= params.width < params.p.bit_length() + 32
+    assert params.R == 1 << params.width
     assert params.p * params.pinv % params.R == params.R - 1
-    assert params.R2 == params.R ** 2 % params.p
-    assert params.R * params.Rinv % params.p == 1
+    # p * pinv = -1 mod R, so (p * pinv + 1) / R is R^-1 mod p; R^2 mod p
+    # maps x to x*R by one Montgomery product.
+    Rinv = (params.p * params.pinv + 1) >> params.width
+    assert params.R * Rinv % params.p == 1
+    assert Fp(params).mul(1, params.R ** 2 % params.p) == params.R % params.p
     assert PARAM_NAMES[PARAM_IDS[name]] == name
 
 

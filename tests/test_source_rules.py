@@ -1,10 +1,13 @@
 """Static rules on the package source."""
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import csidhsim
 from csidhsim import trace
+from csidhsim.fp import Fp
+from csidhsim.params import CsidhParams
 
 SRC = Path(csidhsim.__file__).parent
 
@@ -165,3 +168,44 @@ def test_only_fp_writes_trace_bytes():
              or (isinstance(node, (ast.Assign, ast.AnnAssign, ast.NamedExpr))
                  and _is_trace_buffer(node.value))]
     assert found == []
+
+
+def test_montgomery_arithmetic_stays_in_fp_and_datapath():
+    # Curve, isogeny and action values are residues mod p.  The Montgomery
+    # product and reduction (`Fp.mul`, `Fp.redc`) and the constants they
+    # need (R, -p^-1 mod R, W) belong to `fp` and `datapath`, where the
+    # modelled ALU's arithmetic is checked.
+    found = [f"{name}:{node.lineno} {ast.unparse(node)}"
+             for name in ("mont_curve.py", "isogeny.py", "action.py",
+                          "cli.py")
+             for node in ast.walk(ast.parse((SRC / name).read_text()))
+             if (isinstance(node, ast.Call)
+                 and isinstance(node.func, ast.Attribute)
+                 and node.func.attr in ("mul", "redc"))
+             or (isinstance(node, ast.Attribute)
+                 and isinstance(node.ctx, ast.Load)
+                 and node.attr in ("R", "pinv", "width"))]
+    assert found == []
+
+
+def test_every_params_field_and_fp_slot_is_read():
+    # A field or slot that nothing reads is dead configuration.  Each must
+    # be read as an attribute somewhere in the package, by name; the value
+    # of an assignment to a same-named attribute (`self.x = params.x`) only
+    # forwards it and does not count.
+    names = {f.name for f in dataclasses.fields(CsidhParams)}
+    names |= set(Fp.__slots__)
+    read = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        forwarded = {id(node.value) for node in ast.walk(tree)
+                     if isinstance(node, ast.Assign)
+                     and isinstance(node.value, ast.Attribute)
+                     and any(isinstance(target, ast.Attribute)
+                             and target.attr == node.value.attr
+                             for target in node.targets)}
+        read |= {node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute)
+                 and isinstance(node.ctx, ast.Load)
+                 and id(node) not in forwarded}
+    assert sorted(names - read) == []
