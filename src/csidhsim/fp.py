@@ -15,7 +15,8 @@ All operations return canonical values (< p).  The schedule is what the
 trace records, and it depends on public values only: the conditional
 subtraction is a masked select, and inversion and the residue test record
 a fixed square-and-always-multiply schedule keyed only to public
-exponents.  Their values come from Python's `pow`.
+exponents.  Their values come from exact fast algorithms: the inverse from
+Python's `pow(a, -1, p)`, the residue test from `jacobi`.
 """
 
 from __future__ import annotations
@@ -89,7 +90,7 @@ def jacobi(a: int, n: int) -> int:
     return t if n == 1 else 0
 
 
-# pow_fixed's ops per exponent bit: the squaring, then the multiply.
+# `Fp._issue_pow`'s ops per exponent bit: the squaring, then the multiply.
 _SQUARE_MULTIPLY = bytes((OP_MONT_MUL, OP_MONT_MUL))
 
 
@@ -200,23 +201,21 @@ class Fp:
             t.append(self._mod | OP_MONT_REDUCE)
         return a
 
-    def pow_fixed(self, x: int, e: int) -> int:
-        """x^e with a fixed schedule for the public e.
-
-        The trace records one squaring and one (always-executed) multiply
-        per bit of e, max(bit length of e, 1) pairs issued in one call, so
-        the operation sequence depends only on e.  The value is Python's
-        `pow`.
-        """
+    def _issue_pow(self, e: int) -> None:
+        """Record x^e's fixed schedule for the public e: one squaring and
+        one (always-executed) multiply per bit of e, max(bit length of e, 1)
+        pairs issued in one call, so the sequence depends only on e."""
         self.issue(_SQUARE_MULTIPLY, max(e.bit_length(), 1))
-        return pow(x, e, self.p)
 
     def inv(self, a: int) -> int:
-        """Inverse via a^(p-2)."""
+        """Inverse, recorded as a^(p-2)."""
         if a == 0:
             raise ZeroInverse("inverse of zero")
-        return self.pow_fixed(a, self.p - 2)
+        self._issue_pow(self.p - 2)
+        return pow(a, -1, self.p)
 
     def is_square(self, a: int) -> bool:
-        """Euler criterion with fixed schedule; 0 counts as a square."""
-        return self.pow_fixed(a, (self.p - 1) >> 1) == 1 or a == 0
+        """Quadratic-residue test, recorded as Euler's criterion
+        a^((p-1)/2); 0 counts as a square."""
+        self._issue_pow((self.p - 1) >> 1)
+        return jacobi(a, self.p) >= 0

@@ -2,9 +2,9 @@
 
 Kernel multiples are produced by a differential addition chain holding a
 two-entry sliding window ([2]K by xDBL, then [i+1]K by xADD from [i]K, K
-and [i-1]K); each multiple is consumed immediately into four running
-products: the per-point evaluation accumulators and the curve products
-pi_plus = prod(X_i + Z_i), pi_minus = prod(X_i - Z_i).
+and [i-1]K).  The modelled control unit consumes each multiple at once
+into four running products: the per-point evaluation accumulators and the
+curve products pi_plus = prod(X_i + Z_i), pi_minus = prod(X_i - Z_i).
 
 The codomain coefficient comes from the Edwards-style update
 (A24plus', A24minus') = ((A+2)^l * pi_plus^8, (A-2)^l * pi_minus^8)
@@ -16,16 +16,17 @@ the toy field by the test suite.
 The trace records the schedule of the op-by-op Montgomery model, issued in
 one `Fp.issue_tagged` call from constant pieces: the chain's xDBL and xADD
 steps tagged xDBLADD, everything else xISOG.  The values are residues mod
-p: `xisog` runs the chain (`mont_curve.xdbladd`, `xadd_tail`) and the
-running products as plain `a*b % p`, and takes the two l-th and eighth
-powers with `pow`.
+p: `xisog` writes the chain's xDBL and xADD once, on ints, into a list of
+(X + Z, X - Z) pairs, forms the running products from it as plain
+`a*b % p`, and takes the two l-th and eighth powers with `pow`.  The tests
+check it against the op-by-op model in `tests/mont_reference.py`.
 """
 
 from __future__ import annotations
 
 from .fp import Fp
 from .mont_curve import (ProjCurve, ProjPoint, curve_constants, is_infinity,
-                         xadd_tail, xdbladd, xmul)
+                         xmul)
 from .trace import (MOD_XDBLADD, MOD_XISOG, OP_ADD, OP_MONT_MUL, OP_SUB,
                     tag_ops)
 
@@ -75,33 +76,48 @@ def xisog(fp: Fp, curve: ProjCurve, points, K: ProjPoint, l: int):
     const = curve_constants(fp, curve)
     fp.issue_tagged(_schedule(len(points), l), MOD_XISOG)
     p = fp.p
-    pre = [(P.X + P.Z, P.X - P.Z) for P in points]
-    # Running products over the d = (l-1)/2 kernel multiples: the curve
-    # products, and one evaluation accumulator pair per point.  Iteration i
-    # takes M = [i+1]K, the chain's next step.
-    pi_plus = pi_minus = 1
-    eval_plus = [1] * len(pre)
-    eval_minus = [1] * len(pre)
+    A24, C24 = const
+    # The chain: (X + Z, X - Z) of [i]K for i = 1..d, d = (l-1)/2.  [2]K by
+    # xDBL, then [i+1]K by xADD from [i]K = (x : z), K and [i-1]K.
+    kx, kz = K
+    ks, kd = kx + kz, kx - kz
+    sums = [(ks, kd)]
+    d = (l - 1) // 2
+    if d > 1:
+        aa = ks * ks % p
+        bb = kd * kd % p
+        e = aa - bb
+        c = C24 * bb % p
+        x, z = c * aa % p, e * ((c + A24 * e) % p) % p
+        px, pz = kx, kz
+        for _ in range(d - 2):
+            s, t = x + z, x - z
+            sums.append((s, t))
+            da = kd * s % p
+            cb = ks * t % p
+            t0 = da + cb
+            t1 = da - cb
+            x, z, px, pz = (pz * (t0 * t0 % p) % p, px * (t1 * t1 % p) % p,
+                            x, z)
+        sums.append((x + z, x - z))
 
-    M = K
-    for i in range((l - 1) // 2):
-        if i == 1:      # [2]K, the doubling half of a ladder step
-            M, prev = xdbladd(p, M, M, M, const)[0], M
-        elif i:         # [i+1]K from [i]K = (s, t), K and [i-1]K
-            M, prev = xadd_tail(p, s, t, K, prev), M
-        s = M.X + M.Z
-        t = M.X - M.Z
+    # The curve products pi_plus = prod(X_i + Z_i), pi_minus =
+    # prod(X_i - Z_i), and each point's two evaluation accumulators.
+    pi_plus = pi_minus = 1
+    for s, t in sums:
         pi_plus = pi_plus * s % p
         pi_minus = pi_minus * t % p
-        for j, (pp, pm) in enumerate(pre):
+    images = []
+    for X, Z in points:
+        pp, pm = X + Z, X - Z
+        ep = em = 1
+        for s, t in sums:
             t0 = pm * s % p
             t1 = pp * t % p
-            eval_plus[j] = eval_plus[j] * (t0 + t1) % p
-            eval_minus[j] = eval_minus[j] * (t0 - t1) % p
+            ep = ep * (t0 + t1) % p
+            em = em * (t0 - t1) % p
+        images.append(ProjPoint(X * (ep * ep % p) % p, Z * (em * em % p) % p))
 
-    images = [ProjPoint(P.X * (ep * ep % p) % p, P.Z * (em * em % p) % p)
-              for P, ep, em in zip(points, eval_plus, eval_minus)]
-    A24, C24 = const
     tp = pow(A24, l, p) * pow(pi_plus, 8, p) % p            # (A+2)^l pi+^8
     tm = pow(A24 - C24, l, p) * pow(pi_minus, 8, p) % p     # (A-2)^l pi-^8
     az = (tp - tm) % p

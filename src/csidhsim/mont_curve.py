@@ -5,10 +5,10 @@ Z = 0 encodes the point at infinity.  The formulas compute on them as plain
 bignum arithmetic on the prime `p`.  The public functions take an
 :class:`~csidhsim.fp.Fp` context and issue their ALU ops on it from
 templates, tagged with the right control-unit module, so the trace is what
-an op-by-op Montgomery model records.  The ladder step `xdbladd` and its
-addition half `xadd_tail` are the one implementation of the xDBL/xADD
-formulas: `xmul` issues each step's `XDBLADD_OPS`, and `isogeny.xisog`
-runs its kernel chain on them.
+an op-by-op Montgomery model records.  The ladder step `xdbladd` is
+written once, on ints; `xmul` calls it once per bit and issues each step's
+`XDBLADD_OPS`.  The tests check both against the op-by-op model in
+`tests/mont_reference.py`.
 
 The combined double-and-add consumes the curve through precomputed
 (A+2)/4-style constants (A24 = Ax + 2*Az, C24 = 4*Az), recomputed whenever
@@ -74,36 +74,29 @@ XDBLADD_OPS = bytes((OP_ADD, OP_SUB, OP_MONT_MUL, OP_MONT_MUL, OP_SUB,
                      *(OP_MONT_MUL,) * 7, OP_ADD, OP_MONT_MUL))
 
 
-def xadd_tail(p: int, a: int, b: int, Q: ProjPoint,
-              diff: ProjPoint) -> ProjPoint:
-    """x(P+Q) on residues mod p, from a = X+Z and b = X-Z of P, given
-    diff = x(P-Q): the addition half of `xdbladd`, and each xADD step of
-    `isogeny.xisog`'s kernel chain.  Untraced."""
-    da = (Q.X - Q.Z) * a % p
-    cb = (Q.X + Q.Z) * b % p
-    t0 = da + cb
-    t1 = da - cb
-    return ProjPoint(diff.Z * (t0 * t0 % p) % p, diff.X * (t1 * t1 % p) % p)
+def xdbladd(p: int, x0: int, z0: int, x1: int, z1: int, xd: int, zd: int,
+            A24: int, C24: int) -> tuple[int, int, int, int]:
+    """One ladder step on residues mod p: (X2, Z2, X3, Z3) with
+    (X2 : Z2) = x([2]P) and (X3 : Z3) = x(P+Q), for P = (x0 : z0),
+    Q = (x1 : z1) and the difference (xd : zd) = x(P-Q).
 
-
-def xdbladd(p: int, P: ProjPoint, Q: ProjPoint, diff: ProjPoint,
-            const: CurveConstants) -> tuple[ProjPoint, ProjPoint]:
-    """Simultaneous (x([2]P), x(P+Q)) sharing the (X+-Z) intermediates.
-
-    One ladder step on residues mod p, computed as plain bignum arithmetic
-    and untraced: `xmul` issues the step's `XDBLADD_OPS`.  diff must be
-    x(P-Q).  Each product is reduced once; sums and differences stay
-    unreduced where that reduction covers them.  Results are canonical.
+    Plain bignum arithmetic, untraced: `xmul` issues the step's
+    `XDBLADD_OPS`.  Each product is reduced once; sums and differences
+    stay unreduced where that reduction covers them.  Results are
+    canonical.
     """
-    X, Z = P
-    a = X + Z
-    b = X - Z
+    a = x0 + z0
+    b = x0 - z0
     aa = a * a % p
     bb = b * b % p
     e = aa - bb
-    t = const.C24 * bb % p
-    return (ProjPoint(t * aa % p, e * ((t + const.A24 * e) % p) % p),
-            xadd_tail(p, a, b, Q, diff))
+    t = C24 * bb % p
+    da = (x1 - z1) * a % p
+    cb = (x1 + z1) * b % p
+    t0 = da + cb
+    t1 = da - cb
+    return (t * aa % p, e * ((t + A24 * e) % p) % p,
+            zd * (t0 * t0 % p) % p, xd * (t1 * t1 % p) % p)
 
 
 def xmul(fp: Fp, P: ProjPoint, k: int, const: CurveConstants) -> ProjPoint:
@@ -130,14 +123,15 @@ def xmul(fp: Fp, P: ProjPoint, k: int, const: CurveConstants) -> ProjPoint:
     bits = bin(k)[2:]                  # "0" for k = 0: one step
     fp.set_module(MOD_XDBLADD)
     fp.issue(XDBLADD_OPS, len(bits))
-    r0 = ProjPoint(1, 0)               # point at infinity
-    r1 = P
+    A24, C24 = const
+    xd, zd = P
+    x0, z0, x1, z1 = 1, 0, xd, zd      # R0 = O, R1 = P
     for bit in bits:
         if bit == "1":
-            r1, r0 = xdbladd(p, r1, r0, P, const)
+            x1, z1, x0, z0 = xdbladd(p, x1, z1, x0, z0, xd, zd, A24, C24)
         else:
-            r0, r1 = xdbladd(p, r0, r1, P, const)
-    return r0
+            x0, z0, x1, z1 = xdbladd(p, x0, z0, x1, z1, xd, zd, A24, C24)
+    return ProjPoint(x0, z0)
 
 
 def xtwist(fp: Fp, x: int, A: int) -> CurveSide:

@@ -3,10 +3,10 @@
 Every value here is a Montgomery representative x*R mod p and comes from
 one `Fp` call per ALU op, so every op is recorded as it is computed.
 Production code holds residues x mod p, computes on them as plain bignums
-and issues its ops from templates; the tests check `Fp.pow_fixed`,
-`mont_curve.xmul`, `xtwist`, `affinize_mont` and `isogeny.xisog` against
-these functions in values (through `mont`), trace bytes and the module tag
-left behind.
+and issues its ops from templates; the tests check `Fp.inv`,
+`Fp.is_square`, `mont_curve.xdbladd`, `xmul`, `xtwist`, `affinize_mont` and
+`isogeny.xisog` against these functions in values (through `mont`), trace
+bytes and the module tag left behind.
 """
 
 from csidhsim.mont_curve import (CurveSide, InfinityAffinize, ProjCurve,

@@ -326,6 +326,36 @@ def test_action_composition_commutes():
     assert end.A == orc.brute_group_action(0, total, TOY.primes, TOY.p)
 
 
+def _inverse_key_returns_to_e0(keys, constant_time):
+    # [-e]([e]E0) = E0.  Both action paths share the curve and isogeny
+    # formulas, so their agreement alone would not see a defect they have
+    # in common; this relation would.
+    cfg = ActionConfig(constant_time=constant_time)
+    for sk in keys:
+        rng = make_rng(b"inverse-key")
+        pk, _ = run_action(PublicKey(0), sk, sk.params, rng, cfg)
+        neg = PrivateKey([-e for e in sk.exponents], sk.params)
+        back, _ = run_action(pk, neg, sk.params, rng, cfg)
+        assert back.A == 0, sk.exponents
+
+
+@pytest.mark.parametrize("constant_time", [True, False], ids=["ct", "vartime"])
+def test_inverse_key_returns_to_base_curve(constant_time):
+    keys = [PrivateKey(e, TOY) for e in itertools.product(
+        range(-TOY.m, TOY.m + 1), repeat=TOY.n)]
+    assert len(keys) == 27
+    keys += [random_private_key(MID90, make_rng(b"inverse-%d" % i))
+             for i in range(3)]
+    _inverse_key_returns_to_e0(keys, constant_time)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("constant_time", [True, False], ids=["ct", "vartime"])
+def test_inverse_key_returns_to_base_curve_full(constant_time, full):
+    _inverse_key_returns_to_e0(
+        [random_private_key(full, make_rng(b"inverse-full"))], constant_time)
+
+
 def test_invalid_input_returns_failure():
     sk = PrivateKey((1, 0, 0), TOY)
     key, ok, _ = action.group_action_vartime(PublicKey(2), sk,

@@ -12,6 +12,7 @@ from csidhsim.params import get_params
 from csidhsim.trace import (MOD_CSIDH, MOD_XAFFINIZE, MOD_XTWIST, OP_ADD,
                             OP_MONT_MUL, OP_MONT_REDUCE, OP_SUB, OpTrace)
 from mont_reference import mont, ref_pow
+from test_action import MID90
 
 TOY = get_params("toy419")
 FULL = get_params("csidh512")
@@ -220,7 +221,7 @@ def test_inv_schedule_value_independent(toy, pair):
 def test_pow_inv_is_square_equal_reference(params):
     # Values, trace bytes and the module tag left behind equal those of a
     # square-and-always-multiply of one `Fp.mul` per op: 2*max(bitlen e, 1)
-    # MONT_MULs per call, tagged with the current module.  The reference
+    # MONT_MULs per exponent, tagged with the current module.  The reference
     # takes and returns Montgomery representatives.
     rng = random.Random(f"pow-{params.name}")
     p = params.p
@@ -235,8 +236,8 @@ def test_pow_inv_is_square_equal_reference(params):
         xm = mont(want, x)
         for e in exps:
             n = len(got_t)
-            assert mont(want, got.pow_fixed(x, e)) == ref_pow(want, xm, e), (
-                x, e)
+            got._issue_pow(e)
+            ref_pow(want, xm, e)
             assert got_t.buf[n:] == bytes(
                 [MOD_XTWIST << 3 | OP_MONT_MUL]) * (2 * max(e.bit_length(), 1))
         assert got.is_square(x) == (ref_pow(want, xm, (p - 1) >> 1) == one
@@ -248,6 +249,27 @@ def test_pow_inv_is_square_equal_reference(params):
                 got.inv(x)
     assert got_t.buf == want_t.buf
     assert got.mark() == want.mark()
+
+
+def test_inv_exhaustive_toy():
+    p = TOY.p
+    for a in range(1, p):
+        assert a * FP_TOY.inv(a) % p == 1, a
+
+
+@pytest.mark.parametrize("params", [MID90, FULL], ids=lambda p: p.name)
+def test_inv_and_is_square_equal_slow_formulas(params):
+    # The fast values (`pow(a, -1, p)`, the Jacobi symbol) against a^(p-2)
+    # and Euler's criterion, 0 counting as a square.
+    rng = random.Random(f"fast-{params.name}")
+    p = params.p
+    fp = Fp(params)
+    xs = [0, 1, 2, p - 1, *(rng.randrange(p) for _ in range(40))]
+    for a in xs:
+        assert fp.is_square(a) == (pow(a, (p - 1) >> 1, p) == 1 or a == 0), a
+        if a:
+            assert fp.inv(a) == pow(a, p - 2, p), a
+    assert {fp.is_square(a) for a in xs[1:]} == {True, False}
 
 
 def test_is_square_schedule_value_independent(toy):

@@ -94,12 +94,41 @@ def test_xdbladd_consistent_with_parts(fp, base):
     D = orc.add_points(P, orc.AffinePoint(Q.x, (P419 - Q.y) % P419), 0, P419)
     if D is orc.INFINITY:
         pytest.skip("degenerate difference for this point pair")
-    dbl, s = xdbladd(P419, ProjPoint(P.x, 1), ProjPoint(Q.x, 1),
-                     ProjPoint(D.x, 1), const)
+    X2, Z2, X3, Z3 = xdbladd(P419, P.x, 1, Q.x, 1, D.x, 1, *const)
+    dbl, s = ProjPoint(X2, Z2), ProjPoint(X3, Z3)
     assert aff_x(fp, dbl) == aff_x(
         fp, xdbl(fp, mpt(fp, P.x), mont(fp, const)))
     assert aff_x(fp, s) == aff_x(
         fp, xadd(fp, mpt(fp, P.x), mpt(fp, Q.x), mpt(fp, D.x)))
+
+
+def test_xdbladd_equals_reference_step():
+    # The flat step on residues against the op-by-op Montgomery step on
+    # csidh512 operands, with Z = 0 and X = 0 in each input point and in
+    # the difference, canonical results included.
+    params = get_params("csidh512")
+    p = params.p
+    rng = random.Random("xdbladd-csidh512")
+    plain = Fp(params)
+
+    def draw():
+        return ProjPoint(rng.randrange(1, p), rng.randrange(1, p))
+
+    def edges(P):
+        return [P, ProjPoint(P.X, 0), ProjPoint(0, P.Z)]
+
+    const = curve_constants(plain, ProjCurve(rng.randrange(p),
+                                             rng.randrange(1, p)))
+    cases = [(P, Q, D) for P in edges(draw()) for Q in edges(draw())
+             for D in edges(draw())]
+    cases += [(draw(), draw(), draw()) for _ in range(20)]
+    for P, Q, D in cases:
+        got = xdbladd(p, *P, *Q, *D, *const)
+        assert all(0 <= v < p for v in got)
+        dbl, add = ref_xdbladd(Fp(params), mont(plain, P), mont(plain, Q),
+                               mont(plain, D), mont(plain, const))
+        assert (mont(plain, ProjPoint(*got[:2])), mont(
+            plain, ProjPoint(*got[2:]))) == (dbl, add), (P, Q, D)
 
 
 def test_ladder_exhaustive_toy(fp, base):
