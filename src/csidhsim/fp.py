@@ -25,8 +25,7 @@ import struct
 from dataclasses import dataclass
 
 from .params import WORD_BITS, CsidhParams
-from .trace import (MOD_CSIDH, OP_ADD, OP_MONT_MUL, OP_MONT_REDUCE, OP_SUB,
-                    tag_ops)
+from .trace import MOD_CSIDH, OP_ADD, OP_MONT_MUL, OP_MONT_REDUCE, OP_SUB
 
 
 class ZeroInverse(ZeroDivisionError):
@@ -90,10 +89,6 @@ def jacobi(a: int, n: int) -> int:
     return t if n == 1 else 0
 
 
-# `Fp._issue_pow`'s ops per exponent bit: the squaring, then the multiply.
-_SQUARE_MULTIPLY = bytes((OP_MONT_MUL, OP_MONT_MUL))
-
-
 class Fp:
     """Int-valued field context with optional ALU-op tracing.
 
@@ -101,8 +96,8 @@ class Fp:
     instance; when a trace buffer is attached, each operation appends one
     opcode byte tagged with the currently active control-unit module.  The
     curve formulas compute their products as plain `a*b % p` and record
-    their ops through `issue` or `issue_tagged`, so Fp is the one writer of
-    trace bytes.
+    their op templates, tagged at import, through `issue`, so Fp is the one
+    writer of trace bytes.
     """
 
     __slots__ = ("p", "mask", "shift", "pinv", "trace", "_mod")
@@ -128,20 +123,14 @@ class Fp:
         if self.trace is not None:
             del self.trace[n:]
 
-    def issue(self, ops: bytes, times: int) -> None:
-        """Record the opcodes `ops`, in order, `times` over, tagged with the
-        current module; for a caller that computes their values itself."""
+    def issue(self, ops: bytes, module_tag: int, times: int = 1) -> None:
+        """Record the trace bytes `ops`, `times` over, then make
+        `module_tag` current, as the op-by-op code would leave it.  `ops`
+        is a template tagged at import (`trace.tag_ops`), for a caller that
+        computes the values itself."""
         t = self.trace
         if t is not None:
-            t.extend(tag_ops(self._mod >> 3, ops) * times)
-
-    def issue_tagged(self, ops: bytes, module_tag: int) -> None:
-        """Record trace bytes `ops` that carry their own module tags (a
-        template mixing modules, see `trace.tag_ops`), then make
-        `module_tag` current, as the op-by-op code would leave it."""
-        t = self.trace
-        if t is not None:
-            t.extend(ops)
+            t.extend(ops * times)
         self._mod = module_tag << 3
 
     # --- core ops (operands and results are plain ints < p) ---
@@ -202,10 +191,13 @@ class Fp:
         return a
 
     def _issue_pow(self, e: int) -> None:
-        """Record x^e's fixed schedule for the public e: one squaring and
-        one (always-executed) multiply per bit of e, max(bit length of e, 1)
-        pairs issued in one call, so the sequence depends only on e."""
-        self.issue(_SQUARE_MULTIPLY, max(e.bit_length(), 1))
+        """Record x^e's fixed schedule for the public e under the current
+        module: one squaring and one (always-executed) multiply per bit of
+        e, 2*max(bit length of e, 1) MONT_MULs, so it depends only on e."""
+        t = self.trace
+        if t is not None:
+            t.extend(bytes((self._mod | OP_MONT_MUL,))
+                     * (2 * max(e.bit_length(), 1)))
 
     def inv(self, a: int) -> int:
         """Inverse, recorded as a^(p-2)."""

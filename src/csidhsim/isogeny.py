@@ -14,12 +14,13 @@ misplaces a square); it is locked against the brute-force Velu oracle over
 the toy field by the test suite.
 
 The trace records the schedule of the op-by-op Montgomery model, issued in
-one `Fp.issue_tagged` call from constant pieces: the chain's xDBL and xADD
-steps tagged xDBLADD, everything else xISOG.  The values are residues mod
-p: `xisog` writes the chain's xDBL and xADD once, on ints, into a list of
-(X + Z, X - Z) pairs, forms the running products from it as plain
-`a*b % p`, and takes the two l-th and eighth powers with `pow`.  The tests
-check it against the op-by-op model in `tests/mont_reference.py`.
+one `Fp.issue` call as a concatenation of constant pieces, each tagged once
+at import: the chain's xDBL and xADD steps xDBLADD, everything else xISOG.
+The values are residues mod p: `xisog` writes the chain's xDBL and xADD
+once, on ints, into a list of (X + Z, X - Z) pairs, forms the running
+products from it as plain `a*b % p`, and takes the two l-th and eighth
+powers with `pow`.  The tests check it against the op-by-op model in
+`tests/mont_reference.py`.
 """
 
 from __future__ import annotations
@@ -31,20 +32,21 @@ from .trace import (MOD_XDBLADD, MOD_XISOG, OP_ADD, OP_MONT_MUL, OP_SUB,
                     tag_ops)
 
 _A, _S, _M = OP_ADD, OP_SUB, OP_MONT_MUL
-# The op-by-op model's schedule in pieces.  xISOG's, untagged: each point's
+# The op-by-op model's schedule in pieces.  xISOG's: each point's
 # (X + Z, X - Z); each multiple's (X + Z, X - Z) and its two curve
 # products; each multiple's two products and accumulator updates per point;
-# each point's image; the codomain's (A+2, A-2), and its (Ax', Az').
-_PRE = bytes((_A, _S))
-_MULTIPLE = bytes((_A, _S, _M, _M))
-_MULTIPLE_POINT = bytes((_M, _M, _A, _M, _S, _M))
-_IMAGE = bytes((_M,) * 4)
-_CODOMAIN_HEAD = bytes((_A, _A, _S))
-_CODOMAIN_TAIL = bytes((_A, _A, _A, _S))
-# The chain's steps, tagged xDBLADD.
-_XDBL = tag_ops(MOD_XDBLADD, bytes((_A, _S, _M, _M, _S, _M, _M, _M, _A, _M)))
-_XADD = tag_ops(MOD_XDBLADD, bytes((_A, _S, _A, _S, _M, _M, _A, _S,
-                                    _M, _M, _M, _M)))
+# each point's image; the codomain's (A+2, A-2), one of its power
+# products, and its (Ax', Az').
+_PRE = tag_ops(MOD_XISOG, (_A, _S))
+_MULTIPLE = tag_ops(MOD_XISOG, (_A, _S, _M, _M))
+_MULTIPLE_POINT = tag_ops(MOD_XISOG, (_M, _M, _A, _M, _S, _M))
+_IMAGE = tag_ops(MOD_XISOG, (_M,) * 4)
+_CODOMAIN_HEAD = tag_ops(MOD_XISOG, (_A, _A, _S))
+_MONT_MUL = tag_ops(MOD_XISOG, (_M,))
+_CODOMAIN_TAIL = tag_ops(MOD_XISOG, (_A, _A, _A, _S))
+# The chain's steps, xDBLADD's.
+_XDBL = tag_ops(MOD_XDBLADD, (_A, _S, _M, _M, _S, _M, _M, _M, _A, _M))
+_XADD = tag_ops(MOD_XDBLADD, (_A, _S, _A, _S, _M, _M, _A, _S, _M, _M, _M, _M))
 
 
 def _schedule(n: int, l: int) -> bytes:
@@ -53,13 +55,11 @@ def _schedule(n: int, l: int) -> bytes:
     MONT_MULs for its l-th power, 3 for the eighth power of its pi and 1
     for their product."""
     d = (l - 1) // 2
-    body = tag_ops(MOD_XISOG, _MULTIPLE + _MULTIPLE_POINT * n)
+    body = _MULTIPLE + _MULTIPLE_POINT * n
     chain = body + (_XDBL + body + (_XADD + body) * (d - 2) if d > 1
                     else b"")
-    return (tag_ops(MOD_XISOG, _PRE * n) + chain
-            + tag_ops(MOD_XISOG, _IMAGE * n + _CODOMAIN_HEAD
-                      + bytes((_M,)) * (4 * l.bit_length() + 8)
-                      + _CODOMAIN_TAIL))
+    return (_PRE * n + chain + _IMAGE * n + _CODOMAIN_HEAD
+            + _MONT_MUL * (4 * l.bit_length() + 8) + _CODOMAIN_TAIL)
 
 
 def xisog(fp: Fp, curve: ProjCurve, points, K: ProjPoint, l: int):
@@ -74,7 +74,7 @@ def xisog(fp: Fp, curve: ProjCurve, points, K: ProjPoint, l: int):
     Returns (curve', images, fault).
     """
     const = curve_constants(fp, curve)
-    fp.issue_tagged(_schedule(len(points), l), MOD_XISOG)
+    fp.issue(_schedule(len(points), l), MOD_XISOG)
     p = fp.p
     A24, C24 = const
     # The chain: (X + Z, X - Z) of [i]K for i = 1..d, d = (l-1)/2.  [2]K by

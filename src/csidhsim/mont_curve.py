@@ -3,11 +3,12 @@
 Points are (X : Z) pairs and curves (Ax : Az) pairs of residues mod p;
 Z = 0 encodes the point at infinity.  The formulas compute on them as plain
 bignum arithmetic on the prime `p`.  The public functions take an
-:class:`~csidhsim.fp.Fp` context and issue their ALU ops on it from
-templates, tagged with the right control-unit module, so the trace is what
-an op-by-op Montgomery model records.  The ladder step `xdbladd` is
-written once, on ints; `xmul` calls it once per bit and issues each step's
-`XDBLADD_OPS`.  The tests check both against the op-by-op model in
+:class:`~csidhsim.fp.Fp` context and record their ALU ops on it through
+`Fp.issue`, from templates that are their trace bytes, tagged with their
+control-unit module once at import; so the trace is what an op-by-op
+Montgomery model records.  The ladder step `xdbladd` is written once, on
+ints; `xmul` calls it once per bit and issues each step's `XDBLADD_OPS`.
+The tests check both against the op-by-op model in
 `tests/mont_reference.py`.
 
 The combined double-and-add consumes the curve through precomputed
@@ -22,13 +23,14 @@ from typing import NamedTuple
 
 from .fp import Fp, jacobi
 from .trace import (MOD_XAFFINIZE, MOD_XDBLADD, MOD_XTWIST, OP_ADD,
-                    OP_MONT_MUL, OP_SUB)
+                    OP_MONT_MUL, OP_SUB, tag_ops)
 
 # xTWIST's ops before its residue test: x^2, A*x, the two additions of
 # x^2 + A*x + 1, and the product with x.
-_XTWIST_OPS = bytes((OP_MONT_MUL, OP_MONT_MUL, OP_ADD, OP_ADD, OP_MONT_MUL))
+_XTWIST_OPS = tag_ops(MOD_XTWIST, (OP_MONT_MUL, OP_MONT_MUL, OP_ADD, OP_ADD,
+                                   OP_MONT_MUL))
 # xAffinize's product Ax * Az^-1, after the inversion.
-_XAFFINIZE_TAIL = bytes((OP_MONT_MUL,))
+_XAFFINIZE_TAIL = tag_ops(MOD_XAFFINIZE, (OP_MONT_MUL,))
 
 
 class InfinityAffinize(ZeroDivisionError):
@@ -68,10 +70,11 @@ def is_infinity(P: ProjPoint) -> bool:
 
 # One ladder step's ALU ops in the op-by-op Montgomery model's issue order:
 # the (X+-Z) squares and their difference, then the differential addition,
-# then the rest of the doubling.
+# then the rest of the doubling.  `_XDBLADD_STEP` is its trace bytes.
 XDBLADD_OPS = bytes((OP_ADD, OP_SUB, OP_MONT_MUL, OP_MONT_MUL, OP_SUB,
                      OP_ADD, OP_SUB, OP_MONT_MUL, OP_MONT_MUL, OP_ADD, OP_SUB,
                      *(OP_MONT_MUL,) * 7, OP_ADD, OP_MONT_MUL))
+_XDBLADD_STEP = tag_ops(MOD_XDBLADD, XDBLADD_OPS)
 
 
 def xdbladd(p: int, x0: int, z0: int, x1: int, z1: int, xd: int, zd: int,
@@ -121,8 +124,7 @@ def xmul(fp: Fp, P: ProjPoint, k: int, const: CurveConstants) -> ProjPoint:
     """
     p = fp.p
     bits = bin(k)[2:]                  # "0" for k = 0: one step
-    fp.set_module(MOD_XDBLADD)
-    fp.issue(XDBLADD_OPS, len(bits))
+    fp.issue(_XDBLADD_STEP, MOD_XDBLADD, len(bits))
     A24, C24 = const
     xd, zd = P
     x0, z0, x1, z1 = 1, 0, xd, zd      # R0 = O, R1 = P
@@ -140,8 +142,7 @@ def xtwist(fp: Fp, x: int, A: int) -> CurveSide:
     CURVE iff x^3 + A*x^2 + x is a square mod p; a zero right-hand side
     (2-torsion x) counts as CURVE.
     """
-    fp.set_module(MOD_XTWIST)
-    fp.issue(_XTWIST_OPS, 1)
+    fp.issue(_XTWIST_OPS, MOD_XTWIST)
     rhs = x * ((x + A) * x + 1) % fp.p
     return CurveSide.CURVE if fp.is_square(rhs) else CurveSide.TWIST
 
@@ -164,9 +165,9 @@ def affinize_mont(fp: Fp, curve: ProjCurve) -> int:
     ALU computes it in the Montgomery domain."""
     if curve.Az == 0:
         raise InfinityAffinize("projective curve with Az = 0")
-    fp.set_module(MOD_XAFFINIZE)
+    fp.set_module(MOD_XAFFINIZE)       # the inversion records under it
     inv = fp.inv(curve.Az)
-    fp.issue(_XAFFINIZE_TAIL, 1)
+    fp.issue(_XAFFINIZE_TAIL, MOD_XAFFINIZE)
     return curve.Ax * inv % fp.p
 
 

@@ -55,15 +55,11 @@ _LINES = tuple(
     for b in range(256))
 _KNOWN = bytes(b for b, line in enumerate(_LINES) if line is not None)
 
-# One `bytes.translate` table per module: opcode -> (module << 3) | opcode.
-_TAG_TABLES = {m: bytes(m << 3 | b if b < 8 else b for b in range(256))
-               for m in MODULE_NAMES}
 
-
-def tag_ops(module: int, ops: bytes) -> bytes:
-    """The trace bytes of the bare opcodes `ops` issued by `module`, tagged
-    in one C-level translate rather than byte by byte."""
-    return ops.translate(_TAG_TABLES[module])
+def tag_ops(module: int, ops) -> bytes:
+    """The trace bytes of the bare opcodes `ops` (ints) issued by `module`.
+    Op templates are tagged once, when their module is imported."""
+    return bytes(module << 3 | op for op in ops)
 
 
 # Ops per write when dumping: the text streams in pieces of ~50 KB.
@@ -142,7 +138,9 @@ DEFAULT_COSTS = {
 
 # Per-operation control/FSM overhead in cycles (state transitions, memory
 # moves).  Zero by default; calibrate_overhead() fits it to a measured or
-# published end-to-end total.
+# published end-to-end total.  A negative fit means the model prices more
+# cycles than that total, as for the paper's csidh512 keygen: -0.675 (FPGA)
+# and -0.066 (ASIC) per op (ROADMAP item 17).
 DEFAULT_OVERHEAD = {"fpga": 0.0, "asic": 0.0}
 
 # Largest magnitude a cost-table value may have, so that every ledger total
@@ -252,7 +250,8 @@ class CycleLedger:
 def calibrate_overhead(ledger: CycleLedger, target_cycles: int,
                        mode: str) -> float:
     """Fit the per-operation overhead constant so the ledger total matches
-    a published end-to-end cycle count."""
+    a published end-to-end cycle count.  A negative fit is no FSM cost: it
+    means the model prices more cycles than that count."""
     if not ledger.total_ops:
         raise ValueError("cannot calibrate overhead on an empty trace")
     return (target_cycles - ledger.raw_cycles(mode)) / ledger.total_ops

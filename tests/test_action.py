@@ -6,8 +6,9 @@ import math
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from csidhsim import action, oracle as orc
+from csidhsim import action, isogeny, mont_curve, oracle as orc
 from csidhsim.action import (ActionConfig, Drbg, FaultDetected, InvalidPeerKey,
                              InvalidPrivateKey, PrivateKey, PublicKey,
                              RngFailure, keygen, make_rng, random_private_key,
@@ -17,7 +18,9 @@ from csidhsim.fp import Fp
 from csidhsim.mont_curve import (CurveSide, InfinityAffinize, ProjCurve,
                                  ProjPoint, xtwist)
 from csidhsim.params import CsidhParams, csidh512_params, get_params
-from csidhsim.trace import MOD_XDBLADD, MOD_XISOG, OP_MONT_MUL, OpTrace
+from csidhsim.trace import (MOD_CSIDH, MOD_XAFFINIZE, MOD_XDBLADD, MOD_XISOG,
+                             MOD_XTWIST, OP_ADD, OP_MONT_MUL, OP_MONT_REDUCE,
+                             OpTrace, tag_ops)
 
 TOY = get_params("toy419")
 # p = 4*3*5*...*71 - 1 is a 90-bit prime.  Its 19 primes exceed
@@ -349,6 +352,14 @@ def test_inverse_key_returns_to_base_curve(constant_time):
     _inverse_key_returns_to_e0(keys, constant_time)
 
 
+@pytest.mark.parametrize("constant_time", [True, False], ids=["ct", "vartime"])
+@settings(max_examples=20, deadline=None)
+@given(e=st.lists(st.integers(-MID90.m, MID90.m), min_size=MID90.n,
+                  max_size=MID90.n))
+def test_inverse_key_returns_to_base_curve_mid90(constant_time, e):
+    _inverse_key_returns_to_e0([PrivateKey(e, MID90)], constant_time)
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("constant_time", [True, False], ids=["ct", "vartime"])
 def test_inverse_key_returns_to_base_curve_full(constant_time, full):
@@ -461,6 +472,79 @@ def schedule_xisog_mont_muls(params):
 
 def xisog_mont_muls(trace):
     return trace.buf.count((MOD_XISOG << 3) | OP_MONT_MUL)
+
+
+def generated_ct_trace(params):
+    """The trace bytes of a ct action on `params`, joined from the
+    production op templates along `ct_schedule`, with no arithmetic.
+
+    The initial `to_mont`; per round the affinize, the sampled P+'s
+    `to_mont` (tagged xAffinize, the module last current), its `xtwist`,
+    P-'s `to_mont` (tagged xTWIST), its `xtwist`, the ladder constants and
+    the two [k_clear] ladders; per slot the [cof] ladder, `xisog` (its
+    constants, `_schedule(2, l)` and [l]K), the constants and the two [l]
+    ladders; at the end the check's `to_mont`, constants and [p+1] ladder,
+    the affinize and its MONT_REDUCE.
+    """
+    p = params.p
+
+    def ladder(k):
+        return mont_curve._XDBLADD_STEP * max(k.bit_length(), 1)
+
+    def power(module, e):
+        return tag_ops(module, (OP_MONT_MUL,)) * (2 * max(e.bit_length(), 1))
+
+    def to_mont(module):
+        return tag_ops(module, (OP_MONT_MUL,))
+
+    consts = tag_ops(MOD_XDBLADD, (OP_ADD,) * 3)
+    affinize = power(MOD_XAFFINIZE, p - 2) + mont_curve._XAFFINIZE_TAIL
+    xtwist = mont_curve._XTWIST_OPS + power(MOD_XTWIST, (p - 1) >> 1)
+    out = [to_mont(MOD_CSIDH)]
+    for k_clear, slots in action.ct_schedule(params):
+        rnd = [affinize, to_mont(MOD_XAFFINIZE), xtwist, to_mont(MOD_XTWIST),
+               xtwist, consts, ladder(k_clear) * 2]
+        for _, l, cof, _ in slots:
+            rnd += [ladder(cof), consts, isogeny._schedule(2, l), ladder(l),
+                    consts, ladder(l) * 2]
+        out += rnd * params.m
+    out += [to_mont(MOD_CSIDH), consts, ladder(p + 1), affinize,
+            tag_ops(MOD_XAFFINIZE, (OP_MONT_REDUCE,))]
+    return b"".join(out)
+
+
+def checked_generated_trace(params):
+    """`generated_ct_trace` as an OpTrace, after checking its counts
+    against the template-free closed forms."""
+    generated = OpTrace()
+    generated.buf += generated_ct_trace(params)
+    assert xdbladd_mont_muls(generated) == schedule_xdbladd_mont_muls(params)
+    assert xisog_mont_muls(generated) == schedule_xisog_mont_muls(params)
+    return generated
+
+
+def assert_recorded_is_generated(params, runs):
+    """Each (key, seed) run's recorded ct trace is the generated one."""
+    generated = checked_generated_trace(params)
+    for sk, seed in runs:
+        _, ok, trace = action.group_action_ct(PublicKey(0), sk,
+                                              make_rng(seed))
+        assert ok
+        assert trace == generated, (sk.exponents, seed)
+
+
+def test_recorded_ct_trace_is_generated_toy419():
+    keys = [PrivateKey(e, TOY) for e in itertools.product(
+        range(-TOY.m, TOY.m + 1), repeat=TOY.n)]
+    assert len(keys) == 27
+    assert_recorded_is_generated(TOY, [(sk, b"generated-%d" % i)
+                                       for sk in keys for i in range(3)])
+
+
+def test_recorded_ct_trace_is_generated_mid90():
+    assert_recorded_is_generated(MID90, [
+        (random_private_key(MID90, make_rng(b"generated-sk-%d" % i)),
+         b"generated-%d" % i) for i in range(5)])
 
 
 @pytest.mark.parametrize("params, want", [(TOY, 570), (MID90, 40_068)],

@@ -148,9 +148,9 @@ def _is_trace_buffer(node):
 
 
 def test_only_fp_writes_trace_bytes():
-    # `Fp` tags every op it records with the current module and is what
-    # `mark`/`rollback` undo, so an op template (`Fp.issue`) or a slice of
-    # the buffer written anywhere else would bypass both.  `trace.py`
+    # `Fp` records every op with its module tag and is what `mark`/
+    # `rollback` undo, so an op template (`Fp.issue`) or a slice of the
+    # buffer written anywhere else would bypass both.  `trace.py`
     # defines the buffer and only reads it (`OpTrace.dump`, `CycleLedger`).
     # Any method call on a buffer, subscript of it, in-place update of it
     # or alias to it counts.
@@ -209,3 +209,23 @@ def test_every_params_field_and_fp_slot_is_read():
                  and isinstance(node.ctx, ast.Load)
                  and id(node) not in forwarded}
     assert sorted(names - read) == []
+
+
+def test_op_templates_are_tagged_at_import():
+    # Every op template is its trace bytes, tagged once when its module is
+    # imported, so no function body tags opcodes: no `tag_ops` call and no
+    # `bytes.translate` through a table.  `translate(None, delete)` only
+    # deletes bytes and tags none.
+    found = [f"{path.name}:{call.lineno} {ast.unparse(call)}"
+             for path in sorted(SRC.glob("*.py"))
+             for func in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for stmt in func.body for call in ast.walk(stmt)
+             if isinstance(call, ast.Call)
+             and (ast.unparse(call.func).split(".")[-1] == "tag_ops"
+                  or (isinstance(call.func, ast.Attribute)
+                      and call.func.attr == "translate"
+                      and not (call.args
+                               and isinstance(call.args[0], ast.Constant)
+                               and call.args[0].value is None)))]
+    assert sorted(set(found)) == []
