@@ -5,7 +5,7 @@ from .fp import FieldElement, Fp, ZeroInverse
 from .mont_curve import CurveSide, InfinityAffinize, ProjCurve, ProjPoint
 from .action import (ActionConfig, Drbg, FaultDetected, InvalidPeerKey,
                      InvalidPrivateKey, PrivateKey, PublicKey, RngFailure,
-                     estimate_keygen, group_action_ct, group_action_vartime,
+                     ct_trace, group_action_ct, group_action_vartime,
                      keygen, make_rng, random_private_key, run_action,
                      shared_secret, validate_pk)
 from .trace import CostTable, CostTableError, CycleLedger, OpTrace
@@ -17,7 +17,7 @@ __all__ = [
     "CurveSide", "CycleLedger", "Drbg", "FaultDetected", "FieldElement", "Fp",
     "InfinityAffinize", "InvalidPeerKey", "InvalidPrivateKey", "OpTrace",
     "ParamError", "PrivateKey", "ProjCurve", "ProjPoint", "PublicKey",
-    "RngFailure", "ZeroInverse", "estimate_keygen", "get_params",
+    "RngFailure", "ZeroInverse", "ct_trace", "get_params",
     "group_action_ct", "group_action_vartime", "keygen", "make_rng",
     "random_private_key", "run_action", "shared_secret", "validate_pk",
     "__version__",

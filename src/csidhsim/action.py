@@ -18,6 +18,7 @@ ok, OpTrace)``; the trace is empty when ``record`` is false.
   :func:`ct_schedule`: batches, clearing scalars, slots and cofactors.
   Each round holds one point per side, indexed by :data:`SIDES`; the key
   picks only which of the two a slot's kernel comes from.
+  :func:`ct_trace` generates that trace from the schedule alone.
 
 Randomness-dependent retry loops are modeled as fixed-latency units, so
 only the accepted attempt stays in the trace.  Point sampling screens each
@@ -38,11 +39,12 @@ formulas walks the class-group action in the inverse direction.
 :func:`shared_secret` always validates the peer key; :func:`run_action`,
 the one runner behind every action, acts on the curve it is given.
 
-Only an action whose trace is priced or exported records one: the
-constant-time :func:`keygen` and :func:`estimate_keygen` do, as do the CLI's
-``trace`` and ``bench``.  :func:`shared_secret`, the variable-time
-:func:`keygen` and the CLI's ``keygen`` and ``dh`` run untraced, with the
-same arithmetic and the same DRBG draws.
+Only an action whose trace is returned or exported records one: the
+constant-time :func:`keygen` does, as does the CLI's ``trace``.
+:func:`shared_secret`, the variable-time :func:`keygen` and the CLI's
+``keygen`` and ``dh`` run untraced, with the same arithmetic and the same
+DRBG draws.  The CLI's ``bench`` runs no action: it prices
+:func:`ct_trace`.
 """
 
 from __future__ import annotations
@@ -53,12 +55,13 @@ import os
 from dataclasses import dataclass
 
 from .fp import FieldElement, Fp
-from .mont_curve import (CurveSide, InfinityAffinize, ProjCurve, ProjPoint,
-                         affinize, affinize_mont, curve_constants,
-                         is_infinity, screen_side, xmul, xtwist)
-from .isogeny import xisog
+from .mont_curve import (_XDBLADD_STEP, CurveSide, InfinityAffinize,
+                         ProjCurve, ProjPoint, affinize, affinize_mont,
+                         curve_constants, is_infinity, screen_side, xmul,
+                         xtwist)
+from .isogeny import _schedule, xisog
 from .params import PARAM_IDS, PARAM_NAMES, CsidhParams, get_params
-from .trace import MOD_CSIDH, CostTable, CycleLedger, OpTrace
+from .trace import MOD_CSIDH, MOD_XDBLADD, MOD_XISOG, OpTrace
 
 SK_MAGIC = b"CSIDHSK1"
 PK_MAGIC = b"CSIDHPK1"
@@ -311,6 +314,45 @@ def ct_schedule(params: CsidhParams):
     return tuple(schedule)
 
 
+def ct_trace(params: CsidhParams) -> OpTrace:
+    """The trace every `group_action_ct` on `params` records, from
+    `ct_schedule` alone: no key, no DRBG draw, no point arithmetic.
+
+    The cheap pieces run the production functions on placeholder values,
+    so each op lands on the module they leave current (a round's sampled
+    `to_mont`s on xAffinize, then xTWIST).  The ladders and `xisog`'s body
+    are issued from the templates the formulas issue.
+    """
+    trace = OpTrace()
+    fp = Fp(params, trace)
+    curve = ProjCurve(0, 1)
+
+    def ladders(k, times=1):       # `xmul`'s steps: one per bit of k
+        fp.issue(_XDBLADD_STEP, MOD_XDBLADD, times * (len(bin(k)) - 2))
+
+    fp.to_mont(0)
+    for k_clear, slots in ct_schedule(params):
+        for _ in range(params.m):
+            A = affinize_mont(fp, curve)
+            for _ in SIDES:
+                xtwist(fp, fp.to_mont(1), A)
+            curve_constants(fp, curve)
+            ladders(k_clear, 2)
+            for _, l, cof, _ in slots:
+                ladders(cof)
+                curve_constants(fp, curve)
+                fp.issue(_schedule(len(SIDES), l), MOD_XISOG)
+                ladders(l)
+                curve_constants(fp, curve)
+                ladders(l, 2)
+    fp.set_module(MOD_CSIDH)
+    fp.to_mont(1)
+    curve_constants(fp, curve)
+    ladders(params.p + 1)
+    affinize(fp, curve)
+    return trace
+
+
 def group_action_ct(pk: PublicKey, sk: PrivateKey, rng: Drbg,
                     record: bool = True):
     """Dummy-isogeny constant-time evaluation of [sk]pk over `sk.params`.
@@ -320,8 +362,9 @@ def group_action_ct(pk: PublicKey, sk: PrivateKey, rng: Drbg,
     each `ct_schedule` batch runs m rounds, so every prime gets exactly m
     isogeny computations, and each slot issues the same operations
     whether the isogeny is real or a dummy -- only which results are kept
-    differs.  With `record` false the action runs on an untraced Fp, with
-    the same arithmetic and DRBG draws, and the trace stays empty.
+    differs; it equals `ct_trace(sk.params)`.  With `record` false the
+    action runs on an untraced Fp, with the same arithmetic and DRBG
+    draws, and the trace stays empty.
     """
     params = sk.params
     trace = OpTrace()
@@ -525,15 +568,3 @@ def shared_secret(sk: PrivateKey, peer: PublicKey, params: CsidhParams,
         raise InvalidPeerKey("peer public key failed validation")
     out, _ = run_action(peer, sk, params, rng, config)
     return FieldElement(out.A, params)
-
-
-def estimate_keygen(params: CsidhParams,
-                    cost_table: CostTable | None = None) -> CycleLedger:
-    """Price the constant-time keygen trace of `params`.
-
-    The trace is the same for every key and seed, so this prices the
-    constant-time `keygen` of the zero key under one fixed seed.
-    """
-    sk = PrivateKey((0,) * params.n, params)
-    _, trace = keygen(sk, params, make_rng(b"estimate"))
-    return CycleLedger(trace, cost_table)

@@ -1,14 +1,15 @@
 """Command-line front end.
 
-Subcommands, each taking only the flags it reads; each runs the
-constant-time action, except ``trace --vartime``:
+Subcommands, each taking only the flags it reads; all but ``bench`` run
+the constant-time action, except ``trace --vartime``:
 
 * ``keygen`` -- sample a private key, derive the public key, write both.
 * ``dh``     -- derive the shared secret from a private key and a peer key,
   in the parameter set both key files name.  The peer key is always
   validated first; there is no switch to skip that.
 * ``bench``  -- cycle estimate for one constant-time key generation, one
-  column per ALU mode.  The trace it prices is the same for every key.
+  column per ALU mode.  It prices ``action.ct_trace``, the trace every key
+  records, and runs no group action.
 * ``trace``  -- export the operation trace of one seeded key generation.
 
 All randomness flows through a single DRBG: with ``--seed`` (the empty
@@ -32,7 +33,7 @@ from pathlib import Path
 
 from . import action
 from .params import PARAM_TABLE, get_params
-from .trace import CostTable, CostTableError
+from .trace import CostTable, CostTableError, CycleLedger
 
 EXIT_IO = 2
 EXIT_FAULT = 3
@@ -117,7 +118,7 @@ def cmd_dh(args) -> int:
 def cmd_bench(args) -> int:
     params = get_params(args.params)
     cost_table = CostTable.load(args.cost_table) if args.cost_table else None
-    ledger = action.estimate_keygen(params, cost_table)
+    ledger = CycleLedger(action.ct_trace(params), cost_table)
     columns = [ledger.module_cycles(mode) for mode in CLOCK_HZ]
     totals = [ledger.total_cycles(mode) for mode in CLOCK_HZ]
     rows = [("mode", CLOCK_HZ)]

@@ -32,9 +32,9 @@ from csidhsim.isogeny import xisog
 from csidhsim.mont_curve import ProjCurve, ProjPoint
 from csidhsim.params import get_params
 from csidhsim.trace import CostTable, CycleLedger, calibrate_overhead
-from test_action import (MID90, checked_generated_trace,
-                         schedule_xdbladd_mont_muls, schedule_xisog_mont_muls,
-                         xdbladd_mont_muls, xisog_mont_muls)
+from test_action import (MID90, schedule_xdbladd_mont_muls,
+                         schedule_xisog_mont_muls, xdbladd_mont_muls,
+                         xisog_mont_muls)
 
 TOY = get_params("toy419")
 FULL = get_params("csidh512")
@@ -476,6 +476,6 @@ def test_xisog_schedule_is_the_trace_schedule_full():
 
 
 def test_recorded_ct_trace_is_generated_full():
-    # The cached csidh512 keygen's trace is the one joined from the op
-    # templates along `ct_schedule`, byte for byte.
-    assert full_keygen(0)[2] == checked_generated_trace(FULL)
+    # The cached csidh512 keygen's trace is the one `action.ct_trace`
+    # generates from `ct_schedule`, byte for byte.
+    assert full_keygen(0)[2] == action.ct_trace(FULL)

@@ -8,7 +8,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from csidhsim import action, isogeny, mont_curve, oracle as orc
+from csidhsim import action, oracle as orc
 from csidhsim.action import (ActionConfig, Drbg, FaultDetected, InvalidPeerKey,
                              InvalidPrivateKey, PrivateKey, PublicKey,
                              RngFailure, keygen, make_rng, random_private_key,
@@ -18,9 +18,8 @@ from csidhsim.fp import Fp
 from csidhsim.mont_curve import (CurveSide, InfinityAffinize, ProjCurve,
                                  ProjPoint, xtwist)
 from csidhsim.params import CsidhParams, csidh512_params, get_params
-from csidhsim.trace import (MOD_CSIDH, MOD_XAFFINIZE, MOD_XDBLADD, MOD_XISOG,
-                             MOD_XTWIST, OP_ADD, OP_MONT_MUL, OP_MONT_REDUCE,
-                             OpTrace, tag_ops)
+from csidhsim.trace import (MOD_XDBLADD, MOD_XISOG, OP_MONT_MUL, OPCODE_NAMES,
+                             CostTable, CycleLedger, OpTrace)
 
 TOY = get_params("toy419")
 # p = 4*3*5*...*71 - 1 is a 90-bit prime.  Its 19 primes exceed
@@ -430,25 +429,62 @@ def test_mid90_two_batches(monkeypatch):
     assert [len(t) for t in traces] == [89_788]
 
 
-def schedule_xdbladd_mont_muls(params):
-    """xDBLADD-tagged MONT_MULs of a recorded ct action, counted from
-    `ct_schedule`: 12 per ladder step and 6 per kernel-multiple step.
+def bit_len(k):
+    return max(k.bit_length(), 1)
 
-    Each round ladders its pair by k_clear, then each slot ladders its
-    cofactor, [l]K in `xisog` and [l] of both points; `xisog` takes
-    (l - 1)/2 - 1 xDBL/xADD steps for its kernel multiples.  The final
-    check ladders [p + 1].  Rolled-back repairs leave no op.
+
+def schedule_op_counts(params):
+    """{(opcode name, module name): count} of a recorded ct action, from
+    `ct_schedule` and the formulas' op counts; no op template is read.
+
+    Ladder steps (4 ADD, 4 SUB, 12 MONT_MUL each): per round the pair's
+    two [k_clear], per slot its cofactor, [l]K in `xisog` and [l] of both
+    points, and the end check's [p + 1].  Each slot's `xisog` on the two
+    points takes, for each of its d = (l - 1)/2 kernel multiples, 3 ADD,
+    3 SUB and 10 MONT_MUL (2 curve products, 4 per point), plus 7 ADD,
+    4 SUB and 16 + 4 * bitlen(l) MONT_MUL (the points' sums, 4 per image,
+    2 * bitlen(l) per l-th power, 3 per eighth power, 1 per product).  Its
+    chain's xDBL (2 ADD, 2 SUB, 6 MONT_MUL; d > 1) and d - 2 xADDs (3 ADD,
+    3 SUB, 6 MONT_MUL) are xDBLADD's, as are the constants' 3 ADDs per
+    round, 2 per slot and 1 at the end.  Each round affinizes (a^(p-2)
+    and a product), `to_mont`s its two points, one on xAffinize and one on
+    xTWIST, and `xtwist`s them (3 MONT_MUL, 2 ADD and Euler's
+    a^((p-1)/2) each).  The end affinizes and leaves the domain by one
+    MONT_REDUCE; the initial and the check's `to_mont` are CSIDH's.
+    Rolled-back repairs leave no op.
     """
-    def bl(k):
-        return max(k.bit_length(), 1)
+    p, m = params.p, params.m
+    schedule = action.ct_schedule(params)
+    rounds = m * len(schedule)
+    ls = [l for _, slots in schedule for _, l, _, _ in slots] * m
+    steps = bit_len(p + 1) + m * sum(
+        2 * bit_len(k_clear) + sum(bit_len(cof) + 3 * bit_len(l)
+                                   for _, l, cof, _ in slots)
+        for k_clear, slots in schedule)
+    multiples = sum((l - 1) // 2 for l in ls)
+    xdbl = sum(l > 3 for l in ls)
+    xadd = sum(max((l - 1) // 2 - 2, 0) for l in ls)
+    consts = rounds + 2 * len(ls) + 1
+    affinize = 2 * bit_len(p - 2) + 1
+    euler = 2 * bit_len((p - 1) // 2)
+    return {
+        ("ADD", "xDBLADD"): 4 * steps + 2 * xdbl + 3 * xadd + 3 * consts,
+        ("SUB", "xDBLADD"): 4 * steps + 2 * xdbl + 3 * xadd,
+        ("MONT_MUL", "xDBLADD"): 12 * steps + 6 * (xdbl + xadd),
+        ("ADD", "xISOG"): 3 * multiples + 7 * len(ls),
+        ("SUB", "xISOG"): 3 * multiples + 4 * len(ls),
+        ("MONT_MUL", "xISOG"): 10 * multiples + sum(16 + 4 * l.bit_length()
+                                                     for l in ls),
+        ("ADD", "xTWIST"): 4 * rounds,
+        ("MONT_MUL", "xTWIST"): rounds * (2 * (3 + euler) + 1),
+        ("MONT_MUL", "xAffinize"): (rounds + 1) * affinize + rounds,
+        ("MONT_REDUCE", "xAffinize"): 1,
+        ("MONT_MUL", "CSIDH"): 2,
+    }
 
-    ladder, multiples = bl(params.p + 1), 0
-    for k_clear, slots in action.ct_schedule(params):
-        ladder += params.m * (2 * bl(k_clear) + sum(
-            bl(cof) + 3 * bl(l) for _, l, cof, _ in slots))
-        multiples += params.m * sum(max((l - 1) // 2 - 1, 0)
-                                    for _, l, _, _ in slots)
-    return 12 * ladder + 6 * multiples
+
+def schedule_xdbladd_mont_muls(params):
+    return schedule_op_counts(params)["MONT_MUL", "xDBLADD"]
 
 
 def xdbladd_mont_muls(trace):
@@ -456,76 +492,36 @@ def xdbladd_mont_muls(trace):
 
 
 def schedule_xisog_mont_muls(params):
-    """xISOG-tagged MONT_MULs of a recorded ct action, counted from
-    `ct_schedule`: sum over the slots of m * (10 * (l - 1)/2 + 16 +
-    4 * bitlen(l)).
-
-    Each slot runs one `xisog` on the round's two points.  Each of its
-    (l - 1)/2 kernel multiples takes 2 curve products and 4 per point; the
-    two images take 4 each; the codomain takes 2 * bitlen(l) for each l-th
-    power, 3 for each eighth power and 1 for each of their 2 products.
-    """
-    return params.m * sum(10 * ((l - 1) // 2) + 16 + 4 * l.bit_length()
-                          for _, slots in action.ct_schedule(params)
-                          for _, l, _, _ in slots)
+    return schedule_op_counts(params)["MONT_MUL", "xISOG"]
 
 
 def xisog_mont_muls(trace):
     return trace.buf.count((MOD_XISOG << 3) | OP_MONT_MUL)
 
 
-def generated_ct_trace(params):
-    """The trace bytes of a ct action on `params`, joined from the
-    production op templates along `ct_schedule`, with no arithmetic.
-
-    The initial `to_mont`; per round the affinize, the sampled P+'s
-    `to_mont` (tagged xAffinize, the module last current), its `xtwist`,
-    P-'s `to_mont` (tagged xTWIST), its `xtwist`, the ladder constants and
-    the two [k_clear] ladders; per slot the [cof] ladder, `xisog` (its
-    constants, `_schedule(2, l)` and [l]K), the constants and the two [l]
-    ladders; at the end the check's `to_mont`, constants and [p+1] ladder,
-    the affinize and its MONT_REDUCE.
-    """
-    p = params.p
-
-    def ladder(k):
-        return mont_curve._XDBLADD_STEP * max(k.bit_length(), 1)
-
-    def power(module, e):
-        return tag_ops(module, (OP_MONT_MUL,)) * (2 * max(e.bit_length(), 1))
-
-    def to_mont(module):
-        return tag_ops(module, (OP_MONT_MUL,))
-
-    consts = tag_ops(MOD_XDBLADD, (OP_ADD,) * 3)
-    affinize = power(MOD_XAFFINIZE, p - 2) + mont_curve._XAFFINIZE_TAIL
-    xtwist = mont_curve._XTWIST_OPS + power(MOD_XTWIST, (p - 1) >> 1)
-    out = [to_mont(MOD_CSIDH)]
-    for k_clear, slots in action.ct_schedule(params):
-        rnd = [affinize, to_mont(MOD_XAFFINIZE), xtwist, to_mont(MOD_XTWIST),
-               xtwist, consts, ladder(k_clear) * 2]
-        for _, l, cof, _ in slots:
-            rnd += [ladder(cof), consts, isogeny._schedule(2, l), ladder(l),
-                    consts, ladder(l) * 2]
-        out += rnd * params.m
-    out += [to_mont(MOD_CSIDH), consts, ladder(p + 1), affinize,
-            tag_ops(MOD_XAFFINIZE, (OP_MONT_REDUCE,))]
-    return b"".join(out)
+def ledger_op_counts(trace):
+    """{(opcode name, module name): count} of `trace`, read off its
+    ledger's module cycles with one opcode priced at a cycle, the rest at
+    none."""
+    counts = {}
+    for op, name in OPCODE_NAMES.items():
+        table = CostTable()
+        table.costs["fpga"] = {o: int(o == op) for o in OPCODE_NAMES}
+        cycles = CycleLedger(trace, table).module_cycles("fpga")
+        counts |= {(name, module): n for module, n in cycles.items() if n}
+    return counts
 
 
-def checked_generated_trace(params):
-    """`generated_ct_trace` as an OpTrace, after checking its counts
-    against the template-free closed forms."""
-    generated = OpTrace()
-    generated.buf += generated_ct_trace(params)
-    assert xdbladd_mont_muls(generated) == schedule_xdbladd_mont_muls(params)
-    assert xisog_mont_muls(generated) == schedule_xisog_mont_muls(params)
-    return generated
+@pytest.mark.parametrize("params", [TOY, MID90, get_params("csidh512")],
+                         ids=["toy419", "mid90", "csidh512"])
+def test_ct_trace_counts_are_the_schedule_closed_forms(params):
+    assert ledger_op_counts(action.ct_trace(params)) == \
+        schedule_op_counts(params)
 
 
 def assert_recorded_is_generated(params, runs):
-    """Each (key, seed) run's recorded ct trace is the generated one."""
-    generated = checked_generated_trace(params)
+    """Each (key, seed) run's recorded ct trace is `action.ct_trace`'s."""
+    generated = action.ct_trace(params)
     for sk, seed in runs:
         _, ok, trace = action.group_action_ct(PublicKey(0), sk,
                                               make_rng(seed))
@@ -545,6 +541,13 @@ def test_recorded_ct_trace_is_generated_mid90():
     assert_recorded_is_generated(MID90, [
         (random_private_key(MID90, make_rng(b"generated-sk-%d" % i)),
          b"generated-%d" % i) for i in range(5)])
+
+
+@settings(max_examples=20, deadline=None)
+@given(e=st.lists(st.integers(-MID90.m, MID90.m), min_size=MID90.n,
+                  max_size=MID90.n), seed=st.binary(max_size=8))
+def test_recorded_ct_trace_is_generated_mid90_any_key(e, seed):
+    assert_recorded_is_generated(MID90, [(PrivateKey(e, MID90), seed)])
 
 
 @pytest.mark.parametrize("params, want", [(TOY, 570), (MID90, 40_068)],

@@ -185,6 +185,23 @@ def test_bench_report(tmp_path, capsys):
     assert "total.fpga" in text and "total.asic" in text
 
 
+def test_bench_runs_no_group_action(tmp_path, capsys, monkeypatch):
+    # bench prices `action.ct_trace`, so its figures need no action run.
+    def no_action(*args, **kwargs):
+        raise AssertionError("bench ran a group action")
+
+    for name in ("group_action_ct", "group_action_vartime", "run_action"):
+        monkeypatch.setattr(csidhsim.action, name, no_action)
+    ledger = tmp_path / "ledger.txt"
+    code, out, _ = run(capsys, "bench", "--params", "csidh512",
+                       "--out", str(ledger))
+    assert code == 0
+    assert bench_totals(out) == {"fpga": 104_299_433, "asic": 106_627_178}
+    text = ledger.read_text()
+    assert "total.fpga = 104299433\n" in text
+    assert "total.asic = 106627178\n" in text
+
+
 def test_bench_custom_cost_table(tmp_path, capsys):
     cfg = tmp_path / "costs.cfg"
     cfg.write_text("MONT_MUL.fpga = 1\nADD.fpga = 0\nSUB.fpga = 0\n")

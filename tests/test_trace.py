@@ -5,8 +5,7 @@ import itertools
 import pytest
 
 from csidhsim import action
-from csidhsim.action import (PrivateKey, PublicKey, estimate_keygen,
-                             make_rng)
+from csidhsim.action import PrivateKey, PublicKey, make_rng
 from csidhsim.datapath import (AluMode, booth_mul32, csel_add,
                                mont_mul_dp_int, mont_reduce_dp_int, mul_wide)
 from csidhsim.fp import int_to_words
@@ -16,6 +15,7 @@ from csidhsim.trace import (BOOTH_CYCLES, MOD_CSIDH, MOD_XMUL, MODULE_NAMES,
                             OP_MONT_REDUCE, OP_SUB, OPCODE_NAMES, CostTable,
                             CycleLedger, OpTrace, calibrate_overhead)
 from test_acceptance import PINNED
+from test_action import MID90
 
 TOY = get_params("toy419")
 
@@ -191,11 +191,12 @@ def test_toy_cycles_identical_across_all_keys():
     assert len(totals) == 1
 
 
-def test_estimate_keygen_deterministic():
-    # The trace is the same for every key and seed, so the estimate is the
-    # pinned toy ledger.
-    ledger = estimate_keygen(TOY)
-    want = PINNED["toy419"]
+@pytest.mark.parametrize("name", list(PINNED))
+def test_ct_trace_prices_to_the_pinned_ledgers(name):
+    # The pinned ledgers, priced from the generated trace: no action runs.
+    params = MID90 if name == "mid90" else get_params(name)
+    ledger = CycleLedger(action.ct_trace(params))
+    want = PINNED[name]
     for mode in ("fpga", "asic"):
         assert ledger.total_cycles(mode) == want["total"][mode]
         assert ledger.module_cycles(mode) == want["modules"][mode]
