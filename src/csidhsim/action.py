@@ -52,7 +52,6 @@ from __future__ import annotations
 import hashlib
 import math
 import os
-from dataclasses import dataclass
 
 from .fp import FieldElement, Fp
 from .mont_curve import (_XDBLADD_STEP, CurveSide, InfinityAffinize,
@@ -61,6 +60,7 @@ from .mont_curve import (_XDBLADD_STEP, CurveSide, InfinityAffinize,
                          xtwist)
 from .isogeny import _schedule, xisog
 from .params import PARAM_IDS, PARAM_NAMES, CsidhParams, get_params
+from .records import FrozenRecord, Record
 from .trace import MOD_CSIDH, MOD_XDBLADD, MOD_XISOG, OpTrace
 
 SK_MAGIC = b"CSIDHSK1"
@@ -152,21 +152,20 @@ def _parse_header(raw: bytes, magic: bytes, error: type[ValueError]):
     return get_params(PARAM_NAMES[param_id]), raw[len(magic) + 1:]
 
 
-@dataclass(frozen=True)
-class PrivateKey:
-    """Exponent vector e of ints with |e_i| <= m."""
+class PrivateKey(FrozenRecord):
+    """Exponent vector e of ints with |e_i| <= m, held as a tuple."""
 
-    exponents: tuple
-    params: CsidhParams
+    __slots__ = ("exponents", "params")
 
-    def __post_init__(self):
-        object.__setattr__(self, "exponents", tuple(self.exponents))
-        if len(self.exponents) != self.params.n:
+    def __init__(self, exponents, params: CsidhParams):
+        exponents = tuple(exponents)
+        if len(exponents) != params.n:
             raise InvalidPrivateKey("exponent vector has wrong length")
-        if not all(isinstance(e, int) for e in self.exponents):
+        if not all(isinstance(e, int) for e in exponents):
             raise InvalidPrivateKey("exponent is not an int")
-        if any(abs(e) > self.params.m for e in self.exponents):
+        if any(abs(e) > params.m for e in exponents):
             raise InvalidPrivateKey("exponent out of range")
+        self._init(exponents, params)
 
     def to_bytes(self) -> bytes:
         body = bytes((e + 256) % 256 for e in self.exponents)
@@ -181,11 +180,13 @@ class PrivateKey:
         return cls(exps, params)
 
 
-@dataclass(frozen=True)
-class PublicKey:
+class PublicKey(FrozenRecord):
     """Affine Montgomery coefficient (standard domain)."""
 
-    A: int
+    __slots__ = ("A",)
+
+    def __init__(self, A: int):
+        self._init(A)
 
     def to_bytes(self, params: CsidhParams) -> bytes:
         return (PK_MAGIC + bytes([PARAM_IDS[params.name]])
@@ -202,9 +203,11 @@ class PublicKey:
         return cls(A), params
 
 
-@dataclass
-class ActionConfig:
-    constant_time: bool = True
+class ActionConfig(Record):
+    __slots__ = ("constant_time",)
+
+    def __init__(self, constant_time: bool = True):
+        self.constant_time = constant_time
 
 
 def random_private_key(params: CsidhParams, rng: Drbg) -> PrivateKey:

@@ -28,11 +28,11 @@ from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass
 from enum import Enum
 
 from .fp import int_to_words, words_to_int
 from .params import WORD_BITS, CsidhParams
+from .records import FrozenRecord
 from .trace import (BOOTH_CYCLES, CSEL_CYCLES, DEFAULT_COSTS,
                     MONT_MUL_CYCLES, MUL_WIDE_CYCLES, OP_MONT_REDUCE)
 
@@ -45,13 +45,13 @@ class AluMode(Enum):
     ASIC = "asic"
 
 
-@dataclass(frozen=True)
-class CycleCost:
-    cycles: int
+class CycleCost(FrozenRecord):
+    __slots__ = ("cycles",)
 
-    def __post_init__(self):
-        if self.cycles < 0:
+    def __init__(self, cycles: int):
+        if cycles < 0:
             raise ValueError("cycle cost must be non-negative")
+        self._init(cycles)
 
 
 # The fixed cost of each operation, built once.  MONT_REDUCE is priced as
@@ -243,11 +243,14 @@ def mont_mul_dp_int(a: int, b: int, params: CsidhParams,
 
 # --- masked ALU ---
 
-@dataclass(frozen=True)
-class AluActivity:
-    """Per-cycle sub-unit activity flags (adder, subtractor, multiplier)."""
+class AluActivity(FrozenRecord):
+    """Per-cycle sub-unit activity flags: `cycles` holds one (adder,
+    subtractor, multiplier) tuple of bools per cycle."""
 
-    cycles: tuple  # tuple of (adder_active, subtractor_active, multiplier_active)
+    __slots__ = ("cycles",)
+
+    def __init__(self, cycles: tuple):
+        self._init(cycles)
 
     def all_units_always_active(self) -> bool:
         return all(all(flags) for flags in self.cycles) and len(self.cycles) > 0

@@ -22,9 +22,9 @@ Python's `pow(a, -1, p)`, the residue test from `jacobi`.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 
 from .params import WORD_BITS, CsidhParams
+from .records import FrozenRecord
 from .trace import MOD_CSIDH, OP_ADD, OP_MONT_MUL, OP_MONT_REDUCE, OP_SUB
 
 
@@ -32,17 +32,16 @@ class ZeroInverse(ZeroDivisionError):
     """Inverse of zero requested."""
 
 
-@dataclass(frozen=True)
-class FieldElement:
+class FieldElement(FrozenRecord):
     """A canonical residue mod p (0 <= value < p), serialized
     little-endian."""
 
-    value: int
-    params: CsidhParams
+    __slots__ = ("value", "params")
 
-    def __post_init__(self):
-        if not 0 <= self.value < self.params.p:
+    def __init__(self, value: int, params: CsidhParams):
+        if not 0 <= value < params.p:
             raise ValueError("field element out of canonical range")
+        self._init(value, params)
 
     def to_bytes(self) -> bytes:
         return self.value.to_bytes(self.params.byte_length, "little")

@@ -12,8 +12,6 @@ Nothing is constant-time and nothing is shared with the main code paths.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 TOY_LIMIT = 1 << 32
 
 
@@ -22,10 +20,35 @@ def naive_redc(T: int, p: int, R: int) -> int:
     return T * pow(R, -1, p) % p
 
 
-@dataclass(frozen=True)
 class AffinePoint:
-    x: int
-    y: int
+    """A read-only affine point (x, y), equal only to an AffinePoint with
+    the same coordinates."""
+
+    __slots__ = ("x", "y")
+
+    def __init__(self, x: int, y: int):
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+
+    def __eq__(self, other):
+        if other.__class__ is not AffinePoint:
+            return NotImplemented
+        return self.x == other.x and self.y == other.y
+
+    def __hash__(self):
+        return hash((self.x, self.y))
+
+    def __repr__(self):
+        return f"AffinePoint(x={self.x!r}, y={self.y!r})"
+
+    def __reduce__(self):
+        return AffinePoint, (self.x, self.y)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("AffinePoint is read-only")
+
+    def __delattr__(self, name):
+        raise AttributeError("AffinePoint is read-only")
 
 
 INFINITY = None  # affine point at infinity marker

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+
+from .records import FrozenRecord
 
 
 # Datapath word size in bits: every operand is n_words words of this size.
@@ -30,37 +31,33 @@ class ParamError(ValueError):
     """Raised when a parameter set fails its structural checks."""
 
 
-@dataclass(frozen=True)
-class CsidhParams:
-    name: str
-    primes: tuple[int, ...]
-    m: int                      # exponent bound: e_i in [-m, m]
-    # derived in __post_init__
-    p: int = field(init=False)            # 4 * prod(primes) - 1
-    n_words: int = field(init=False)      # ceil(bitlen(p) / WORD_BITS)
-    width: int = field(init=False)        # W = WORD_BITS * n_words
-    R: int = field(init=False)            # 2^W
-    pinv: int = field(init=False)         # -p^-1 mod R
+class CsidhParams(FrozenRecord):
+    """The small odd primes, the exponent bound m (e_i in [-m, m]) and the
+    values derived from them: p = 4 * prod(primes) - 1, the word count
+    n_words = ceil(bitlen(p) / WORD_BITS), the width W = WORD_BITS *
+    n_words, R = 2^W and pinv = -p^-1 mod R."""
 
-    def __post_init__(self):
-        if self.m < 1:
+    __slots__ = ("name", "primes", "m", "p", "n_words", "width", "R", "pinv")
+
+    def __init__(self, name: str, primes: tuple[int, ...], m: int):
+        if m < 1:
             raise ParamError("m must be >= 1")
-        if list(self.primes) != sorted(set(self.primes)):
+        if list(primes) != sorted(set(primes)):
             raise ParamError("primes must be ascending and distinct")
-        if any(l % 2 == 0 or l < 3 for l in self.primes):
+        if any(l % 2 == 0 or l < 3 for l in primes):
             raise ParamError("all primes must be odd and >= 3")
-        p = 4 * math.prod(self.primes) - 1
+        p = 4 * math.prod(primes) - 1
         n_words = -(-p.bit_length() // WORD_BITS)
         width = WORD_BITS * n_words
         R = 1 << width
         pinv = (-pow(p, -1, R)) % R
         if (p * pinv) % R != R - 1:
             raise ParamError("p * pinv != -1 mod R")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "n_words", n_words)
-        object.__setattr__(self, "width", width)
-        object.__setattr__(self, "R", R)
-        object.__setattr__(self, "pinv", pinv)
+        self._init(name, primes, m, p, n_words, width, R, pinv)
+
+    def __reduce__(self):
+        """Pickle the defining fields only; unpickling derives the rest."""
+        return CsidhParams, (self.name, self.primes, self.m)
 
     @property
     def n(self) -> int:

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import hashlib
 from collections import Counter
-from dataclasses import dataclass, field
+
+from .records import Record
 
 # Opcodes (2 is unassigned: the wide multiply is priced inside MONT_MUL and
 # MONT_REDUCE, never issued on its own)
@@ -152,11 +153,18 @@ class CostTableError(ValueError):
     """A cost-table file has a line that cannot be used."""
 
 
-@dataclass
-class CostTable:
-    costs: dict = field(default_factory=lambda: {
-        mode: dict(ops) for mode, ops in DEFAULT_COSTS.items()})
-    overhead: dict = field(default_factory=lambda: dict(DEFAULT_OVERHEAD))
+class CostTable(Record):
+    """Cycles per opcode and per-operation overhead, by ALU mode; each
+    table left out is a fresh copy of the defaults."""
+
+    __slots__ = ("costs", "overhead")
+
+    def __init__(self, costs: dict | None = None,
+                 overhead: dict | None = None):
+        self.costs = costs if costs is not None else {
+            mode: dict(ops) for mode, ops in DEFAULT_COSTS.items()}
+        self.overhead = (overhead if overhead is not None
+                         else dict(DEFAULT_OVERHEAD))
 
     @classmethod
     def load(cls, path) -> "CostTable":

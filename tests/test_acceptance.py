@@ -17,6 +17,7 @@ import itertools
 import multiprocessing
 import os
 import random
+import time
 
 import pytest
 
@@ -62,19 +63,31 @@ def criterion(num, desc):
     return deco
 
 
-def run_trials(trial, args):
+# The longest a pooled trial may take, ten times criterion 06's agreement
+# trial (about 13 s: four keygens and three shared secrets at csidh512).
+TRIAL_TIMEOUT_S = 120
+
+
+def run_trials(trial, args, trial_timeout=TRIAL_TIMEOUT_S):
     """[trial(x) for x in args], in up to two worker processes.
 
     Workers are spawned, so each imports this module afresh and a trial
     depends only on its argument.  An exception raised in a worker, a
     failed assert included, is raised again here; the pool is shut down
-    and its workers joined before this returns.
+    and its workers joined before this returns.  The wait is bounded by
+    `trial_timeout` seconds per round of trials: a result the parent cannot
+    unpickle stops the pool's result handler, and an unbounded wait would
+    then never return.  Past the bound the wait raises
+    multiprocessing.TimeoutError and the pool is terminated, so the test
+    fails instead of hanging.
     """
     workers = min(os.cpu_count() or 1, 2, len(args))
     if workers < 2:
         return [trial(x) for x in args]
+    rounds = -(-len(args) // workers)
     with multiprocessing.get_context("spawn").Pool(workers) as pool:
-        results = pool.map(trial, args, chunksize=1)
+        results = pool.map_async(trial, args, chunksize=1).get(
+            trial_timeout * rounds)
         pool.close()
         pool.join()
     return results
@@ -89,6 +102,20 @@ def test_run_trials_raises_a_worker_failure():
     assert run_trials(_trial_fails_at_one, [0, 2, 3]) == [0, 2, 3]
     with pytest.raises(AssertionError, match="trial 1 failed"):
         run_trials(_trial_fails_at_one, range(4))
+
+
+def _trial_sleeps(seconds):
+    time.sleep(seconds)
+    return seconds
+
+
+def test_run_trials_bounds_its_wait():
+    if min(os.cpu_count() or 1, 2) < 2:
+        pytest.skip("one CPU: trials run in the test process, unpooled")
+    t0 = time.monotonic()
+    with pytest.raises(multiprocessing.TimeoutError):
+        run_trials(_trial_sleeps, [60, 60], trial_timeout=2)
+    assert time.monotonic() - t0 < 30
 
 
 # Shared full-size artifacts: 20 seeded constant-time keygens.

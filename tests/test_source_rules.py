@@ -1,7 +1,9 @@
 """Static rules on the package source."""
 
 import ast
-import dataclasses
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import csidhsim
@@ -31,6 +33,22 @@ def test_src_has_no_imports_inside_functions():
              for inner in ast.walk(node)
              if isinstance(inner, (ast.Import, ast.ImportFrom))]
     assert found == []
+
+
+def test_import_loads_no_heavy_stdlib_module():
+    # `dataclasses` pulls in `inspect`, `ast`, `dis` and `tokenize`, which
+    # took about 40% of a cold start's import time; the package's records
+    # are `__slots__` classes and need none of them.  `-S` skips the site
+    # hooks, so only the package's own imports count.
+    code = ("import sys\n"
+            "import csidhsim, csidhsim.cli, csidhsim.datapath, csidhsim.oracle\n"
+            "print(' '.join(sorted(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    loaded = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                            capture_output=True, text=True, check=True,
+                            timeout=60).stdout.split()
+    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+    assert [name for name in heavy if name in loaded] == []
 
 
 def test_every_opcode_is_emitted():
@@ -193,7 +211,9 @@ def test_every_params_field_and_fp_slot_is_read():
     # be read as an attribute somewhere in the package, by name; the value
     # of an assignment to a same-named attribute (`self.x = params.x`) only
     # forwards it and does not count.
-    names = {f.name for f in dataclasses.fields(CsidhParams)}
+    names = set(CsidhParams.__slots__)
+    assert names == {"name", "primes", "m", "p", "n_words", "width", "R",
+                     "pinv"}
     names |= set(Fp.__slots__)
     read = set()
     for path in sorted(SRC.glob("*.py")):
