@@ -61,7 +61,7 @@ from .mont_curve import (_XDBLADD_STEP, CurveSide, InfinityAffinize,
 from .isogeny import _schedule, xisog
 from .params import PARAM_IDS, PARAM_NAMES, CsidhParams, get_params
 from .records import FrozenRecord, Record
-from .trace import MOD_CSIDH, MOD_XDBLADD, MOD_XISOG, OpTrace
+from .trace import MOD_CSIDH, OpTrace
 
 SK_MAGIC = b"CSIDHSK1"
 PK_MAGIC = b"CSIDHPK1"
@@ -331,7 +331,7 @@ def ct_trace(params: CsidhParams) -> OpTrace:
     curve = ProjCurve(0, 1)
 
     def ladders(k, times=1):       # `xmul`'s steps: one per bit of k
-        fp.issue(_XDBLADD_STEP, MOD_XDBLADD, times * (len(bin(k)) - 2))
+        fp.issue(_XDBLADD_STEP, times * (len(bin(k)) - 2))
 
     fp.to_mont(0)
     for k_clear, slots in ct_schedule(params):
@@ -344,7 +344,7 @@ def ct_trace(params: CsidhParams) -> OpTrace:
             for _, l, cof, _ in slots:
                 ladders(cof)
                 curve_constants(fp, curve)
-                fp.issue(_schedule(len(SIDES), l), MOD_XISOG)
+                fp.issue(_schedule(len(SIDES), l))
                 ladders(l)
                 curve_constants(fp, curve)
                 ladders(l, 2)
@@ -381,17 +381,15 @@ def group_action_ct(pk: PublicKey, sk: PrivateKey, rng: Drbg,
     for ei in sk.exponents:
         coin = 1 - rng.bit()
         sides.append(int(ei < 0) if ei else coin)
-    remaining = [abs(ei) for ei in sk.exponents]
 
     curve = ProjCurve(fp.to_mont(pk.A), 1)
     for k_clear, slots in ct_schedule(params):
-        for _ in range(params.m):
-            curve = _ct_round(fp, curve, k_clear, slots, sides, remaining, rng)
+        for r in range(params.m):   # a prime's first |e_i| slots are real
+            reals = [r < abs(ei) for ei in sk.exponents]
+            curve = _ct_round(fp, curve, k_clear, slots, sides, reals, rng)
             if curve is None:
                 return None, False, trace
 
-    if any(remaining):
-        raise RuntimeError("ct schedule left isogenies unapplied")
     if not _validate_working_curve(fp, curve, rng):
         return None, False, trace
     return PublicKey(affinize(fp, curve)), True, trace
@@ -423,11 +421,12 @@ def _kernel_ok(K: ProjPoint) -> bool:
     return not is_infinity(K)
 
 
-def _ct_round(fp, curve, k_clear, slots, sides, remaining, rng):
+def _ct_round(fp, curve, k_clear, slots, sides, reals, rng):
     """One batch round: sample a side-indexed point pair cleared by
     [k_clear], then run the batch's `ct_schedule` slots in order, each on
-    ``points[sides[index]]``.  Returns the updated curve, or None on a
-    detected fault or a kernel that runs out of repairs."""
+    ``points[sides[index]]`` and real iff ``reals[index]``.  Returns the
+    updated curve, or None on a detected fault or a kernel that runs out of
+    repairs."""
     pair = _sample_pair(fp, curve, k_clear, rng)
     if pair is None:
         return None
@@ -460,10 +459,9 @@ def _ct_round(fp, curve, k_clear, slots, sides, remaining, rng):
         # Identical traced work either way; the flag only selects which
         # results survive.  A real slot moves to the codomain and images and
         # keeps its active image; every other point is laddered by [l].
-        real = remaining[idx] > 0
+        real = reals[idx]
         if real:
             curve, points = new_curve, images
-            remaining[idx] -= 1
         const = curve_constants(fp, curve)
         active = points[s]
         points = [xmul(fp, P, l, const) for P in points]
@@ -528,16 +526,14 @@ def _check_key_params(sk: PrivateKey, params: CsidhParams) -> None:
             f"key is for {sk.params.name}, not {params.name}")
 
 
-def run_action(pk: PublicKey, sk: PrivateKey, params: CsidhParams,
-               rng: Drbg, config: ActionConfig | None = None,
-               record: bool = False):
-    """[sk]pk on the path `config` selects; raises FaultDetected on failure.
+def run_action(pk: PublicKey, sk: PrivateKey, rng: Drbg,
+               config: ActionConfig | None = None, record: bool = False):
+    """[sk]pk over `sk.params` on the path `config` selects; raises
+    FaultDetected on failure.
 
     Returns (PublicKey, OpTrace or None): the action's operation trace when
-    `record`, else None.  Recording changes no value and no DRBG draw.  A
-    key for another set raises InvalidPrivateKey.
+    `record`, else None.  Recording changes no value and no DRBG draw.
     """
-    _check_key_params(sk, params)
     constant_time = (config or ActionConfig()).constant_time
     act = group_action_ct if constant_time else group_action_vartime
     out, ok, trace = act(pk, sk, rng, record)
@@ -551,10 +547,12 @@ def keygen(sk: PrivateKey, params: CsidhParams, rng: Drbg,
     """Public key [sk]E_0; returns (PublicKey, OpTrace or None).
 
     The constant-time path returns its trace, the one the cycle model
-    prices; the variable-time path records none.
+    prices; the variable-time path records none.  A key for another set
+    raises InvalidPrivateKey.
     """
+    _check_key_params(sk, params)
     config = config or ActionConfig()
-    return run_action(PublicKey(0), sk, params, rng, config,
+    return run_action(PublicKey(0), sk, rng, config,
                       record=config.constant_time)
 
 
@@ -569,5 +567,5 @@ def shared_secret(sk: PrivateKey, peer: PublicKey, params: CsidhParams,
     _check_key_params(sk, params)
     if not validate_pk(peer.A, params):
         raise InvalidPeerKey("peer public key failed validation")
-    out, _ = run_action(peer, sk, params, rng, config)
+    out, _ = run_action(peer, sk, rng, config)
     return FieldElement(out.A, params)

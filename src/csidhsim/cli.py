@@ -89,7 +89,7 @@ def cmd_keygen(args) -> int:
     params = get_params(args.params)
     rng = action.make_rng(args.seed)
     sk = action.random_private_key(params, rng)
-    pk, _ = action.run_action(action.PublicKey(0), sk, params, rng)
+    pk, _ = action.run_action(action.PublicKey(0), sk, rng)
     Path(args.out + ".sk").write_bytes(sk.to_bytes())
     Path(args.out + ".pk").write_bytes(pk.to_bytes(params))
     print(pk.A.to_bytes(params.byte_length, "little").hex())
@@ -140,8 +140,8 @@ def cmd_trace(args) -> int:
     rng = action.make_rng(args.seed)
     sk = action.random_private_key(params, rng)
     config = action.ActionConfig(constant_time=not args.vartime)
-    _, trace = action.run_action(action.PublicKey(0), sk, params, rng,
-                                 config, record=True)
+    _, trace = action.run_action(action.PublicKey(0), sk, rng, config,
+                                 record=True)
     trace.dump(args.out)
     print(f"{len(trace)} operations -> {args.out}")
     return 0

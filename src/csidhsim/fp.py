@@ -122,15 +122,15 @@ class Fp:
         if self.trace is not None:
             del self.trace[n:]
 
-    def issue(self, ops: bytes, module_tag: int, times: int = 1) -> None:
-        """Record the trace bytes `ops`, `times` over, then make
-        `module_tag` current, as the op-by-op code would leave it.  `ops`
-        is a template tagged at import (`trace.tag_ops`), for a caller that
-        computes the values itself."""
+    def issue(self, ops: bytes, times: int = 1) -> None:
+        """Record the trace bytes `ops`, `times` over, then make the module
+        of their last op current, as the op-by-op code would leave it.
+        `ops` is a template tagged at import (`trace.tag_ops`), for a
+        caller that computes the values itself."""
         t = self.trace
         if t is not None:
             t.extend(ops * times)
-        self._mod = module_tag << 3
+        self._mod = ops[-1] & ~7
 
     # --- core ops (operands and results are plain ints < p) ---
 

@@ -74,7 +74,7 @@ def xisog(fp: Fp, curve: ProjCurve, points, K: ProjPoint, l: int):
     Returns (curve', images, fault).
     """
     const = curve_constants(fp, curve)
-    fp.issue(_schedule(len(points), l), MOD_XISOG)
+    fp.issue(_schedule(len(points), l))
     p = fp.p
     A24, C24 = const
     # The chain: (X + Z, X - Z) of [i]K for i = 1..d, d = (l-1)/2.  [2]K by

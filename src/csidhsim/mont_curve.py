@@ -124,7 +124,7 @@ def xmul(fp: Fp, P: ProjPoint, k: int, const: CurveConstants) -> ProjPoint:
     """
     p = fp.p
     bits = bin(k)[2:]                  # "0" for k = 0: one step
-    fp.issue(_XDBLADD_STEP, MOD_XDBLADD, len(bits))
+    fp.issue(_XDBLADD_STEP, len(bits))
     A24, C24 = const
     xd, zd = P
     x0, z0, x1, z1 = 1, 0, xd, zd      # R0 = O, R1 = P
@@ -142,7 +142,7 @@ def xtwist(fp: Fp, x: int, A: int) -> CurveSide:
     CURVE iff x^3 + A*x^2 + x is a square mod p; a zero right-hand side
     (2-torsion x) counts as CURVE.
     """
-    fp.issue(_XTWIST_OPS, MOD_XTWIST)
+    fp.issue(_XTWIST_OPS)
     rhs = x * ((x + A) * x + 1) % fp.p
     return CurveSide.CURVE if fp.is_square(rhs) else CurveSide.TWIST
 
@@ -167,7 +167,7 @@ def affinize_mont(fp: Fp, curve: ProjCurve) -> int:
         raise InfinityAffinize("projective curve with Az = 0")
     fp.set_module(MOD_XAFFINIZE)       # the inversion records under it
     inv = fp.inv(curve.Az)
-    fp.issue(_XAFFINIZE_TAIL, MOD_XAFFINIZE)
+    fp.issue(_XAFFINIZE_TAIL)
     return curve.Ax * inv % fp.p
 
 

@@ -16,6 +16,7 @@ import hashlib
 import itertools
 import multiprocessing
 import os
+import pickle
 import random
 import time
 
@@ -74,10 +75,11 @@ def run_trials(trial, args, trial_timeout=TRIAL_TIMEOUT_S):
     Workers are spawned, so each imports this module afresh and a trial
     depends only on its argument.  An exception raised in a worker, a
     failed assert included, is raised again here; the pool is shut down
-    and its workers joined before this returns.  The wait is bounded by
-    `trial_timeout` seconds per round of trials: a result the parent cannot
-    unpickle stops the pool's result handler, and an unbounded wait would
-    then never return.  Past the bound the wait raises
+    and its workers joined before this returns.  Each worker loads its
+    result back from pickle before returning it, so a result the parent
+    could not unpickle fails in the worker with its own exception instead
+    of stopping the pool's result handler.  The wait is bounded by
+    `trial_timeout` seconds per round of trials; past the bound it raises
     multiprocessing.TimeoutError and the pool is terminated, so the test
     fails instead of hanging.
     """
@@ -86,11 +88,16 @@ def run_trials(trial, args, trial_timeout=TRIAL_TIMEOUT_S):
         return [trial(x) for x in args]
     rounds = -(-len(args) // workers)
     with multiprocessing.get_context("spawn").Pool(workers) as pool:
-        results = pool.map_async(trial, args, chunksize=1).get(
-            trial_timeout * rounds)
+        results = pool.map_async(functools.partial(_reloaded, trial), args,
+                                 chunksize=1).get(trial_timeout * rounds)
         pool.close()
         pool.join()
     return results
+
+
+def _reloaded(trial, x):
+    """trial(x), after a round trip through pickle."""
+    return pickle.loads(pickle.dumps(trial(x)))
 
 
 def _trial_fails_at_one(i):
@@ -116,6 +123,31 @@ def test_run_trials_bounds_its_wait():
     with pytest.raises(multiprocessing.TimeoutError):
         run_trials(_trial_sleeps, [60, 60], trial_timeout=2)
     assert time.monotonic() - t0 < 30
+
+
+def _refuse_load():
+    raise RuntimeError("this result cannot be loaded")
+
+
+class _Unloadable:
+    def __reduce__(self):
+        return _refuse_load, ()
+
+
+def _trial_unloadable(i):
+    return _Unloadable()
+
+
+def test_run_trials_names_an_unloadable_result():
+    # The worker's own load fails, and its error reaches the parent in
+    # place of a stalled pool; no worker is left behind.
+    if min(os.cpu_count() or 1, 2) < 2:
+        pytest.skip("one CPU: trials run in the test process, unpooled")
+    t0 = time.monotonic()
+    with pytest.raises(RuntimeError, match="cannot be loaded"):
+        run_trials(_trial_unloadable, [0, 1], trial_timeout=5)
+    assert time.monotonic() - t0 < 30
+    assert multiprocessing.active_children() == []
 
 
 # Shared full-size artifacts: 20 seeded constant-time keygens.

@@ -335,9 +335,9 @@ def _inverse_key_returns_to_e0(keys, constant_time):
     cfg = ActionConfig(constant_time=constant_time)
     for sk in keys:
         rng = make_rng(b"inverse-key")
-        pk, _ = run_action(PublicKey(0), sk, sk.params, rng, cfg)
+        pk, _ = run_action(PublicKey(0), sk, rng, cfg)
         neg = PrivateKey([-e for e in sk.exponents], sk.params)
-        back, _ = run_action(pk, neg, sk.params, rng, cfg)
+        back, _ = run_action(pk, neg, rng, cfg)
         assert back.A == 0, sk.exponents
 
 
@@ -700,6 +700,7 @@ def test_private_key_for_other_params_rejected(constant_time, monkeypatch):
     # A key is checked against the set by value: csidh512_params() builds a
     # set equal to, but not the same object as, get_params("csidh512").
     # shared_secret blames the private key before it validates the peer.
+    # `run_action` takes no set: it acts over `sk.params`.
     def no_validation(*args):
         raise AssertionError("peer validated for a key of another set")
 
@@ -710,13 +711,12 @@ def test_private_key_for_other_params_rejected(constant_time, monkeypatch):
     full_sk = PrivateKey((1, -1, 1, 5) + (0,) * (full.n - 4), full)
     for sk, params in ((toy_sk, full), (full_sk, TOY)):
         with pytest.raises(InvalidPrivateKey, match=f"not {params.name}"):
-            run_action(PublicKey(0), sk, params, make_rng(b"p"), cfg)
+            keygen(sk, params, make_rng(b"p"), cfg)
         with pytest.raises(InvalidPrivateKey, match=f"not {params.name}"):
             shared_secret(sk, PublicKey(3), params, make_rng(b"p"), cfg)
     zero = PrivateKey((0,) * full.n, full)
     vt_cfg = ActionConfig(constant_time=False)
-    pk, _ = run_action(PublicKey(0), zero, get_params("csidh512"),
-                       make_rng(b"p"), vt_cfg)
+    pk, _ = keygen(zero, get_params("csidh512"), make_rng(b"p"), vt_cfg)
     assert pk.A == 0
 
 
@@ -732,7 +732,7 @@ def test_unvalidated_ordinary_peer_faults(constant_time):
     cfg = ActionConfig(constant_time=constant_time)
     for A in ordinary:
         with pytest.raises(FaultDetected):
-            run_action(PublicKey(A), sk, TOY, make_rng(b"%d" % A), cfg)
+            run_action(PublicKey(A), sk, make_rng(b"%d" % A), cfg)
 
 
 def test_unvalidated_hostile_peer_faults_at_first_isogeny(monkeypatch, full):
@@ -751,5 +751,5 @@ def test_unvalidated_hostile_peer_faults_at_first_isogeny(monkeypatch, full):
     for A in (5, 7, 11):
         sides.clear()
         with pytest.raises(FaultDetected):
-            run_action(PublicKey(A), sk, full, make_rng(b"%d" % A))
+            run_action(PublicKey(A), sk, make_rng(b"%d" % A))
         assert sides == [CurveSide.CURVE, CurveSide.TWIST]

@@ -9,8 +9,9 @@ from csidhsim.fp import (FieldElement, Fp, ZeroInverse, int_to_words,
                          jacobi, words_to_int)
 from csidhsim.oracle import naive_redc
 from csidhsim.params import get_params
-from csidhsim.trace import (MOD_CSIDH, MOD_XAFFINIZE, MOD_XTWIST, OP_ADD,
-                            OP_MONT_MUL, OP_MONT_REDUCE, OP_SUB, OpTrace)
+from csidhsim.trace import (MOD_CSIDH, MOD_XAFFINIZE, MOD_XDBLADD, MOD_XISOG,
+                            MOD_XTWIST, OP_ADD, OP_MONT_MUL, OP_MONT_REDUCE,
+                            OP_SUB, OpTrace, tag_ops)
 from mont_reference import mont, ref_pow
 from test_action import MID90
 
@@ -276,6 +277,34 @@ def test_is_square_schedule_value_independent(toy):
     ta = _trace_of(toy, lambda c: c.is_square(3))
     tb = _trace_of(toy, lambda c: c.is_square(toy.p - 1))
     assert ta == tb
+
+
+# Op templates as `trace.tag_ops` builds them: single-module ones, and two
+# mixed ones like `isogeny._schedule`'s, ending on xISOG and on xDBLADD.
+_TEMPLATES = {
+    "xtwist": tag_ops(MOD_XTWIST, (OP_MONT_MUL, OP_ADD)),
+    "xaffinize": tag_ops(MOD_XAFFINIZE, (OP_MONT_MUL,)),
+    "xdbladd": tag_ops(MOD_XDBLADD, (OP_ADD, OP_SUB, OP_MONT_MUL)),
+    "ends-xisog": (tag_ops(MOD_XDBLADD, (OP_ADD, OP_MONT_MUL))
+                   + tag_ops(MOD_XISOG, (OP_MONT_MUL, OP_SUB))),
+    "ends-xdbladd": (tag_ops(MOD_XISOG, (OP_SUB, OP_MONT_MUL))
+                     + tag_ops(MOD_XDBLADD, (OP_ADD,))),
+}
+
+
+@pytest.mark.parametrize("traced", [True, False],
+                         ids=["traced", "untraced"])
+def test_issue_leaves_the_module_of_the_templates_last_op(toy, traced):
+    # `issue` appends the template `times` over and leaves current the
+    # module of its last op, the one the op-by-op code would leave.
+    for name, ops in _TEMPLATES.items():
+        for times in (1, 3):
+            t = OpTrace()
+            fp = Fp(toy, t if traced else None)
+            fp.set_module(MOD_CSIDH)
+            fp.issue(ops, times)
+            assert bytes(t.buf) == (ops * times if traced else b""), name
+            assert fp.mark()[1] == ops[-1] & ~7, name
 
 
 # --- speculative work ---------------------------------------------------------

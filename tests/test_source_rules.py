@@ -161,6 +161,19 @@ def test_ct_round_selects_no_point_by_expression():
     assert found == []
 
 
+def test_ct_action_keeps_no_per_prime_counter():
+    # A ct slot is real exactly when its round is below |e_i|, so the
+    # action reads the key's flags per round and counts nothing down: no
+    # in-place update of a subscript, such as `remaining[idx] -= 1`.
+    funcs = _action_functions()
+    found = [f"action.py:{node.lineno} {ast.unparse(node)}"
+             for name in ("group_action_ct", "_ct_round")
+             for node in ast.walk(funcs[name])
+             if isinstance(node, ast.AugAssign)
+             and isinstance(node.target, ast.Subscript)]
+    assert found == []
+
+
 def _is_trace_buffer(node):
     return isinstance(node, ast.Attribute) and node.attr in ("trace", "buf")
 
