@@ -60,7 +60,7 @@ from .mont_curve import (_XDBLADD_STEP, CurveSide, InfinityAffinize,
                          xtwist)
 from .isogeny import _schedule, xisog
 from .params import PARAM_IDS, PARAM_NAMES, CsidhParams, get_params
-from .records import FrozenRecord, Record
+from .records import Record
 from .trace import MOD_CSIDH, OpTrace
 
 SK_MAGIC = b"CSIDHSK1"
@@ -152,7 +152,7 @@ def _parse_header(raw: bytes, magic: bytes, error: type[ValueError]):
     return get_params(PARAM_NAMES[param_id]), raw[len(magic) + 1:]
 
 
-class PrivateKey(FrozenRecord):
+class PrivateKey(Record):
     """Exponent vector e of ints with |e_i| <= m, held as a tuple."""
 
     __slots__ = ("exponents", "params")
@@ -180,7 +180,7 @@ class PrivateKey(FrozenRecord):
         return cls(exps, params)
 
 
-class PublicKey(FrozenRecord):
+class PublicKey(Record):
     """Affine Montgomery coefficient (standard domain)."""
 
     __slots__ = ("A",)
@@ -207,7 +207,7 @@ class ActionConfig(Record):
     __slots__ = ("constant_time",)
 
     def __init__(self, constant_time: bool = True):
-        self.constant_time = constant_time
+        self._init(constant_time)
 
 
 def random_private_key(params: CsidhParams, rng: Drbg) -> PrivateKey:

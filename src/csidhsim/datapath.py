@@ -32,7 +32,7 @@ from enum import Enum
 
 from .fp import int_to_words, words_to_int
 from .params import WORD_BITS, CsidhParams
-from .records import FrozenRecord
+from .records import Record
 from .trace import (BOOTH_CYCLES, CSEL_CYCLES, DEFAULT_COSTS,
                     MONT_MUL_CYCLES, MUL_WIDE_CYCLES, OP_MONT_REDUCE)
 
@@ -45,7 +45,7 @@ class AluMode(Enum):
     ASIC = "asic"
 
 
-class CycleCost(FrozenRecord):
+class CycleCost(Record):
     __slots__ = ("cycles",)
 
     def __init__(self, cycles: int):
@@ -100,17 +100,15 @@ def _select_chain(cell, a, b, c: int):
     return tuple(out), c, _CSEL_COST
 
 
-def csel_add(a, b, carry_in: int = 0):
-    """Pipelined carry-select addition of equal-length 32-bit word vectors.
-
-    Returns (sum, carry_out, cost).
-    """
-    return _select_chain(_add32cs, a, b, carry_in)
+def csel_add(a, b):
+    """Pipelined carry-select addition of equal-length 32-bit word vectors,
+    with no carry in.  Returns (sum, carry_out, cost)."""
+    return _select_chain(_add32cs, a, b, 0)
 
 
-def csel_sub(a, b, borrow_in: int = 0):
-    """Carry-select subtraction; returns (difference, borrow_out, cost)."""
-    return _select_chain(_sub32cs, a, b, borrow_in)
+def csel_sub(a, b):
+    """Carry-select subtraction, no borrow in: (diff, borrow_out, cost)."""
+    return _select_chain(_sub32cs, a, b, 0)
 
 
 def booth_mul(x: int, y: int, width: int, mode: AluMode = AluMode.ASIC):
@@ -243,7 +241,7 @@ def mont_mul_dp_int(a: int, b: int, params: CsidhParams,
 
 # --- masked ALU ---
 
-class AluActivity(FrozenRecord):
+class AluActivity(Record):
     """Per-cycle sub-unit activity flags: `cycles` holds one (adder,
     subtractor, multiplier) tuple of bools per cycle."""
 
@@ -263,9 +261,9 @@ def _all_active(n_cycles: int) -> AluActivity:
 
 
 class RandomWordRng:
-    """Unbounded 32-bit word source over a seeded PRNG."""
+    """Unbounded 32-bit word source over a PRNG seeded with `seed`."""
 
-    def __init__(self, seed=None):
+    def __init__(self, seed):
         self._rng = random.Random(seed)
 
     def next_word(self) -> int:

@@ -24,7 +24,7 @@ from __future__ import annotations
 import struct
 
 from .params import WORD_BITS, CsidhParams
-from .records import FrozenRecord
+from .records import Record
 from .trace import MOD_CSIDH, OP_ADD, OP_MONT_MUL, OP_MONT_REDUCE, OP_SUB
 
 
@@ -32,7 +32,7 @@ class ZeroInverse(ZeroDivisionError):
     """Inverse of zero requested."""
 
 
-class FieldElement(FrozenRecord):
+class FieldElement(Record):
     """A canonical residue mod p (0 <= value < p), serialized
     little-endian."""
 

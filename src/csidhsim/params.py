@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 import math
 
-from .records import FrozenRecord
+from .records import Record
 
 
 # Datapath word size in bits: every operand is n_words words of this size.
@@ -31,7 +31,7 @@ class ParamError(ValueError):
     """Raised when a parameter set fails its structural checks."""
 
 
-class CsidhParams(FrozenRecord):
+class CsidhParams(Record):
     """The small odd primes, the exponent bound m (e_i in [-m, m]) and the
     values derived from them: p = 4 * prod(primes) - 1, the word count
     n_words = ceil(bitlen(p) / WORD_BITS), the width W = WORD_BITS *

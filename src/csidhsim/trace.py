@@ -31,9 +31,9 @@ OPCODE_NAMES = {
 }
 OPCODE_IDS = {v: k for k, v in OPCODE_NAMES.items()}
 
-# Issuing-module tags (the control-unit FSMs plus the top level)
+# Issuing-module tags: the control-unit FSMs plus the top level (1 is
+# unassigned: `xmul` issues every ladder step as xDBLADD's, never as xMUL's)
 MOD_XISOG = 0
-MOD_XMUL = 1
 MOD_XDBLADD = 2
 MOD_XAFFINIZE = 3
 MOD_XTWIST = 4
@@ -41,7 +41,6 @@ MOD_CSIDH = 5
 
 MODULE_NAMES = {
     MOD_XISOG: "xISOG",
-    MOD_XMUL: "xMUL",
     MOD_XDBLADD: "xDBLADD",
     MOD_XAFFINIZE: "xAffinize",
     MOD_XTWIST: "xTWIST",
@@ -49,7 +48,7 @@ MODULE_NAMES = {
 }
 
 # The dump format, defined once: the line of every trace byte, None for a
-# byte that names no known (opcode, module) pair; and the 24 known bytes.
+# byte that names no known (opcode, module) pair; and the 20 known bytes.
 _LINES = tuple(
     f"{OPCODE_NAMES[b & 7]}\t{MODULE_NAMES[b >> 3]}\n".encode()
     if b & 7 in OPCODE_NAMES and b >> 3 in MODULE_NAMES else None
@@ -161,10 +160,9 @@ class CostTable(Record):
 
     def __init__(self, costs: dict | None = None,
                  overhead: dict | None = None):
-        self.costs = costs if costs is not None else {
-            mode: dict(ops) for mode, ops in DEFAULT_COSTS.items()}
-        self.overhead = (overhead if overhead is not None
-                         else dict(DEFAULT_OVERHEAD))
+        self._init(costs if costs is not None else {
+            mode: dict(ops) for mode, ops in DEFAULT_COSTS.items()},
+            overhead if overhead is not None else dict(DEFAULT_OVERHEAD))
 
     @classmethod
     def load(cls, path) -> "CostTable":
@@ -240,19 +238,27 @@ class CycleLedger:
         return sum(n * costs[packed & 7] for packed, n in self._packed.items())
 
     def total_cycles(self, mode: str) -> int:
-        return (self.raw_cycles(mode)
-                + round(self.cost_table.overhead[mode] * self.total_ops))
+        """Raises CostTableError if the overhead prices below zero."""
+        overhead = self.cost_table.overhead[mode]
+        total = self.raw_cycles(mode) + round(overhead * self.total_ops)
+        if total < 0:
+            raise CostTableError(f"overhead.{mode} = {overhead} prices the "
+                                 f"trace at {total} cycles")
+        return total
 
     def dump(self, path) -> None:
-        """Counts once, then each mode's module cycles, overhead and total."""
+        """Counts once, then each mode's module cycles, overhead and total.
+        Every total is priced before the file is opened."""
+        overhead = self.cost_table.overhead
+        totals = {mode: self.total_cycles(mode) for mode in overhead}
         with open(path, "w") as f:
             for name, n in sorted(self.opcode_counts().items()):
                 f.write(f"count.{name} = {n}\n")
-            for mode, overhead in self.cost_table.overhead.items():
+            for mode, total in totals.items():
                 for name, cyc in sorted(self.module_cycles(mode).items()):
                     f.write(f"cycles.{name}.{mode} = {cyc}\n")
-                f.write(f"overhead.{mode} = {overhead}\n")
-                f.write(f"total.{mode} = {self.total_cycles(mode)}\n")
+                f.write(f"overhead.{mode} = {overhead[mode]}\n")
+                f.write(f"total.{mode} = {total}\n")
 
 
 def calibrate_overhead(ledger: CycleLedger, target_cycles: int,

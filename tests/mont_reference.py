@@ -4,13 +4,13 @@ Every value here is a Montgomery representative x*R mod p and comes from
 one `Fp` call per ALU op, so every op is recorded as it is computed.
 Production code holds residues x mod p, computes on them as plain bignums
 and issues its ops from templates; the tests check `Fp.inv`,
-`Fp.is_square`, `mont_curve.xdbladd`, `xmul`, `xtwist`, `affinize_mont` and
-`isogeny.xisog` against these functions in values (through `mont`), trace
-bytes and the module tag left behind.
+`Fp.is_square`, `mont_curve.curve_constants`, `xdbladd`, `xmul`, `xtwist`,
+`affinize_mont` and `isogeny.xisog` against these functions in values
+(through `mont`), trace bytes and the module tag left behind.
 """
 
-from csidhsim.mont_curve import (CurveSide, InfinityAffinize, ProjCurve,
-                                 ProjPoint, curve_constants)
+from csidhsim.mont_curve import (CurveConstants, CurveSide,
+                                 InfinityAffinize, ProjCurve, ProjPoint)
 from csidhsim.trace import MOD_XAFFINIZE, MOD_XDBLADD, MOD_XISOG, MOD_XTWIST
 
 
@@ -32,6 +32,14 @@ def ref_pow(fp, x, e):
         t = fp.mul(r, x)
         r = t if b == "1" else r
     return r
+
+
+def ref_curve_constants(fp, curve):
+    """`mont_curve.curve_constants` op by op: A24 = Ax + 2*Az and
+    C24 = 4*Az, by three adds under xDBLADD."""
+    fp.set_module(MOD_XDBLADD)
+    az2 = fp.add(curve.Az, curve.Az)
+    return CurveConstants(fp.add(curve.Ax, az2), fp.add(az2, az2))
 
 
 def xdbl_tail(fp, aa, bb, e, const):
@@ -118,7 +126,7 @@ def _eighth_power(fp, x):
 def ref_xisog(fp, curve, points, K, l):
     """`isogeny.xisog` op by op: (curve', images, fault)."""
     d = (l - 1) // 2
-    const = curve_constants(fp, curve)
+    const = ref_curve_constants(fp, curve)
 
     fp.set_module(MOD_XISOG)
     one = mont(fp, 1)

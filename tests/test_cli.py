@@ -225,6 +225,29 @@ def test_bench_custom_cost_table(tmp_path, capsys):
         assert f"costs.cfg:2: bad cost-table line {line!r}" in err
 
 
+@pytest.mark.parametrize("params, overhead, fpga", [
+    ("toy419", -100, None),
+    ("toy419", -1e9, None),
+    ("csidh512", -0.675, 103_000_396),
+])
+def test_bench_negative_overhead(tmp_path, capsys, params, overhead, fpga):
+    # An overhead that prices the trace below zero is an unusable table: no
+    # report, no ledger file.  The calibrated csidh512 fit of ROADMAP item
+    # 17 is negative but still prices the trace, and stays legal.
+    cfg, ledger = tmp_path / "costs.cfg", tmp_path / "ledger.txt"
+    cfg.write_text(f"overhead.fpga = {overhead}\n")
+    code, out, err = run(capsys, "bench", "--params", params,
+                         "--cost-table", str(cfg), "--out", str(ledger))
+    if fpga is None:
+        assert code == 2 and out == "" and not ledger.exists()
+        assert err.startswith(f"invalid cost table: overhead.fpga = "
+                              f"{float(overhead)} prices the trace at -")
+    else:
+        assert code == 0 and bench_totals(out)["fpga"] == fpga
+        assert "515.0 ms at 200 MHz" in out
+        assert f"total.fpga = {fpga}\n" in ledger.read_text()
+
+
 def test_malformed_seed_is_usage_error(tmp_path, capsys):
     prefix = str(tmp_path / "x")
     for command in ("keygen", "trace"):
@@ -346,6 +369,9 @@ HOSTILE = {
         ["bench", "--params", "toy419", "--cost-table", "c.cfg"], 2),
     "overflowing overhead": (
         {"c.cfg": b"overhead.fpga = 1e400\n"},
+        ["bench", "--params", "toy419", "--cost-table", "c.cfg"], 2),
+    "negative total cycles": (
+        {"c.cfg": b"overhead.fpga = -100\n"},
         ["bench", "--params", "toy419", "--cost-table", "c.cfg"], 2),
     "undecodable cost table": (
         {"c.cfg": b"MONT_MUL.fpga = 8\xff7\n"},

@@ -13,8 +13,8 @@ from csidhsim.mont_curve import (XDBLADD_OPS, CurveConstants, CurveSide,
                                  xtwist)
 from csidhsim.params import get_params
 from csidhsim.trace import MOD_XDBLADD, MOD_XISOG, OpTrace
-from mont_reference import (mont, ref_affinize, ref_xdbladd, ref_xmul,
-                            ref_xtwist, xadd, xdbl)
+from mont_reference import (mont, ref_affinize, ref_curve_constants,
+                            ref_xdbladd, ref_xmul, ref_xtwist, xadd, xdbl)
 from test_action import MID90
 
 TOY = get_params("toy419")
@@ -177,6 +177,33 @@ def test_xdbladd_ops_is_the_reference_step():
     ref_xdbladd(Fp(TOY, t), ProjPoint(4, 1), ProjPoint(9, 2), ProjPoint(5, 3),
                 CurveConstants(3, 6))
     assert t.buf == bytes(MOD_XDBLADD << 3 | op for op in XDBLADD_OPS)
+
+
+@pytest.mark.parametrize("params", [TOY, MID90, get_params("csidh512")],
+                         ids=lambda params: params.name)
+@pytest.mark.parametrize("traced", [True, False], ids=["traced", "untraced"])
+def test_curve_constants_equal_reference(params, traced):
+    # Values, trace bytes and the module tag left behind equal those of the
+    # op-by-op Montgomery constants, for the base curve, Az = 0 and seeded
+    # curves.  The reference takes and returns Montgomery representatives.
+    rng = random.Random(f"constants-{params.name}")
+    p = params.p
+    curves = [ProjCurve(0, 1), ProjCurve(p - 1, p - 1),
+              ProjCurve(rng.randrange(p), 0)] + [
+        ProjCurve(rng.randrange(p), rng.randrange(1, p)) for _ in range(4)]
+    got_t, want_t = (OpTrace(), OpTrace()) if traced else (None, None)
+    got_fp, want_fp = Fp(params, got_t), Fp(params, want_t)
+    for curve in curves:
+        for ctx in (got_fp, want_fp):
+            ctx.set_module(MOD_XISOG)
+            ctx.add(1, 2)
+        got = curve_constants(got_fp, curve)
+        assert mont(got_fp, got) == ref_curve_constants(
+            want_fp, mont(got_fp, curve)), curve
+        assert got_fp.mark() == want_fp.mark(), curve
+        if traced:
+            assert got_t.buf == want_t.buf, curve
+    assert got_fp.mark()[1] == MOD_XDBLADD << 3
 
 
 @pytest.mark.parametrize("params", [TOY, MID90, get_params("csidh512")],

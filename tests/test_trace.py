@@ -10,10 +10,11 @@ from csidhsim.datapath import (AluMode, booth_mul32, csel_add,
                                mont_mul_dp_int, mont_reduce_dp_int, mul_wide)
 from csidhsim.fp import int_to_words
 from csidhsim.params import get_params
-from csidhsim.trace import (BOOTH_CYCLES, MOD_CSIDH, MOD_XMUL, MODULE_NAMES,
+from csidhsim.trace import (BOOTH_CYCLES, MOD_CSIDH, MOD_XTWIST, MODULE_NAMES,
                             MUL_WIDE_CYCLES, OP_ADD, OP_MONT_MUL,
                             OP_MONT_REDUCE, OP_SUB, OPCODE_NAMES, CostTable,
-                            CycleLedger, OpTrace, calibrate_overhead)
+                            CostTableError, CycleLedger, OpTrace,
+                            calibrate_overhead)
 from test_acceptance import PINNED
 from test_action import MID90
 
@@ -31,10 +32,10 @@ def test_record_and_order(tmp_path):
     t = OpTrace()
     t.buf.append(MOD_CSIDH << 3 | OP_ADD)
     assert len(t) == 1
-    t.buf.append(MOD_XMUL << 3 | OP_MONT_MUL)
+    t.buf.append(MOD_XTWIST << 3 | OP_MONT_MUL)
     path = tmp_path / "trace.txt"
     t.dump(path)
-    assert path.read_bytes() == b"ADD\tCSIDH\nMONT_MUL\txMUL\n"
+    assert path.read_bytes() == b"ADD\tCSIDH\nMONT_MUL\txTWIST\n"
 
 
 def test_trace_equal():
@@ -57,20 +58,21 @@ def test_trace_dump_load_roundtrip(tmp_path):
 def test_dump_spans_chunks(tmp_path):
     # 4096-op write chunks: a trace of 2 * 4096 + 1 ops dumps every line.
     t = OpTrace()
-    t.buf.extend(bytes([OP_SUB | MOD_XMUL << 3]) * (2 * 4096 + 1))
+    t.buf.extend(bytes([OP_SUB | MOD_XTWIST << 3]) * (2 * 4096 + 1))
     t.buf[4096] = OP_ADD | MOD_CSIDH << 3
     path = tmp_path / "trace.txt"
     t.dump(path)
     lines = path.read_text().splitlines()
     assert len(lines) == len(t)
     assert lines[4096] == "ADD\tCSIDH"
-    assert lines[:4096] == lines[4097:] == ["SUB\txMUL"] * 4096
+    assert lines[:4096] == lines[4097:] == ["SUB\txTWIST"] * 4096
 
 
 @pytest.mark.parametrize("opcode, module, byte", [
     (7, MOD_CSIDH, "0x2f"),    # unknown opcode
     (2, MOD_CSIDH, "0x2a"),    # the retired MUL_WIDE opcode
     (OP_ADD, 6, "0x30"),       # unknown module
+    (OP_MONT_MUL, 1, "0x0b"),  # the unassigned xMUL module
 ])
 def test_unknown_trace_byte_rejected(tmp_path, opcode, module, byte):
     t = toy_trace()
@@ -108,7 +110,7 @@ def test_default_costs_match_datapath(mode):
 
 def test_single_op_pricing():
     t = OpTrace()
-    t.buf.append(MOD_XMUL << 3 | OP_MONT_MUL)
+    t.buf.append(MOD_XTWIST << 3 | OP_MONT_MUL)
     assert CycleLedger(t).total_cycles("fpga") == 87
     t2 = OpTrace()
     t2.buf.append(MOD_CSIDH << 3 | OP_MONT_REDUCE)
@@ -165,6 +167,26 @@ def test_calibrate_overhead_hits_target():
 def test_calibrate_overhead_rejects_empty_trace():
     with pytest.raises(ValueError, match="empty trace"):
         calibrate_overhead(CycleLedger(OpTrace()), 100, "fpga")
+
+
+def test_negative_total_rejected(tmp_path):
+    # An overhead that prices the trace below zero raises, naming the mode,
+    # the overhead and the total; the other mode still prices, and `dump`
+    # writes no file.
+    t = toy_trace()
+    table = CostTable()
+    table.overhead["asic"] = -100.0
+    led = CycleLedger(t, table)
+    total = led.raw_cycles("asic") - 100 * led.total_ops
+    assert total < 0
+    with pytest.raises(CostTableError, match=f"overhead.asic = -100.0 "
+                       f"prices the trace at {total} cycles"):
+        led.total_cycles("asic")
+    assert led.total_cycles("fpga") == CycleLedger(t).total_cycles("fpga")
+    path = tmp_path / "ledger.txt"
+    with pytest.raises(CostTableError):
+        led.dump(path)
+    assert not path.exists()
 
 
 def test_ledger_dump_format(tmp_path):
