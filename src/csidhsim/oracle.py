@@ -7,6 +7,9 @@ kernel; the translation-form map phi(P) = P + sum((P + K) - K) gives the
 point images and the image of (0, 0), a rational 2-torsion x, and the
 codomain is normalized to the Montgomery model by explicit isomorphism
 search.
+A walk counts its start's points once: isogenous curves over F_p have the
+same number of points (Tate, Invent. Math. 2, 1966), so every curve on it
+has the start's count N, and each twist E_{-A} has 2p + 2 - N.
 Nothing is constant-time and nothing is shared with the main code paths.
 """
 
@@ -245,31 +248,48 @@ def velu_isogeny(A: int, kernel_gen, l: int, p: int):
     return A_new, phi
 
 
-def find_order_l_point(A: int, l: int, p: int, side: int = 1):
-    """A point of exact order l on E_A (side=+1) or on its twist, handled
-    as E_{-A} via the standard twist isomorphism (side=-1)."""
-    coeff = A % p if side > 0 else (-A) % p
-    order = curve_order(coeff, p)
+def _check_sign(sign: int) -> None:
+    if sign not in (1, -1):
+        raise ValueError(f"direction must be +1 or -1, not {sign!r}")
+
+
+def _kernel_point(coeff: int, l: int, order: int, p: int):
+    """The first point of curve_points(coeff, p) whose [order/l] multiple
+    is not O, where order = #E_coeff(F_p): a point of exact order l."""
     if order % l:
         raise ValueError("group order not divisible by l")
     cof = order // l
     for P in curve_points(coeff, p):
         K = scalar_mul(cof, P, coeff, p)
         if K is not INFINITY:
-            return K, coeff
+            return K
     raise ArithmeticError("no point of order l found")
+
+
+def find_order_l_point(A: int, l: int, p: int, side: int = 1):
+    """A point of exact order l on E_A (side=+1) or on its twist, handled
+    as E_{-A} via the standard twist isomorphism (side=-1)."""
+    _check_sign(side)
+    coeff = A * side % p
+    return _kernel_point(coeff, l, curve_order(coeff, p), p), coeff
+
+
+def _step(A: int, l: int, sign: int, p: int, order: int) -> int:
+    """One degree-l isogeny step from E_A, where order = #E_A(F_p); the
+    negative direction acts on the twist E_{-A}, of order 2p + 2 - order,
+    and flips back."""
+    if sign > 0:
+        return velu_isogeny(A, _kernel_point(A, l, order, p), l, p)[0]
+    coeff = (-A) % p
+    K = _kernel_point(coeff, l, 2 * p + 2 - order, p)
+    return (-velu_isogeny(coeff, K, l, p)[0]) % p
 
 
 def act_one(A: int, l: int, sign: int, p: int) -> int:
     """Apply one degree-l isogeny step in the given direction."""
-    if sign > 0:
-        K, _ = find_order_l_point(A, l, p, side=1)
-        A_new, _ = velu_isogeny(A, K, l, p)
-        return A_new
-    # negative direction: act on the quadratic twist E_{-A} and flip back
-    K, coeff = find_order_l_point(A, l, p, side=-1)
-    A_new, _ = velu_isogeny(coeff, K, l, p)
-    return (-A_new) % p
+    _check_sign(sign)
+    A %= p
+    return _step(A, l, sign, p, curve_order(A, p))
 
 
 def brute_group_action(A: int, e, primes, p: int) -> int:
@@ -279,7 +299,10 @@ def brute_group_action(A: int, e, primes, p: int) -> int:
         raise ValueError(
             f"exponent vector has {len(e)} entries for {len(primes)} primes")
     A %= p
+    if not any(e):
+        return A
+    order = curve_order(A, p)   # the same on every curve of the walk
     for l, ei in zip(primes, e):
         for _ in range(abs(ei)):
-            A = act_one(A, l, 1 if ei > 0 else -1, p)
+            A = _step(A, l, 1 if ei > 0 else -1, p, order)
     return A

@@ -1,5 +1,7 @@
 """Self-checks for the brute-force reference implementations."""
 
+import itertools
+
 import pytest
 
 from csidhsim import oracle as orc
@@ -8,6 +10,7 @@ P = 419
 PRIMES = (3, 5, 7)
 NONSINGULAR = [A for A in range(P) if A not in (2, P - 2)]
 SUPERSINGULAR = [A for A in NONSINGULAR if orc.curve_order(A, P) == P + 1]
+WALKS = [*itertools.product((-1, 0, 1), repeat=3), (2, -2, 1)]  # 27 keys + 1
 
 
 def on_curve(pt, A, p):
@@ -175,3 +178,54 @@ def test_oracle_rejects_p_1_mod_4(call):
     # p = 13 it would count 6 points on E_0 instead of 20.
     with pytest.raises(ValueError, match="3 mod 4"):
         call()
+
+
+def stepwise_walk(A, e):
+    """brute_group_action as a chain of act_one steps, each of which counts
+    its own curve; every curve on the way must have the start's count N and
+    a twist of count 2p + 2 - N."""
+    N = orc.curve_order(A, P)
+    for l, ei in zip(PRIMES, e):
+        for _ in range(abs(ei)):
+            A = orc.act_one(A, l, 1 if ei > 0 else -1, P)
+            assert orc.curve_order(A, P) == N
+            assert orc.curve_order(-A, P) == 2 * P + 2 - N
+    return A
+
+
+def test_walk_equals_counting_at_every_step():
+    assert len(SUPERSINGULAR) == 27 and len(WALKS) == 28
+    for A in SUPERSINGULAR:
+        for e in WALKS:
+            assert (orc.brute_group_action(A, e, PRIMES, P)
+                    == stepwise_walk(A, e)), (A, e)
+
+
+def test_walk_counts_points_once(monkeypatch):
+    counted = []
+    curve_order = orc.curve_order
+
+    def counting_curve_order(A, p):
+        counted.append(A)
+        return curve_order(A, p)
+
+    monkeypatch.setattr(orc, "curve_order", counting_curve_order)
+    for e in WALKS:
+        counted.clear()
+        orc.brute_group_action(6, e, PRIMES, P)
+        assert counted == ([] if e == (0, 0, 0) else [6]), e
+    counted.clear()
+    assert orc.brute_group_action(2, (0, 0, 0), PRIMES, P) == 2
+    assert counted == []
+    with pytest.raises(ValueError, match="singular"):
+        orc.brute_group_action(2, (1, 0, 0), PRIMES, P)
+
+
+@pytest.mark.parametrize("bad", [0, 2, -2])
+@pytest.mark.parametrize("call", [
+    lambda bad: orc.find_order_l_point(0, 3, P, side=bad),
+    lambda bad: orc.act_one(0, 3, bad, P),
+], ids=["find_order_l_point", "act_one"])
+def test_unknown_side_or_sign_is_rejected(call, bad):
+    with pytest.raises(ValueError, match=r"\+1 or -1"):
+        call(bad)
