@@ -14,20 +14,35 @@ chunk, up/down accumulator batches), but no gate-level timing is modeled.
 The Booth core `booth_mul` is modelled, and checked against x*y, on its own;
 `mul_wide` forms its 32x32 chunk products exactly, without it.
 
-Where the cells run: `_add32cs` is the one carry-select cell and
-`_sub32cs` the one borrow-select cell.  `csel_add` / `csel_sub` chain one
-cell per 32-bit chunk; `mul_wide` folds each 32-bit overlap of a chunk
-product through one `_add32cs`.  The Montgomery reduction
-(`mont_reduce_dp_int`, and the tail of `mont_mul_dp_int`) is two
-`mul_wide`s, one `csel_add` and one `csel_sub`.  Words are packed and
-unpacked in bulk by `fp.int_to_words` / `fp.words_to_int`, which are
-bookkeeping, not modelled hardware.
+Where the cells run: the unit of work is a carry-select pass, one row of
+32-bit cells.  Stage 1 forms both carry-in results of every cell at once:
+`s0` holds each cell's sum with carry in 0 and `s1 = s0 + 1`, one cell per
+64-bit lane of one int.  A borrow cell holds 2^32 + x - y - borrow_in, so
+bit 32 of its lane is clear exactly when it borrows.  Stage 2, `_select`,
+ripples from cell 0: each cell takes its lane from `s1` or `s0` by the
+incoming carry or borrow, and hands its own, read from bit 32, to the
+next cell.  `csel_add` and `csel_sub` are one pass each.  `mul_wide` forms
+a chunk's n partial products with one multiply of the chunk word by `b`'s
+lanes, and folds their n 32-bit overlaps with one pass.  The Montgomery
+reduction (`mont_reduce_dp_int`, and the tail of `mont_mul_dp_int`) is two
+`mul_wide`s, one `csel_add` and one `csel_sub`.
+
+Lane packing, like `fp.int_to_words` / `fp.words_to_int`, is bookkeeping,
+not modelled hardware; it also rejects a word outside [0, 2^32).  The rows
+of a multiply's different chunks still run one at a time, and `_select`
+reads its rows one shift per cell.  Putting the rows side by side, or
+reading each row back in one `struct` unpack, ran a perfbench
+datapath-verify unit 2.2x and 1.95x the old cell-by-cell speed in
+prototypes, but raised that workload's peak RSS by 15% and 12%, past its
+10% bound, while perfbench keeps one span per finished op.  Both wait
+until perfbench's memory is bounded.
 """
 
 from __future__ import annotations
 
 import functools
 import random
+import struct
 from enum import Enum
 
 from .fp import int_to_words, words_to_int
@@ -64,51 +79,82 @@ _MONT_REDUCE_COST = {m: CycleCost(DEFAULT_COSTS[m.value][OP_MONT_REDUCE])
                      for m in AluMode}
 
 _MASK32 = (1 << WORD_BITS) - 1
+_LANE_BITS = 2 * WORD_BITS
 
 
-def _add32cs(x: int, y: int, carry_in: int):
-    """One carry-select cell: both carry-in scenarios, then select."""
-    t = x + y
-    s0, c0 = t & _MASK32, t >> WORD_BITS
-    t += 1
-    s1, c1 = t & _MASK32, t >> WORD_BITS
-    return (s1, c1) if carry_in else (s0, c0)
+class _Lanes(Record):
+    """The constants of an n-cell pass, built once per width by `_lanes`.
 
-
-def _sub32cs(x: int, y: int, borrow_in: int):
-    """One borrow-select cell: both borrow-in scenarios, then select."""
-    t = x - y
-    d0, w0 = t & _MASK32, 1 if t < 0 else 0
-    t -= 1
-    d1, w1 = t & _MASK32, 1 if t < 0 else 0
-    return (d1, w1) if borrow_in else (d0, w0)
-
-
-def _select_chain(cell, a, b, c: int):
-    """Chain one select cell per 32-bit chunk, least significant first.
-
-    Each cell forms both scenario results from its own operands alone
-    (pipeline stage 1); only the selection waits for the incoming carry
-    or borrow (stage 2).  Returns (words, carry_out, cost).
+    `n` is the cell count.  `pack` puts n words into 64-bit lanes, one
+    word per lane, and raises struct.error for a word outside [0, 2^32).
+    `ones` holds 1 and `low` 2^32 - 1 in every lane.
     """
+
+    __slots__ = ("n", "pack", "ones", "low")
+
+    def __init__(self, n, pack, ones, low):
+        self._init(n, pack, ones, low)
+
+
+@functools.cache
+def _lanes(n: int) -> _Lanes:
+    ones = int.from_bytes(b"\1\0\0\0\0\0\0\0" * n, "little")
+    return _Lanes(n, struct.Struct("<" + "I4x" * n).pack, ones,
+                  ones * _MASK32)
+
+
+def _pack(words, lanes: _Lanes) -> int:
+    """The words as the lanes of one int; ValueError for a word outside
+    [0, 2^32)."""
+    try:
+        raw = lanes.pack(*words)
+    except struct.error:
+        raise ValueError(f"word out of range [0, 2**{WORD_BITS})") from None
+    return int.from_bytes(raw, "little")
+
+
+def _select(s0: int, s1: int, lanes: _Lanes, carry: int):
+    """Stage 2 of a pass: ripple from cell 0, each cell taking its lane
+    from `s1` if its carry in is set, else from `s0`.  The lane's low word
+    is the cell's output and its bit 32 the cell's carry out; then both
+    rows shift down one lane.  Returns (words, carry_out)."""
+    words = []
+    for _ in range(lanes.n):
+        lane = s1 if carry else s0
+        words.append(lane & _MASK32)
+        carry = lane >> WORD_BITS & 1
+        s0 >>= _LANE_BITS
+        s1 >>= _LANE_BITS
+    return words, carry
+
+
+def _lanes_of(a, b) -> _Lanes:
+    """The pass constants for two operands, which must be of equal length."""
     if len(a) != len(b):
         raise ValueError("operand length mismatch")
-    out = []
-    for x, y in zip(a, b):
-        w, c = cell(x, y, c)
-        out.append(w)
-    return tuple(out), c, _CSEL_COST
+    return _lanes(len(a))
 
 
 def csel_add(a, b):
     """Pipelined carry-select addition of equal-length 32-bit word vectors,
     with no carry in.  Returns (sum, carry_out, cost)."""
-    return _select_chain(_add32cs, a, b, 0)
+    lanes = _lanes_of(a, b)
+    s0 = _pack(a, lanes) + _pack(b, lanes)      # stage 1: x + y per lane
+    words, carry = _select(s0, s0 + lanes.ones, lanes, 0)
+    return tuple(words), carry, _CSEL_COST
 
 
 def csel_sub(a, b):
-    """Carry-select subtraction, no borrow in: (diff, borrow_out, cost)."""
-    return _select_chain(_sub32cs, a, b, 0)
+    """Carry-select subtraction, no borrow in: (diff, borrow_out, cost).
+
+    A borrow cell's lane holds 2^32 + x - y - borrow_in, so its bit 32 is
+    clear exactly when the cell borrows: the select ripples "no borrow".
+    """
+    lanes = _lanes_of(a, b)
+    ones = lanes.ones
+    s1 = (ones << WORD_BITS) + _pack(a, lanes) - _pack(b, lanes)
+    words, no_borrow = _select(s1 - ones, s1, lanes, 1)
+    return tuple(words), no_borrow ^ 1, _CSEL_COST
 
 
 def booth_mul(x: int, y: int, width: int, mode: AluMode = AluMode.ASIC):
@@ -143,49 +189,43 @@ def booth_mul32(x: int, y: int, mode: AluMode = AluMode.ASIC):
     return booth_mul(x, y, WORD_BITS, mode)
 
 
-def _chunk_product(a_k: int, b):
-    """One 32-bit chunk of `a` against all n chunks of `b`, folded with
-    carry-select cells into an (n+1)-word chunk product.
+def _chunk_product(a_k: int, b_lanes: int, lanes: _Lanes) -> int:
+    """One 32-bit chunk of `a` against all n chunks of `b`, folded by one
+    carry-select pass into an (n+1)-word chunk product.
 
-    One pass: partial product t is split into its low and high words, its
-    low word meets the high word of partial product t-1 in one cell, and
-    the cell's sum word is placed at word t of the result.
+    One multiply forms every partial product a_k * b_t in lane t of
+    `b_lanes`.  Cell t then adds the high word of partial product t to the
+    low word of partial product t+1, and its sum is word t+1 of the
+    result; the low word of partial product 0 is word 0.
     """
-    pp = a_k * b[0]
-    product = pp & _MASK32
-    hi = pp >> WORD_BITS
-    c = 0
-    shift = WORD_BITS
-    for b_t in b[1:]:
-        pp = a_k * b_t
-        w, c = _add32cs(hi, pp & _MASK32, c)
-        product |= w << shift
-        hi = pp >> WORD_BITS
-        shift += WORD_BITS
-    w, c = _add32cs(hi, 0, c)
-    if c:
+    pp = a_k * b_lanes
+    s0 = ((pp >> WORD_BITS) & lanes.low) + ((pp & lanes.low) >> _LANE_BITS)
+    words, carry = _select(s0, s0 + lanes.ones, lanes, 0)
+    if carry:
         raise RuntimeError("chunk product overflowed n+1 words")
-    return product | w << shift
+    return pp & _MASK32 | words_to_int(words) << WORD_BITS
 
 
 def mul_wide(a, b, mode: AluMode = AluMode.FPGA):
     """Parallel schoolbook 512x512 multiply (two 8-chunk batches).
 
     Per chunk of `a`: generate 16 partial products, fold the 32-bit
-    overlaps with carry-select cells, accumulate into the batch's 1024-bit
-    register at the chunk's word offset; finally merge the up/down batch
-    accumulators.  Costs ``MUL_WIDE_CYCLES`` for the ALU mode.
+    overlaps with one carry-select pass, accumulate into the batch's
+    1024-bit register at the chunk's word offset; finally merge the
+    up/down batch accumulators.  Costs ``MUL_WIDE_CYCLES`` for the ALU
+    mode.
     """
-    if len(a) != len(b):
-        raise ValueError("operand length mismatch")
-    n = len(a)
+    lanes = _lanes_of(a, b)
+    _pack(a, lanes)             # range check of the words read one by one
+    b_lanes = _pack(b, lanes)
+    n = lanes.n
     half = (n + 1) // 2
     acc_up = 0
     for k in range(half):
-        acc_up += _chunk_product(a[k], b) << (WORD_BITS * k)
+        acc_up += _chunk_product(a[k], b_lanes, lanes) << (WORD_BITS * k)
     acc_down = 0
     for v in range(half, n):
-        acc_down += _chunk_product(a[v], b) << (WORD_BITS * v)
+        acc_down += _chunk_product(a[v], b_lanes, lanes) << (WORD_BITS * v)
     product = acc_up + acc_down
     return int_to_words(product, 2 * n), _MUL_WIDE_COST[mode]
 

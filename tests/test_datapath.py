@@ -12,9 +12,13 @@ from csidhsim.fp import Fp, int_to_words, words_to_int
 from csidhsim.oracle import naive_redc
 from csidhsim.params import get_params
 from csidhsim.trace import OP_MONT_REDUCE, CostTable
+from test_action import MID90
 
 FULL = get_params("csidh512")
 TOY = get_params("toy419")
+# toy419, MID90 and csidh512 have 1, 3 and 16 words; MID90's odd count
+# splits mul_wide's up/down batches 2 + 1.
+SETS = [TOY, MID90, FULL]
 
 word = st.integers(0, 2**32 - 1)
 elt512 = st.integers(0, 2**512 - 1)
@@ -57,6 +61,46 @@ def test_csel_add_oracle(a, b):
 def test_csel_sub_oracle(a, b):
     d, w, _ = csel_sub(int_to_words(a, 16), int_to_words(b, 16))
     assert words_to_int(d) - (w << 512) == a - b
+
+
+def test_words_out_of_range_rejected():
+    # a word past 32 bits is rejected, not folded into the next cell's carry
+    zero = (0, 0)
+    for bad in ((2**33, 0), (0, 2**32), (-1, 0)):
+        for op in (csel_add, csel_sub, mul_wide):
+            with pytest.raises(ValueError, match="out of range"):
+                op(bad, zero)
+            with pytest.raises(ValueError, match="out of range"):
+                op(zero, bad)
+
+
+# --- every pass width against bignums -----------------------------------------
+
+def _ripple_cases(n, rnd):
+    """Operand pairs whose carries or borrows run through every cell."""
+    top = 2**(32 * n) - 1
+    fives = sum(0x55555555 << (32 * i) for i in range(n))
+    tens = top ^ fives
+    edges = [top, 0, 1, fives, tens, top - 1, 1 << (32 * n - 1)]
+    cases = [(top, 1), (0, 1), (top, top), (fives, tens), (tens, fives),
+             (tens, tens), (fives, fives + 1)]
+    cases += [(x, y) for x in edges for y in edges]
+    cases += [(rnd.getrandbits(32 * n), rnd.getrandbits(32 * n))
+              for _ in range(30)]
+    return cases
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 16, 32, 56])
+def test_passes_match_bignums_at_every_width(n):
+    width = 32 * n
+    for a, b in _ripple_cases(n, random.Random(n)):
+        aw, bw = int_to_words(a, n), int_to_words(b, n)
+        s, c, _ = csel_add(aw, bw)
+        assert words_to_int(s) + (c << width) == a + b
+        d, w, _ = csel_sub(aw, bw)
+        assert words_to_int(d) - (w << width) == a - b
+        prod, _ = mul_wide(aw, bw)
+        assert len(prod) == 2 * n and words_to_int(prod) == a * b
 
 
 # --- Booth multiplier --------------------------------------------------------
@@ -126,7 +170,20 @@ def test_mont_mul_dp_toy():
     assert got == 100 * 200 * pow(TOY.R, -1, TOY.p) % TOY.p
 
 
-@pytest.mark.parametrize("params", [TOY, FULL], ids=lambda p: p.name)
+@pytest.mark.parametrize("mode", list(AluMode))
+def test_mont_mul_dp_mid90(mode):
+    fp = Fp(MID90)
+    p = MID90.p
+    rnd = random.Random(f"mid90-mul-{mode.value}")
+    edges = [0, 1, 2, p - 2, p - 1]
+    pairs = [(a, b) for a in edges for b in edges]
+    pairs += [(rnd.randrange(p), rnd.randrange(p)) for _ in range(200)]
+    cost = CycleCost({AluMode.FPGA: 87, AluMode.ASIC: 89}[mode])
+    for a, b in pairs:
+        assert mont_mul_dp_int(a, b, MID90, mode) == (fp.mul(a, b), cost)
+
+
+@pytest.mark.parametrize("params", SETS, ids=lambda p: p.name)
 def test_mont_mul_dp_rejects_operand_beyond_R(params):
     # an operand >= R has no n-word form, so it is rejected, not truncated;
     # a product beyond p*R is out of MONT_REDUCE's range
@@ -139,7 +196,7 @@ def test_mont_mul_dp_rejects_operand_beyond_R(params):
 # --- Montgomery reduction on the datapath ------------------------------------
 
 @pytest.mark.parametrize("mode", list(AluMode))
-@pytest.mark.parametrize("params", [TOY, FULL], ids=lambda p: p.name)
+@pytest.mark.parametrize("params", SETS, ids=lambda p: p.name)
 def test_mont_reduce_dp_matches_fp_and_oracle(params, mode):
     fp = Fp(params)
     p, R = params.p, params.R
@@ -155,7 +212,7 @@ def test_mont_reduce_dp_matches_fp_and_oracle(params, mode):
     assert mont_reduce_dp_int(a * R, params, mode)[0] == a
 
 
-@pytest.mark.parametrize("params", [TOY, FULL], ids=lambda p: p.name)
+@pytest.mark.parametrize("params", SETS, ids=lambda p: p.name)
 def test_mont_reduce_dp_range(params):
     for T in (-1, params.p * params.R, params.R ** 2):
         with pytest.raises(ValueError, match=r"\[0, p\*R\)"):
