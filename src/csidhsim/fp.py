@@ -132,42 +132,40 @@ class Fp:
             t.extend(ops * times)
         self._mod = ops[-1] & ~7
 
+    def _record(self, op: int) -> None:
+        """Record the single op `op` under the current module."""
+        t = self.trace
+        if t is not None:
+            t.append(self._mod | op)
+
     # --- core ops (operands and results are plain ints < p) ---
 
     def add(self, a: int, b: int) -> int:
-        t = self.trace
-        if t is not None:
-            t.append(self._mod | OP_ADD)
+        self._record(OP_ADD)
         s = a + b
         p = self.p
         return s - p if s >= p else s
 
     def sub(self, a: int, b: int) -> int:
-        t = self.trace
-        if t is not None:
-            t.append(self._mod | OP_SUB)
+        self._record(OP_SUB)
         s = a - b
         return s + self.p if s < 0 else s
 
     def mul(self, a: int, b: int) -> int:
         """Montgomery product a*b*R^-1 mod p, MONT_MUL's reference value."""
-        t = self.trace
-        if t is not None:
-            t.append(self._mod | OP_MONT_MUL)
-        T = a * b
-        m = ((T & self.mask) * self.pinv) & self.mask
-        r = (T + m * self.p) >> self.shift
-        p = self.p
-        return r - p if r >= p else r
+        self._record(OP_MONT_MUL)
+        return self._reduce(a * b)
 
     def redc(self, T: int) -> int:
         """Montgomery reduction T*R^-1 mod p for T < p*R, MONT_REDUCE's
         reference value."""
         if not 0 <= T < self.p << self.shift:
             raise ValueError("mont_reduce input out of range [0, p*R)")
-        t = self.trace
-        if t is not None:
-            t.append(self._mod | OP_MONT_REDUCE)
+        self._record(OP_MONT_REDUCE)
+        return self._reduce(T)
+
+    def _reduce(self, T: int) -> int:
+        """T*R^-1 mod p, canonical, for 0 <= T < p*R."""
         m = ((T & self.mask) * self.pinv) & self.mask
         r = (T + m * self.p) >> self.shift
         p = self.p
@@ -176,17 +174,13 @@ class Fp:
     def to_mont(self, a: int) -> int:
         """The ALU's conversion into the Montgomery domain: records one
         MONT_MUL and returns the residue `a` unchanged."""
-        t = self.trace
-        if t is not None:
-            t.append(self._mod | OP_MONT_MUL)
+        self._record(OP_MONT_MUL)
         return a
 
     def from_mont(self, a: int) -> int:
         """The ALU's conversion out of the Montgomery domain: records one
         MONT_REDUCE and returns the residue `a` unchanged."""
-        t = self.trace
-        if t is not None:
-            t.append(self._mod | OP_MONT_REDUCE)
+        self._record(OP_MONT_REDUCE)
         return a
 
     def _issue_pow(self, e: int) -> None:

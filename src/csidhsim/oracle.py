@@ -2,11 +2,10 @@
 
 Everything here is deliberately independent of the production modules: plain
 affine group-law arithmetic, exhaustive point counting and enumeration, and
-Velu isogenies. The codomain comes from Velu's closed-form sums over the
-kernel; the translation-form map phi(P) = P + sum((P + K) - K) gives the
-point images and the image of (0, 0), a rational 2-torsion x, and the
-codomain is normalized to the Montgomery model by explicit isomorphism
-search.
+Velu isogenies. One set of Velu's closed-form sums over the kernel gives
+the codomain, each point's image x' and its y' = y*dx'/dx, and the image of
+(0, 0), a rational 2-torsion x; the codomain is normalized to the Montgomery
+model by explicit isomorphism search, which maps the images with it.
 A walk counts its start's points once: isogenous curves over F_p have the
 same number of points (Tate, Invent. Math. 2, 1966), so every curve on it
 has the start's count N, and each twist E_{-A} has 2p + 2 - N.
@@ -14,6 +13,8 @@ Nothing is constant-time and nothing is shared with the main code paths.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 TOY_LIMIT = 1 << 32
 
@@ -23,35 +24,20 @@ def naive_redc(T: int, p: int, R: int) -> int:
     return T * pow(R, -1, p) % p
 
 
-class AffinePoint:
+class AffinePoint(NamedTuple):
     """A read-only affine point (x, y), equal only to an AffinePoint with
-    the same coordinates."""
+    the same coordinates: never to a bare tuple or another tuple type."""
 
-    __slots__ = ("x", "y")
-
-    def __init__(self, x: int, y: int):
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
+    x: int
+    y: int
 
     def __eq__(self, other):
-        if other.__class__ is not AffinePoint:
-            return NotImplemented
-        return self.x == other.x and self.y == other.y
+        return other.__class__ is AffinePoint and tuple.__eq__(self, other)
 
-    def __hash__(self):
-        return hash((self.x, self.y))
+    def __ne__(self, other):
+        return not self == other
 
-    def __repr__(self):
-        return f"AffinePoint(x={self.x!r}, y={self.y!r})"
-
-    def __reduce__(self):
-        return AffinePoint, (self.x, self.y)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AffinePoint is read-only")
-
-    def __delattr__(self, name):
-        raise AttributeError("AffinePoint is read-only")
+    __hash__ = tuple.__hash__
 
 
 INFINITY = None  # affine point at infinity marker
@@ -79,9 +65,9 @@ def add_points(P, Q, A: int, p: int):
         return Q
     if Q is INFINITY:
         return P
-    if P.x == Q.x and (P.y + Q.y) % p == 0:
-        return INFINITY
-    if P == Q:
+    if P.x == Q.x:                   # P = -Q or, on the curve, P = Q
+        if (P.y + Q.y) % p == 0:
+            return INFINITY
         lam = (3 * P.x * P.x + 2 * A * P.x + 1) * pow(2 * P.y, -1, p) % p
     else:
         lam = (Q.y - P.y) * pow(Q.x - P.x, -1, p) % p
@@ -166,8 +152,8 @@ def velu_isogeny(A: int, kernel_gen, l: int, p: int):
     """Degree-l isogeny by Velu's formulas, normalized to the unique
     Montgomery codomain.
 
-    Returns (A', phi) where phi maps an affine x (or AffinePoint) to the
-    image x on y^2 = x^3 + A'*x^2 + x, or INFINITY for kernel inputs.
+    Returns (A', phi) where phi maps an AffinePoint to its image on
+    y^2 = x^3 + A'*x^2 + x, or INFINITY for INFINITY and kernel inputs.
     """
     _check_toy(p)
     # One walk K, 2K, ... lists the kernel; it reaches O after exactly l - 1
@@ -181,32 +167,31 @@ def velu_isogeny(A: int, kernel_gen, l: int, p: int):
         raise ValueError("kernel generator does not have exact order l")
     kernel_x = {K.x for K in kernel}
 
-    def raw_map(P):
-        """Translation Velu: phi(P) = P + sum over kernel of ((P+Q) - Q)."""
-        if P is INFINITY or P.x in kernel_x:
-            return INFINITY
-        x = P.x
-        y = P.y
-        for K in kernel:
-            S = add_points(P, K, A, p)
-            x = (x + S.x - K.x) % p
-            y = (y + S.y - K.y) % p
-        return AffinePoint(x, y)
-
     # Velu's closed form for a1 = a3 = 0 (Washington, Elliptic Curves,
-    # Thm 12.16), summed over one of each pair +-K: the codomain is
-    # y^2 = x^3 + A*x^2 + (1 - 5v)*x - (4A*v + 7w).
-    v = w = 0
-    for K in kernel[:(l - 1) // 2]:
-        g = (3 * K.x + 2 * A) * K.x + 1
-        v += 2 * g
-        w += 4 * K.y * K.y + 2 * K.x * g
+    # Thm 12.16), one set of sums over one of each pair +-K, with
+    # v_K = 2*g_K and u_K = 4*y_K^2. The codomain is
+    # y^2 = x^3 + A*x^2 + (1 - 5v)*x - (4A*v + 7w), and with
+    # d = 1/(x - x_K), P maps to x' = x + sum(v_K*d + u_K*d^2) and
+    # y' = y*(1 - sum(v_K*d^2 + 2*u_K*d^3)) = y*dx'/dx.
+    sums = [(K.x, 2 * ((3 * K.x + 2 * A) * K.x + 1), 4 * K.y * K.y)
+            for K in kernel[:(l - 1) // 2]]
+    v = sum(vK for _, vK, _ in sums)
+    w = sum(uK + xK * vK for xK, vK, uK in sums)
     a2, a4, a6 = A, (1 - 5 * v) % p, -(4 * A * v + 7 * w) % p
+
+    def image(x):
+        """x' and dx'/dx for an affine x outside the kernel."""
+        x2, slope = x, 1
+        for xK, vK, uK in sums:
+            d = pow(x - xK, -1, p)
+            x2 += (vK + uK * d) * d
+            slope -= (vK + 2 * uK * d) * d * d
+        return x2 % p, slope
 
     # Normalize y^2 = x^3 + a2 x^2 + a4 x + a6 to Montgomery form via
     # x -> u^2 x + r with r a rational 2-torsion x and u in F_p. The image
     # of (0, 0) is one such r; the quotient quadratic holds the others.
-    r0 = raw_map(AffinePoint(0, 0)).x
+    r0 = image(0)[0]
     if ((r0 + a2) * r0 + a4) * r0 % p != -a6 % p:
         raise ArithmeticError("image of (0, 0) is off the Velu codomain")
     b = a2 + r0                      # cubic = (x - r0)(x^2 + b*x + c)
@@ -232,18 +217,13 @@ def velu_isogeny(A: int, kernel_gen, l: int, p: int):
             f"Montgomery normalization not unique: {candidates}")
     r, u2, A_new = candidates[0]
     u2_inv = pow(u2, -1, p)
+    u3_inv = u2_inv * pow(sqrt_mod(u2, p), -1, p)
 
     def phi(P):
-        if isinstance(P, int):
-            rhs = (P ** 3 + A * P * P + P) % p
-            y = sqrt_mod(rhs, p)
-            if y is None:
-                raise ValueError("x is not on the curve side")
-            P = AffinePoint(P, y)
-        img = raw_map(P)
-        if img is INFINITY:
+        if P is INFINITY or P.x in kernel_x:
             return INFINITY
-        return AffinePoint((img.x - r) * u2_inv % p, img.y)  # y left raw
+        x2, slope = image(P.x)
+        return AffinePoint((x2 - r) * u2_inv % p, P.y * slope * u3_inv % p)
 
     return A_new, phi
 

@@ -1,10 +1,13 @@
 """Self-checks for the brute-force reference implementations."""
 
 import itertools
+import pickle
+import random
 
 import pytest
 
 from csidhsim import oracle as orc
+from csidhsim.mont_curve import ProjPoint
 
 P = 419
 PRIMES = (3, 5, 7)
@@ -60,26 +63,67 @@ def test_velu_kernel_to_infinity():
     K, _ = orc.find_order_l_point(0, 7, P, side=1)
     _, phi = orc.velu_isogeny(0, K, 7, P)
     assert phi(K) is orc.INFINITY
+    assert phi(orc.INFINITY) is orc.INFINITY
 
 
-def test_velu_maps_every_point_onto_its_codomain():
-    # For every supersingular curve, l and side, phi sends exactly the
-    # kernel to O and every other affine point to an x on E_{A'}. Under a
-    # wrong A' each of the at least 29 distinct nonzero image x per case
-    # (7,506 over the 162 cases) would be a square by chance about half
-    # the time.
+def velu_cases():
+    """(coeff, l, K, A', phi) for every supersingular curve, l and side."""
     for A in SUPERSINGULAR:
         for l in PRIMES:
             for side in (1, -1):
                 K, coeff = orc.find_order_l_point(A, l, P, side)
-                A2, phi = orc.velu_isogeny(coeff, K, l, P)
-                kernel = {orc.scalar_mul(i, K, coeff, P) for i in range(1, l)}
-                for Q in orc.curve_points(coeff, P):
-                    img = phi(Q)
-                    assert (img is orc.INFINITY) == (Q in kernel)
-                    if img is not orc.INFINITY:
-                        x = img.x
-                        assert orc.legendre(x ** 3 + A2 * x * x + x, P) != -1
+                yield (coeff, l, K, *orc.velu_isogeny(coeff, K, l, P))
+
+
+def test_velu_maps_every_point_onto_its_codomain():
+    # For every supersingular curve, l and side, phi sends exactly the
+    # kernel to O and every other affine point to a point (x, y) of E_{A'}.
+    # A wrong A', or a y not carried through the Montgomery normalization,
+    # leaves the image off the curve.
+    for coeff, l, K, A2, phi in velu_cases():
+        kernel = {orc.scalar_mul(i, K, coeff, P) for i in range(1, l)}
+        for Q in orc.curve_points(coeff, P):
+            img = phi(Q)
+            assert (img is orc.INFINITY) == (Q in kernel)
+            assert on_curve(img, A2, P), (coeff, l, Q, img)
+
+
+def test_velu_is_a_homomorphism():
+    # phi(Q1 + Q2) == phi(Q1) + phi(Q2) on E_{A'} for 20 seeded random
+    # pairs per case, a pair with Q1 + Q2 = O and a kernel point plus a
+    # random point; a map whose image x is right but whose y is not fails
+    # most random pairs.
+    rng = random.Random(34)
+    for coeff, _, K, A2, phi in velu_cases():
+        points = list(orc.curve_points(coeff, P))
+        Q = rng.choice(points)
+        pairs = [(Q, orc.AffinePoint(Q.x, -Q.y % P)), (K, Q)]
+        pairs += [(rng.choice(points), rng.choice(points)) for _ in range(20)]
+        for Q1, Q2 in pairs:
+            assert (phi(orc.add_points(Q1, Q2, coeff, P))
+                    == orc.add_points(phi(Q1), phi(Q2), A2, P)), (Q1, Q2)
+
+
+def test_affine_point_contract():
+    # Equal only to an AffinePoint with the same coordinates: a point is
+    # not a bare pair or a projective point. A bare pair asks the point,
+    # a subclass of tuple, first; another tuple type such as ProjPoint
+    # answers its own == with tuple equality, so only the point's side is
+    # the contract.
+    Q = orc.AffinePoint(3, 5)
+    assert Q == orc.AffinePoint(3, 5) and not Q != orc.AffinePoint(3, 5)
+    for other in ((3, 5), [3, 5], ProjPoint(3, 5), orc.AffinePoint(3, 4),
+                  orc.AffinePoint(4, 5), orc.INFINITY):
+        assert Q != other and not Q == other
+    for other in ((3, 5), [3, 5]):
+        assert other != Q and not other == Q
+    assert hash(Q) == hash(orc.AffinePoint(3, 5))
+    assert len({Q, orc.AffinePoint(3, 5)}) == 1
+    copy = pickle.loads(pickle.dumps(Q))
+    assert copy == Q and copy.__class__ is orc.AffinePoint
+    for name in ("x", "y", "z"):
+        with pytest.raises(AttributeError):
+            setattr(Q, name, 0)
 
 
 @pytest.mark.parametrize("l", PRIMES)

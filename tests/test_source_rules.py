@@ -52,18 +52,18 @@ def test_import_loads_no_heavy_stdlib_module():
 
 
 def test_every_opcode_is_emitted():
-    # An opcode that Fp never appends to a trace is dead weight in the
+    # An opcode that Fp never records in a trace is dead weight in the
     # trace format and the cost table.
     tree = ast.parse((SRC / "fp.py").read_text())
     fp_class = next(node for node in tree.body
                     if isinstance(node, ast.ClassDef) and node.name == "Fp")
-    appended = {name.id for call in ast.walk(fp_class)
+    recorded = {name.id for call in ast.walk(fp_class)
                 if isinstance(call, ast.Call)
                 and isinstance(call.func, ast.Attribute)
-                and call.func.attr == "append"
+                and call.func.attr == "_record"
                 for arg in call.args for name in ast.walk(arg)
                 if isinstance(name, ast.Name) and name.id.startswith("OP_")}
-    emitted = {getattr(trace, name) for name in appended}
+    emitted = {getattr(trace, name) for name in recorded}
     assert [name for op, name in sorted(trace.OPCODE_NAMES.items())
             if op not in emitted] == []
 
